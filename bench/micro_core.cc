@@ -70,8 +70,7 @@ EventId HottestEvent() {
 // input of the lazy merged-view benchmarks.
 struct ShardBackendSet {
   std::vector<std::unique_ptr<PositionIndex>> csr;
-  std::vector<std::unique_ptr<BitmapIndex>> bitmap;
-  std::vector<std::unique_ptr<HybridIndex>> hybrid;
+  std::vector<std::unique_ptr<HybridIndex>> vertical;
   std::vector<CountingBackend> backends;
 };
 
@@ -79,19 +78,14 @@ ShardBackendSet BuildShardBackends(const ShardedDatabase& set) {
   ShardBackendSet out;
   for (size_t i = 0; i < set.num_shards(); ++i) {
     const SequenceDatabase& shard = set.shard(i);
-    switch (ChooseBackendKind(shard)) {
-      case BackendKind::kBitmap:
-        out.bitmap.push_back(std::make_unique<BitmapIndex>(shard));
-        out.backends.emplace_back(*out.bitmap.back());
-        break;
-      case BackendKind::kHybrid:
-        out.hybrid.push_back(std::make_unique<HybridIndex>(shard));
-        out.backends.emplace_back(*out.hybrid.back());
-        break;
-      default:
-        out.csr.push_back(std::make_unique<PositionIndex>(shard));
-        out.backends.emplace_back(*out.csr.back());
-        break;
+    const BackendKind kind = ChooseBackendKind(shard);
+    if (kind == BackendKind::kCsr) {
+      out.csr.push_back(std::make_unique<PositionIndex>(shard));
+      out.backends.emplace_back(*out.csr.back());
+    } else {
+      out.vertical.push_back(
+          std::make_unique<HybridIndex>(shard, DenseCutoffFor(kind)));
+      out.backends.emplace_back(*out.vertical.back());
     }
   }
   return out;
@@ -233,22 +227,23 @@ int Run() {
       "CountOccurrences", [&] { DoNotOptimize(CountOccurrences(hot, db)); },
       &report);
 
-  // --- the vertical bitmap backend on the same (dense, fig1-style QUEST)
-  // corpus. The cold benchmarks construct a fresh workspace per call like
-  // their CSR twins above; the chooser line documents what `auto` picks.
+  // --- the vertical bitmap backend (a HybridIndex at kBitmapDenseCutoff)
+  // on the same (dense, fig1-style QUEST) corpus. The cold benchmarks
+  // construct a fresh workspace per call like their CSR twins above; the
+  // chooser line documents what `auto` picks.
   // The legacy Bitmap* benches are pinned to the scalar kernel table —
   // their trajectory predates the SIMD dispatch, and the Simd* twins
   // below carry the native-dispatch numbers.
   std::printf("--- bitmap backend (auto on this corpus: %s) ---\n",
               BackendKindName(ChooseBackendKind(db)));
   SetKernelsForTest(&ScalarKernels());
-  BitmapIndex bitmap_index(db);
+  const HybridIndex bitmap_index(db, kBitmapDenseCutoff);
   const CountingBackend bitmap_backend(bitmap_index);
 
   RunMicroBenchmark(
       "BitmapIndexBuild",
       [&] {
-        BitmapIndex ix(db);
+        HybridIndex ix(db, kBitmapDenseCutoff);
         DoNotOptimize(ix.num_events());
       },
       &report);
@@ -376,7 +371,7 @@ int Run() {
     return GenerateQuest(p).TakeValueOrDie();
   }();
   PositionIndex sparse_csr(sparse);
-  BitmapIndex sparse_bitmap(sparse);
+  const HybridIndex sparse_bitmap(sparse, kBitmapDenseCutoff);
   std::printf(
       "sparse corpus: auto picks %s (mean occurrences %.2f, bitmap table "
       "%.1f MB)\n",

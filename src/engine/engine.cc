@@ -235,25 +235,19 @@ Result<CountingBackend> Engine::EnsureBackend(BackendChoice choice,
     return CountingBackend(**index);
   }
   std::lock_guard<std::mutex> lock(sync_->cache_mu);
-  if (kind == BackendKind::kHybrid) {
-    if (hybrid_index_ == nullptr) {
-      SPECMINE_RETURN_NOT_OK(CheckIndexable(*db_));
-      Stopwatch sw;
-      hybrid_index_ = std::make_unique<HybridIndex>(*db_);
-      *build_seconds = sw.ElapsedSeconds();
-      sync_->index_builds.fetch_add(1, std::memory_order_acq_rel);
-    }
-    return CountingBackend(*hybrid_index_);
-  }
-  if (bitmap_index_ == nullptr) {
+  const bool bitmap = kind == BackendKind::kBitmap;
+  std::unique_ptr<HybridIndex>& slot = bitmap ? bitmap_index_ : hybrid_index_;
+  if (slot == nullptr) {
     SPECMINE_RETURN_NOT_OK(CheckIndexable(*db_));
-    SPECMINE_RETURN_NOT_OK(CheckBitmapIndexable(*db_));
+    // The bitmap layout's table is alphabet x arena bits: cap it before
+    // allocating.
+    if (bitmap) SPECMINE_RETURN_NOT_OK(CheckBitmapIndexable(*db_));
     Stopwatch sw;
-    bitmap_index_ = std::make_unique<BitmapIndex>(*db_);
+    slot = std::make_unique<HybridIndex>(*db_, DenseCutoffFor(kind));
     *build_seconds = sw.ElapsedSeconds();
     sync_->index_builds.fetch_add(1, std::memory_order_acq_rel);
   }
-  return CountingBackend(*bitmap_index_);
+  return CountingBackend(*slot);
 }
 
 CountingBackend Engine::backend(BackendChoice choice) const {
@@ -422,39 +416,30 @@ Status Engine::EnsureShardBackends(BackendChoice choice,
   if (shard_hybrid_indexes_.empty()) {
     shard_hybrid_indexes_.resize(num_shards);
   }
+  // The vertical slot a shard resolved to (kinds[i] must not be kCsr).
+  const auto vertical_slot = [&](size_t i) -> std::unique_ptr<HybridIndex>& {
+    return kinds[i] == BackendKind::kBitmap ? shard_bitmap_indexes_[i]
+                                            : shard_hybrid_indexes_[i];
+  };
   // Build whatever is missing, one job per shard on the session pool.
   // Slots are distinct, so the fan-out needs no locking.
-  const auto slot_empty = [&](size_t i) {
-    switch (kinds[i]) {
-      case BackendKind::kBitmap:
-        return shard_bitmap_indexes_[i] == nullptr;
-      case BackendKind::kHybrid:
-        return shard_hybrid_indexes_[i] == nullptr;
-      default:
-        return shard_indexes_[i] == nullptr;
-    }
-  };
   std::vector<size_t> missing;
   for (size_t i = 0; i < num_shards; ++i) {
-    if (slot_empty(i)) missing.push_back(i);
+    const bool empty = kinds[i] == BackendKind::kCsr
+                           ? shard_indexes_[i] == nullptr
+                           : vertical_slot(i) == nullptr;
+    if (empty) missing.push_back(i);
   }
   if (!missing.empty()) {
     Stopwatch sw;
     auto build_one = [&](size_t m) {
       const size_t i = missing[m];
-      switch (kinds[i]) {
-        case BackendKind::kBitmap:
-          shard_bitmap_indexes_[i] =
-              std::make_unique<BitmapIndex>(shard_set_->shard(i));
-          break;
-        case BackendKind::kHybrid:
-          shard_hybrid_indexes_[i] =
-              std::make_unique<HybridIndex>(shard_set_->shard(i));
-          break;
-        default:
-          shard_indexes_[i] =
-              std::make_unique<PositionIndex>(shard_set_->shard(i));
-          break;
+      const SequenceDatabase& shard = shard_set_->shard(i);
+      if (kinds[i] == BackendKind::kCsr) {
+        shard_indexes_[i] = std::make_unique<PositionIndex>(shard);
+      } else {
+        vertical_slot(i) =
+            std::make_unique<HybridIndex>(shard, DenseCutoffFor(kinds[i]));
       }
     };
     if (num_threads > 1 && missing.size() > 1) {
@@ -467,17 +452,9 @@ Status Engine::EnsureShardBackends(BackendChoice choice,
   }
   backends->reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    switch (kinds[i]) {
-      case BackendKind::kBitmap:
-        backends->push_back(CountingBackend(*shard_bitmap_indexes_[i]));
-        break;
-      case BackendKind::kHybrid:
-        backends->push_back(CountingBackend(*shard_hybrid_indexes_[i]));
-        break;
-      default:
-        backends->push_back(CountingBackend(*shard_indexes_[i]));
-        break;
-    }
+    backends->push_back(kinds[i] == BackendKind::kCsr
+                            ? CountingBackend(*shard_indexes_[i])
+                            : CountingBackend(*vertical_slot(i)));
   }
   return Status::OK();
 }
@@ -567,7 +544,7 @@ Result<RunReport> Engine::MineSharded(const FullPatternsTask& task,
   if (!backends.empty()) {
     report.backend = backends.front().name();
     for (const CountingBackend& b : backends) {
-      if (b.kind() != backends.front().kind()) {
+      if (report.backend != b.name()) {
         report.backend = "mixed";
         break;
       }

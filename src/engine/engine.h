@@ -21,14 +21,14 @@
 //
 // Thread-safety: Mine is safe to call concurrently from multiple threads
 // on one Engine (the specmined server shares one session per corpus
-// across its connection threads). The lazily built caches — CSR/bitmap
-// index, per-shard indexes, unit view — are constructed under a mutex, so
-// N requests racing into a cold corpus pay for exactly one build
-// (index_builds() == 1; the concurrent hammer test pins this down), and
-// every cache is immutable once published. Worker pools are handed out as
-// exclusive leases: concurrent multi-threaded tasks each get their own
-// pool (idle pools are cached and reused), because a ThreadPool fan-out
-// requires the pool to itself be otherwise idle.
+// across its connection threads). The lazily built caches — CSR and
+// vertical indexes, per-shard indexes, unit view — are constructed under
+// a mutex, so N requests racing into a cold corpus pay for exactly one
+// build (index_builds() == 1; the concurrent hammer test pins this down),
+// and every cache is immutable once published. Worker pools are handed
+// out as exclusive leases: concurrent multi-threaded tasks each get their
+// own pool (idle pools are cached and reused), because a ThreadPool
+// fan-out requires the pool to itself be otherwise idle.
 
 #ifndef SPECMINE_ENGINE_ENGINE_H_
 #define SPECMINE_ENGINE_ENGINE_H_
@@ -226,7 +226,7 @@ class Engine {
   /// The checked factories guarantee this cannot fail; after the unchecked
   /// constructor, prefer Mine (which reports indexability errors as
   /// Status) before touching this. Note the session may instead (or also)
-  /// carry a bitmap index — see backend().
+  /// carry a vertical index — see backend().
   const PositionIndex& index() const;
 
   /// \brief The session's counting backend for \p choice, building the
@@ -236,16 +236,16 @@ class Engine {
   /// session mixing explicit csr, bitmap and hybrid tasks builds each at
   /// most once. Like index(), this accessor aborts if the build fails —
   /// which for kAuto / kCsr the checked factories make unreachable, but
-  /// an explicit kBitmap request beyond the 1 GB table cap does fail; for
-  /// untrusted sizes run a Mine task instead, which reports the same
-  /// condition as an OutOfRange Status.
+  /// an explicit kBitmap request beyond the 1 GB table cap
+  /// (CheckBitmapIndexable) does fail; for untrusted sizes run a Mine task
+  /// instead, which reports the same condition as an OutOfRange Status.
   CountingBackend backend(BackendChoice choice = BackendChoice::kAuto) const;
 
-  /// \brief How many physical index builds (CSR or bitmap) this session
-  /// has paid for — at most one per representation, *including* under
-  /// concurrent Mine calls racing into a cold session; a single-backend
-  /// session stays at 1 however many tasks it runs (the cache assertion
-  /// the tests pin down).
+  /// \brief How many physical index builds (csr, bitmap or hybrid) this
+  /// session has paid for — at most one per representation, *including*
+  /// under concurrent Mine calls racing into a cold session; a
+  /// single-backend session stays at 1 however many tasks it runs (the
+  /// cache assertion the tests pin down).
   size_t index_builds() const {
     return sync_->index_builds.load(std::memory_order_acquire);
   }
@@ -339,9 +339,9 @@ class Engine {
   // The mutexes and the build counter live behind one heap allocation
   // because an Engine must stay movable (the factories return by value);
   // mutexes and atomics are not. cache_mu guards every lazy cache build
-  // (index_, bitmap_index_, the per-shard index vectors, units_); once a
-  // cache is published it is immutable and read without the lock. pool_mu
-  // guards the idle pool cache.
+  // (index_, the vertical indexes, the per-shard index vectors, units_);
+  // once a cache is published it is immutable and read without the lock.
+  // pool_mu guards the idle pool cache.
   struct Sync {
     std::mutex cache_mu;
     std::mutex pool_mu;
@@ -349,12 +349,14 @@ class Engine {
   };
   mutable std::unique_ptr<Sync> sync_ = std::make_unique<Sync>();
   mutable std::unique_ptr<PositionIndex> index_;
-  mutable std::unique_ptr<BitmapIndex> bitmap_index_;
+  // The vertical indexes: "bitmap" is a HybridIndex at kBitmapDenseCutoff,
+  // "hybrid" one at its tuned cutoff; each caches independently.
+  mutable std::unique_ptr<HybridIndex> bitmap_index_;
   mutable std::unique_ptr<HybridIndex> hybrid_index_;
   // Per-shard physical indexes; a slot is filled lazily when a sharded
   // task resolves that shard to the corresponding kind.
   mutable std::vector<std::unique_ptr<PositionIndex>> shard_indexes_;
-  mutable std::vector<std::unique_ptr<BitmapIndex>> shard_bitmap_indexes_;
+  mutable std::vector<std::unique_ptr<HybridIndex>> shard_bitmap_indexes_;
   mutable std::vector<std::unique_ptr<HybridIndex>> shard_hybrid_indexes_;
   // The lazy merged backend (kAuto on a sharded session): answers
   // merged-view queries over the cached per-shard indexes, so regular

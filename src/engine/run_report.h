@@ -32,12 +32,12 @@ struct RunReport {
   bool truncated = false;          ///< A cap or the sink stopped the run.
 
   /// The physical counting representation the run used: "csr", "bitmap",
-  /// "mixed" (sharded runs whose shards resolved differently), or empty
-  /// for tasks that use no counting index (sequential, episodes,
-  /// two-event, backward rules).
+  /// "hybrid", "lazy-merged", "mixed" (sharded runs whose shards resolved
+  /// differently), or empty for tasks that use no counting index
+  /// (sequential, episodes, two-event, backward rules).
   std::string backend;
 
-  /// Physical index (CSR or bitmap) construction time spent by *this*
+  /// Physical index (CSR or vertical) construction time spent by *this*
   /// call. 0 when the session's cached index was reused (or the task
   /// needs no index) — the session-reuse signal the engine tests assert
   /// on.

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/itermine/bitmap_projection.h"
+#include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/support/cancel.h"
 #include "src/support/stopwatch.h"

@@ -38,6 +38,14 @@ const char* BackendKindName(BackendKind kind) {
   return "csr";
 }
 
+std::optional<BackendChoice> ParseBackendChoice(std::string_view name) {
+  if (name.empty() || name == "auto") return BackendChoice::kAuto;
+  if (name == "csr") return BackendChoice::kCsr;
+  if (name == "bitmap") return BackendChoice::kBitmap;
+  if (name == "hybrid") return BackendChoice::kHybrid;
+  return std::nullopt;
+}
+
 BackendKind ChooseBackendKind(const SequenceDatabase& db) {
   const size_t num_events = db.dictionary().size();
   const size_t total = db.TotalEvents();
@@ -49,9 +57,10 @@ BackendKind ChooseBackendKind(const SequenceDatabase& db) {
     return BackendKind::kBitmap;
   }
   // Sparse regime: rows too empty (or the dense table too large) for the
-  // full bitmap. Large arenas go hybrid — its footprint is bounded by the
-  // corpus, so no table cap applies; tiny corpora keep CSR, whose
-  // constant factors win when everything fits in cache anyway.
+  // full bitmap. Large arenas go hybrid — at its tuned cutoff the
+  // footprint is bounded by the corpus, so no table cap applies; tiny
+  // corpora keep CSR, whose constant factors win when everything fits in
+  // cache anyway.
   return total >= kMinHybridArenaEvents ? BackendKind::kHybrid
                                         : BackendKind::kCsr;
 }
@@ -66,36 +75,6 @@ Status CheckBitmapIndexable(const SequenceDatabase& db) {
         " positions); use the csr backend for this database");
   }
   return Status::OK();
-}
-
-BitmapIndex::BitmapIndex(const SequenceDatabase& db)
-    : db_(&db),
-      num_events_(db.dictionary().size()),
-      words_((db.TotalEvents() + 63) / 64) {
-  bits_.assign(num_events_ * words_, 0);
-  total_counts_.assign(num_events_, 0);
-  sequence_counts_.assign(num_events_, 0);
-  const EventId* arena = db.arena();
-  const size_t total = db.TotalEvents();
-  for (size_t g = 0; g < total; ++g) {
-    const EventId ev = arena[g];
-    if (ev >= num_events_) continue;  // Defensive; ids come from dict.
-    bits_[static_cast<size_t>(ev) * words_ + (g >> 6)] |= uint64_t{1}
-                                                          << (g & 63);
-    ++total_counts_[ev];
-  }
-  // Sequence counts: one pass per sequence over its bit range per touched
-  // event is overkill; a scalar sweep with a last-seen stamp is O(total).
-  std::vector<SeqId> last_seen(num_events_, ~SeqId{0});
-  const uint64_t* offsets = db.offsets();
-  for (SeqId s = 0; s < db.size(); ++s) {
-    for (size_t g = offsets[s]; g < offsets[s + 1]; ++g) {
-      const EventId ev = arena[g];
-      if (ev >= num_events_ || last_seen[ev] == s) continue;
-      last_seen[ev] = s;
-      ++sequence_counts_[ev];
-    }
-  }
 }
 
 }  // namespace specmine

@@ -164,16 +164,8 @@ PatternSet MineClosedIterative(const SequenceDatabase& db,
   if (stats == nullptr) stats = &local_stats;
   const BackendKind kind = ResolveBackendKindClamped(options.backend, db);
   Stopwatch sw;
-  if (kind == BackendKind::kBitmap) {
-    BitmapIndex index(db);
-    const double index_build_seconds = sw.ElapsedSeconds();
-    PatternSet out =
-        MineClosedIterative(CountingBackend(index), options, stats, nullptr);
-    stats->index_build_seconds = index_build_seconds;
-    return out;
-  }
-  if (kind == BackendKind::kHybrid) {
-    HybridIndex index(db);
+  if (kind != BackendKind::kCsr) {
+    HybridIndex index(db, DenseCutoffFor(kind));
     const double index_build_seconds = sw.ElapsedSeconds();
     PatternSet out =
         MineClosedIterative(CountingBackend(index), options, stats, nullptr);

@@ -1,10 +1,11 @@
 // CountingBackend: the physical-representation seam between the miners
 // and their counting structure. One handle wraps the horizontal CSR
-// PositionIndex, the vertical BitmapIndex, the sparse/dense HybridIndex,
-// or the lazy MergedCountingIndex over per-shard indexes; the projection
-// engine, the QRE recount, and the occurrence counters dispatch on kind()
-// once per query (never per position), so the CSR paths compile to
-// exactly the pre-seam code and stay byte-identical.
+// PositionIndex, the vertical HybridIndex (the "bitmap" backend is a
+// HybridIndex at kBitmapDenseCutoff, the "hybrid" backend one at its tuned
+// cutoff), or the lazy MergedCountingIndex over per-shard indexes; the
+// projection engine, the QRE recount, and the occurrence counters dispatch
+// on kind() once per query (never per position), so the CSR paths compile
+// to exactly the pre-seam code and stay byte-identical.
 //
 // A CountingBackend is a tagged pointer — copy it by value. The wrapped
 // index (and its database) must outlive every copy.
@@ -46,11 +47,8 @@ class CountingBackend {
   explicit CountingBackend(const PositionIndex& csr)
       : kind_(BackendKind::kCsr), csr_(&csr) {}
 
-  /// \brief Wraps the vertical bitmap index.
-  explicit CountingBackend(const BitmapIndex& bitmap)
-      : kind_(BackendKind::kBitmap), bitmap_(&bitmap) {}
-
-  /// \brief Wraps the sparse/dense hybrid index.
+  /// \brief Wraps the vertical index; kind() is kHybrid whatever its
+  /// cutoff, so "bitmap" and "hybrid" share every dispatch arm.
   explicit CountingBackend(const HybridIndex& hybrid)
       : kind_(BackendKind::kHybrid), hybrid_(&hybrid) {}
 
@@ -58,23 +56,23 @@ class CountingBackend {
   explicit CountingBackend(const MergedCountingIndex& merged)
       : kind_(BackendKind::kMerged), merged_(&merged) {}
 
-  /// \brief Which representation this handle wraps.
+  /// \brief Which index type this handle wraps: the dispatch tag.
   BackendKind kind() const { return kind_; }
 
   /// \brief Short name for reports ("csr" / "bitmap" / "hybrid" /
-  /// "lazy-merged").
-  const char* name() const { return BackendKindName(kind_); }
+  /// "lazy-merged"); a HybridIndex at kBitmapDenseCutoff reports "bitmap".
+  const char* name() const {
+    if (kind_ == BackendKind::kHybrid &&
+        hybrid_->dense_cutoff() == kBitmapDenseCutoff) {
+      return BackendKindName(BackendKind::kBitmap);
+    }
+    return BackendKindName(kind_);
+  }
 
   /// \brief The wrapped CSR index; kind() must be kCsr.
   const PositionIndex& csr() const {
     assert(csr_ != nullptr);
     return *csr_;
-  }
-
-  /// \brief The wrapped bitmap index; kind() must be kBitmap.
-  const BitmapIndex& bitmap() const {
-    assert(bitmap_ != nullptr);
-    return *bitmap_;
   }
 
   /// \brief The wrapped hybrid index; kind() must be kHybrid.
@@ -93,21 +91,12 @@ class CountingBackend {
   /// its whole point is that no merged database exists.
   const SequenceDatabase& db() const {
     assert(kind_ != BackendKind::kMerged);
-    switch (kind_) {
-      case BackendKind::kBitmap:
-        return bitmap_->db();
-      case BackendKind::kHybrid:
-        return hybrid_->db();
-      default:
-        return csr_->db();
-    }
+    return kind_ == BackendKind::kHybrid ? hybrid_->db() : csr_->db();
   }
 
   /// \brief Number of distinct events the backend knows about.
   size_t num_events() const {
     switch (kind_) {
-      case BackendKind::kBitmap:
-        return bitmap_->num_events();
       case BackendKind::kHybrid:
         return hybrid_->num_events();
       case BackendKind::kMerged:
@@ -120,8 +109,6 @@ class CountingBackend {
   /// \brief Total occurrences of \p ev across the database.
   uint64_t TotalCount(EventId ev) const {
     switch (kind_) {
-      case BackendKind::kBitmap:
-        return bitmap_->TotalCount(ev);
       case BackendKind::kHybrid:
         return hybrid_->TotalCount(ev);
       case BackendKind::kMerged:
@@ -134,8 +121,6 @@ class CountingBackend {
   /// \brief Number of sequences containing \p ev at least once.
   size_t SequenceCount(EventId ev) const {
     switch (kind_) {
-      case BackendKind::kBitmap:
-        return bitmap_->SequenceCount(ev);
       case BackendKind::kHybrid:
         return hybrid_->SequenceCount(ev);
       case BackendKind::kMerged:
@@ -151,14 +136,6 @@ class CountingBackend {
   bool AnyInRange(EventId ev, SeqId seq, Pos lo, Pos hi) const {
     if (lo > hi) return false;
     switch (kind_) {
-      case BackendKind::kBitmap: {
-        if (ev >= bitmap_->num_events()) return false;
-        const uint64_t* offsets = bitmap_->db().offsets();
-        const size_t base = offsets[seq];
-        size_t limit = base + hi + 1;
-        if (limit > offsets[seq + 1]) limit = offsets[seq + 1];
-        return bitmap_->AnyOfEventInRange(ev, base + lo, limit);
-      }
       case BackendKind::kHybrid: {
         if (ev >= hybrid_->num_events()) return false;
         const uint64_t* offsets = hybrid_->db().offsets();
@@ -177,7 +154,6 @@ class CountingBackend {
  private:
   BackendKind kind_;
   const PositionIndex* csr_ = nullptr;
-  const BitmapIndex* bitmap_ = nullptr;
   const HybridIndex* hybrid_ = nullptr;
   const MergedCountingIndex* merged_ = nullptr;
 };

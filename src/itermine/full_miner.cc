@@ -205,16 +205,8 @@ void ScanFrequentIterative(
   if (stats == nullptr) stats = &local_stats;
   const BackendKind kind = ResolveBackendKindClamped(options.backend, db);
   Stopwatch sw;
-  if (kind == BackendKind::kBitmap) {
-    BitmapIndex index(db);
-    const double index_build_seconds = sw.ElapsedSeconds();
-    ScanFrequentIterative(CountingBackend(index), options, sink, stats,
-                          nullptr);
-    stats->index_build_seconds = index_build_seconds;
-    return;
-  }
-  if (kind == BackendKind::kHybrid) {
-    HybridIndex index(db);
+  if (kind != BackendKind::kCsr) {
+    HybridIndex index(db, DenseCutoffFor(kind));
     const double index_build_seconds = sw.ElapsedSeconds();
     ScanFrequentIterative(CountingBackend(index), options, sink, stats,
                           nullptr);

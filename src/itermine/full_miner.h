@@ -24,8 +24,9 @@ struct IterMinerOptions {
   /// Minimum number of instances (absolute).
   uint64_t min_support = 1;
   /// Physical counting representation: kAuto picks per database via
-  /// ChooseBackendKind (density x alphabet heuristic); kCsr / kBitmap
-  /// force one. Honored by the database-level entry points and the
+  /// ChooseBackendKind (density x alphabet heuristic); kCsr, kBitmap
+  /// (a HybridIndex at kBitmapDenseCutoff) and kHybrid (one at its tuned
+  /// cutoff) force one. Honored by the database-level entry points and the
   /// Engine; the index-reusing overloads mine whatever index they are
   /// handed. Output is byte-identical across backends.
   BackendChoice backend = BackendChoice::kAuto;

@@ -1,6 +1,6 @@
 #include "src/itermine/generators.h"
 
-#include "src/itermine/bitmap_projection.h"
+#include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/support/stopwatch.h"
 
@@ -76,16 +76,8 @@ PatternSet MineIterativeGenerators(const SequenceDatabase& db,
   if (stats == nullptr) stats = &local_stats;
   const BackendKind kind = ResolveBackendKindClamped(options.backend, db);
   Stopwatch sw;
-  if (kind == BackendKind::kBitmap) {
-    BitmapIndex index(db);
-    const double index_build_seconds = sw.ElapsedSeconds();
-    PatternSet out = MineIterativeGenerators(CountingBackend(index), options,
-                                             stats, nullptr);
-    stats->index_build_seconds = index_build_seconds;
-    return out;
-  }
-  if (kind == BackendKind::kHybrid) {
-    HybridIndex index(db);
+  if (kind != BackendKind::kCsr) {
+    HybridIndex index(db, DenseCutoffFor(kind));
     const double index_build_seconds = sw.ElapsedSeconds();
     PatternSet out = MineIterativeGenerators(CountingBackend(index), options,
                                              stats, nullptr);

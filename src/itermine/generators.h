@@ -68,7 +68,7 @@ bool IsIterativeGenerator(const SequenceDatabase& db, const Pattern& pattern,
                           uint64_t support);
 
 /// \brief Backend-accelerated deletion check: identical verdicts, with
-/// the recounts on \p backend (word-wise under kBitmap).
+/// the recounts on \p backend (word-wise on the vertical backends).
 bool IsIterativeGenerator(const CountingBackend& backend,
                           const Pattern& pattern, uint64_t support);
 

@@ -11,10 +11,18 @@ HybridIndex::HybridIndex(const SequenceDatabase& db, uint64_t dense_cutoff)
   sequence_counts_.assign(num_events_, 0);
   const EventId* arena = db.arena();
   const size_t total = db.TotalEvents();
-  for (size_t g = 0; g < total; ++g) {
-    const EventId ev = arena[g];
-    if (ev >= num_events_) continue;  // Defensive; ids come from dict.
-    ++total_counts_[ev];
+  // Count pass: occurrences, plus sequence counts via a last-seen stamp.
+  std::vector<SeqId> last_seen(num_events_, ~SeqId{0});
+  const uint64_t* offsets = db.offsets();
+  for (SeqId s = 0; s < db.size(); ++s) {
+    for (size_t g = offsets[s]; g < offsets[s + 1]; ++g) {
+      const EventId ev = arena[g];
+      if (ev >= num_events_) continue;  // Defensive; ids come from dict.
+      ++total_counts_[ev];
+      if (last_seen[ev] == s) continue;
+      last_seen[ev] = s;
+      ++sequence_counts_[ev];
+    }
   }
 
   // Split the alphabet at the cutoff and lay out both sides: dense events
@@ -50,55 +58,23 @@ HybridIndex::HybridIndex(const SequenceDatabase& db, uint64_t dense_cutoff)
       positions_[cursor[ev]++] = static_cast<uint32_t>(g);
     }
   }
-
-  // Sequence counts: scalar sweep with a last-seen stamp, O(total).
-  std::vector<SeqId> last_seen(num_events_, ~SeqId{0});
-  const uint64_t* offsets = db.offsets();
-  for (SeqId s = 0; s < db.size(); ++s) {
-    for (size_t g = offsets[s]; g < offsets[s + 1]; ++g) {
-      const EventId ev = arena[g];
-      if (ev >= num_events_ || last_seen[ev] == s) continue;
-      last_seen[ev] = s;
-      ++sequence_counts_[ev];
-    }
-  }
 }
 
-void HybridIndex::BuildUnionForRange(const std::vector<EventId>& alphabet,
-                                     size_t base, size_t limit,
-                                     std::vector<uint64_t>* union_words) const {
-  if (union_words->size() < words_) union_words->resize(words_, 0);
-  if (base >= limit) return;
+void HybridIndex::UnionRest(const std::vector<EventId>& alphabet, size_t base,
+                            size_t limit, uint64_t* out) const {
   const size_t wb = base >> 6;
   const size_t we = ((limit - 1) >> 6) + 1;
-  uint64_t* out = union_words->data();
-  // Dense alphabet rows through the union kernel (overwrites the range —
-  // n == 0 zeroes it, which is what the sparse scatter below needs).
-  constexpr size_t kChunk = 16;
-  const uint64_t* rows[kChunk];
-  size_t n = 0;
+  size_t dense_seen = 0;
   for (EventId ev : alphabet) {
     const uint32_t r = row_index_[ev];
-    if (r == kNoRow) continue;
-    if (n < kChunk) {
-      rows[n++] = dense_row(r);
-    }
-  }
-  Kernels().union_rows(rows, n, wb, we, out);
-  if (n == kChunk) {
-    // Pathological alphabets beyond the stack chunk: scalar OR tail.
-    size_t seen = 0;
-    for (EventId ev : alphabet) {
-      const uint32_t r = row_index_[ev];
-      if (r == kNoRow) continue;
-      if (seen++ < kChunk) continue;
+    if (r != kNoRow) {
+      // Pathological alphabets beyond the stack chunk: scalar OR tail.
+      if (dense_seen++ < kUnionChunk) continue;
       const uint64_t* row = dense_row(r);
       for (size_t w = wb; w < we; ++w) out[w] |= row[w];
+      continue;
     }
-  }
-  // Rare alphabet events: scatter their in-range positions as bits.
-  for (EventId ev : alphabet) {
-    if (row_index_[ev] != kNoRow) continue;
+    // Rare alphabet events: scatter their in-range positions as bits.
     const uint32_t* it = positions_.data() + sparse_offsets_[ev];
     const uint32_t* end = positions_.data() + sparse_offsets_[ev + 1];
     it = std::lower_bound(it, end, static_cast<uint32_t>(base));

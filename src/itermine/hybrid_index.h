@@ -1,15 +1,16 @@
-// HybridIndex: the sparse/dense physical counting representation — the
-// third backend behind the CountingBackend seam.
+// HybridIndex: the vertical physical counting representation behind the
+// CountingBackend seam — per event, either a word-packed occurrence bitmap
+// over the flat event arena or a sorted list of its arena positions.
 //
-// Motivation (BENCH_core.json, sparse corpus): the full bitmap table is
+// Motivation (BENCH_core.json, sparse corpus): a full bitmap table is
 // alphabet x ceil(arena/64) words, so on a 20k-event corpus every
 // rare-event row is a multi-KB, almost-empty strip and each gap-freedom
 // probe is a cold cache line; CSR wins there, but still pays per-position
 // binary searches. The hybrid format splits the alphabet by occurrence
-// count at a tuned cutoff:
+// count at a cutoff:
 //
-//   * dense events (count >= cutoff) get word-packed bitmap rows exactly
-//     like BitmapIndex — the events whose rows the union build and the
+//   * dense events (count >= cutoff) get word-packed bitmap rows (layout in
+//     bitmap_index.h) — the events whose rows the union build and the
 //     popcount tails actually profit from;
 //   * rare events keep sorted global-position ID lists (uint32, valid by
 //     the CheckIndexable contract), compact enough that the whole sparse
@@ -17,10 +18,15 @@
 //     and union rows get their bits scattered individually.
 //
 // Either way the query interface speaks global bit positions, so the
-// shared vertical projection template (vertical_projection_impl.h) runs
-// unchanged and byte-identical on top. Memory is bounded by the corpus
-// (32 bytes per occurrence worst case), never alphabet x arena, so no
-// table cap applies.
+// vertical projection queries (vertical_projection_impl.h) run unchanged
+// and byte-identical on top of any cutoff.
+//
+// The cutoff picks the backend: the tuned AutoDenseCutoff is the "hybrid"
+// backend, whose memory is bounded by the corpus (32 bytes per occurrence
+// worst case), never alphabet x arena. kBitmapDenseCutoff (1) stores every
+// event that occurs as a row — the "bitmap" backend — so its table is
+// alphabet x arena bits and the explicit-bitmap cap (CheckBitmapIndexable)
+// must pass before it is built.
 
 #ifndef SPECMINE_ITERMINE_HYBRID_INDEX_H_
 #define SPECMINE_ITERMINE_HYBRID_INDEX_H_
@@ -88,9 +94,9 @@ class HybridIndex {
   }
 
   // -------------------------------------------------------------------------
-  // The vertical projection template's query interface (see
-  // vertical_projection_impl.h); same global-bit contracts as the
-  // BitmapIndex members, dispatched on the event's representation.
+  // The query interface of the vertical projection queries (see
+  // vertical_projection_impl.h): the global-bit contracts of the bitrow
+  // primitives, dispatched on the event's representation.
 
   /// \brief First occurrence of \p ev in global bits [from, limit), or
   /// kNoBit; ev must be < num_events().
@@ -138,16 +144,49 @@ class HybridIndex {
     return positions_.data() + sparse_offsets_[ev + 1];
   }
 
-  /// \brief Union row over [base, limit): dense alphabet rows are OR-ed
-  /// word-wise (SIMD when dispatched), rare alphabet events scatter their
-  /// few in-range positions as individual bits. Same contract as the
-  /// BitmapIndex member: only the covering word range is written.
+  /// \brief ORs the \p alphabet events' occurrences into *union_words
+  /// (resized to words_per_row() on growth) over the word range covering
+  /// global bits [base, limit): dense alphabet rows are OR-ed word-wise
+  /// (SIMD when dispatched), rare alphabet events scatter their few
+  /// in-range positions as individual bits. Only that word range is
+  /// written; queries must mask to it (shared boundary words carry
+  /// neighbor-sequence bits).
   void BuildUnionForRange(const std::vector<EventId>& alphabet, size_t base,
                           size_t limit,
-                          std::vector<uint64_t>* union_words) const;
+                          std::vector<uint64_t>* union_words) const {
+    if (union_words->size() < words_) union_words->resize(words_, 0);
+    if (base >= limit) return;
+    const size_t wb = base >> 6;
+    const size_t we = ((limit - 1) >> 6) + 1;
+    uint64_t* out = union_words->data();
+    // Dense alphabet rows through the union kernel (overwrites the range —
+    // n == 0 zeroes it, which is what the sparse scatter needs). Patterns
+    // are short, so a fixed stack chunk covers every real alphabet; this
+    // stays inline because the recount loops call it once per sequence.
+    const uint64_t* rows[kUnionChunk];
+    size_t n = 0;
+    bool rest = false;  // Sparse events or dense rows beyond the chunk.
+    for (EventId ev : alphabet) {
+      const uint32_t r = row_index_[ev];
+      if (r != kNoRow && n < kUnionChunk) {
+        rows[n++] = dense_row(r);
+      } else {
+        rest = true;
+      }
+    }
+    Kernels().union_rows(rows, n, wb, we, out);
+    if (rest) UnionRest(alphabet, base, limit, out);
+  }
 
  private:
   static constexpr uint32_t kNoRow = ~uint32_t{0};
+  static constexpr size_t kUnionChunk = 16;
+
+  // The cold tail of BuildUnionForRange: ORs the dense rows beyond the
+  // stack chunk word-wise and scatters the sparse events' in-range
+  // positions as individual bits.
+  void UnionRest(const std::vector<EventId>& alphabet, size_t base,
+                 size_t limit, uint64_t* out) const;
 
   const uint64_t* dense_row(uint32_t row) const {
     return bits_.data() + static_cast<size_t>(row) * words_;

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/itermine/bitmap_projection.h"
 #include "src/itermine/counting_backend.h"
 #include "src/itermine/projection.h"
 #include "src/trace/shard_set.h"

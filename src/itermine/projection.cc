@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/itermine/bitmap_projection.h"
 #include "src/itermine/merged_index.h"
 #include "src/itermine/vertical_projection_impl.h"
 
@@ -181,10 +180,8 @@ bool HasUniformInfixAbsorber(const SequenceDatabase& db,
 InstanceList SingleEventInstances(const CountingBackend& backend,
                                   EventId ev) {
   switch (backend.kind()) {
-    case BackendKind::kBitmap:
-      return SingleEventInstancesBitmap(backend.bitmap(), ev);
     case BackendKind::kHybrid:
-      return SingleEventInstancesHybrid(backend.hybrid(), ev);
+      return internal::SingleEventInstancesVertical(backend.hybrid(), ev);
     case BackendKind::kMerged:
       return SingleEventInstancesMerged(backend.merged(), ev);
     default:
@@ -205,9 +202,6 @@ void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
                        const InstanceList& instances,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out) {
   switch (backend.kind()) {
-    case BackendKind::kBitmap:
-      ForwardExtensionsBitmap(backend.bitmap(), pattern, instances, ws, out);
-      return;
     case BackendKind::kHybrid:
       internal::ForwardExtensionsVertical(backend.hybrid(), pattern,
                                           instances, ws, out);
@@ -226,9 +220,6 @@ const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
                                                const InstanceList& instances,
                                                ProjectionWorkspace* ws) {
   switch (backend.kind()) {
-    case BackendKind::kBitmap:
-      return BackwardExtensionsBitmap(backend.bitmap(), pattern, instances,
-                                      ws);
     case BackendKind::kHybrid:
       return internal::BackwardExtensionsVertical(backend.hybrid(), pattern,
                                                   instances, ws);

@@ -59,11 +59,11 @@ struct BackwardExtension {
 /// \brief Supports of every one-event backward extension, sorted by event.
 using BackwardExtensionMap = EventMap<BackwardExtension>;
 
-/// \brief Scratch for the vertical (bitmap) projection arm: one alphabet
+/// \brief Scratch for the vertical projection arm: one alphabet
 /// union row over the event arena, a flat candidate buffer, and the
 /// per-event counting slots the scatter drain sizes buckets from. The
 /// buffers grow once and are reused; every reset is an O(1) epoch bump.
-struct BitmapProjectionScratch {
+struct VerticalScratch {
   /// OR of the pattern events' rows, valid for the word range of the
   /// sequence most recently prepared (the queries mask to that range).
   std::vector<uint64_t> union_words;
@@ -91,6 +91,14 @@ struct BitmapProjectionScratch {
   EventMarkSet gap_events;
 };
 
+/// \brief Reusable scratch for the word-wise QRE recount (the alphabet
+/// union row). Optional: callers in loops (the generator check, shard
+/// recounts) keep one alive to stay allocation-free.
+struct QreRecountScratch {
+  std::vector<uint64_t> union_words;
+  std::vector<EventId> alphabet;
+};
+
 /// \brief Reusable scratch space for the projection queries: dense mark
 /// sets, extension buckets and result buffers. One per mining thread;
 /// never shared concurrently.
@@ -99,8 +107,8 @@ struct ProjectionWorkspace {
   EventMarkSet seen;
   ExtensionAccumulator<IterInstance> forward;
 
-  // Scratch for the bitmap backend's word-wise queries (unused by CSR).
-  BitmapProjectionScratch bitmap;
+  // Scratch for the vertical backends' word-wise queries (unused by CSR).
+  VerticalScratch vertical;
 
   // Backward extensions: dense per-event slots, epoch-stamped, plus the
   // reused result buffer (consumed before the next call by construction).
@@ -189,9 +197,10 @@ bool HasUniformInfixAbsorber(const SequenceDatabase& db,
 // ---------------------------------------------------------------------------
 // Backend-dispatching overloads: the seam the miners run through. Each
 // branches once on backend.kind() — kCsr lands in the functions above
-// unchanged, kBitmap in the word-wise arm (bitmap_projection.h). Outputs
-// are observationally identical across backends (entries, supports,
-// order), property-tested in tests/backend_equivalence_test.cc.
+// unchanged, kHybrid (the "bitmap" and "hybrid" backends alike) in the
+// word-wise arm (vertical_projection_impl.h). Outputs are observationally
+// identical across backends (entries, supports, order), property-tested in
+// tests/backend_equivalence_test.cc.
 
 /// \brief Instances of the single-event pattern <ev> on either backend.
 InstanceList SingleEventInstances(const CountingBackend& backend, EventId ev);

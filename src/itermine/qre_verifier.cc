@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "src/itermine/bitmap_projection.h"
 #include "src/itermine/merged_index.h"
 #include "src/itermine/vertical_projection_impl.h"
 
@@ -82,8 +81,6 @@ uint64_t CountInstances(const CountingBackend& backend, const Pattern& pattern,
     return backend.TotalCount(pattern[0]);
   }
   switch (backend.kind()) {
-    case BackendKind::kBitmap:
-      return CountInstancesBitmap(backend.bitmap(), pattern, scratch);
     case BackendKind::kHybrid:
       return internal::CountInstancesVertical(backend.hybrid(), pattern,
                                               scratch);

@@ -35,7 +35,7 @@ uint64_t CountInstances(const Pattern& pattern, const SequenceDatabase& db);
 
 /// \brief Backend-accelerated instance recount: identical to
 /// CountInstances(pattern, backend.db()). The CSR arm IS that oracle scan;
-/// the bitmap arm chain-walks first-set bits (bitmap_projection.h).
+/// the vertical arm chain-walks first-set bits (vertical_projection_impl.h).
 /// \p scratch, when non-null, keeps recount loops allocation-free.
 uint64_t CountInstances(const CountingBackend& backend, const Pattern& pattern,
                         QreRecountScratch* scratch = nullptr);

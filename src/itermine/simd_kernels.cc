@@ -9,23 +9,24 @@ namespace specmine {
 
 namespace {
 
-// The scalar kernels delegate to the BitmapIndex static primitives — the
-// one canonical scalar implementation, shared with direct callers.
+// The scalar kernels delegate to the bitrow word primitives
+// (bitmap_index.h) — the one canonical scalar implementation, shared with
+// direct callers.
 
 size_t FirstSetScalar(const uint64_t* row, size_t from, size_t limit) {
-  return BitmapIndex::FirstSetAtOrAfter(row, from, limit);
+  return bitrow::FirstSetAtOrAfter(row, from, limit);
 }
 
 size_t LastSetScalar(const uint64_t* row, size_t lo, size_t before) {
-  return BitmapIndex::LastSetBefore(row, lo, before);
+  return bitrow::LastSetBefore(row, lo, before);
 }
 
 bool AnyRangeScalar(const uint64_t* row, size_t from, size_t limit) {
-  return BitmapIndex::FirstSetAtOrAfter(row, from, limit) != kNoBit;
+  return bitrow::FirstSetAtOrAfter(row, from, limit) != kNoBit;
 }
 
 size_t CountRangeScalar(const uint64_t* row, size_t from, size_t limit) {
-  return BitmapIndex::CountInRange(row, from, limit);
+  return bitrow::CountInRange(row, from, limit);
 }
 
 void UnionRowsScalar(const uint64_t* const* rows, size_t n, size_t wb,

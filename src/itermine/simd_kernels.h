@@ -6,9 +6,9 @@
 // function-pointer table (SimdKernels) resolved ONCE per process: if the
 // binary was built with SPECMINE_ENABLE_AVX2 (the default on x86-64) and
 // the CPU reports AVX2+BMI2+POPCNT, the AVX2 table is selected; otherwise
-// the scalar table — which delegates to the BitmapIndex static primitives,
-// the always-built fallback and the equivalence oracle of the kernel
-// property tests.
+// the scalar table — which delegates to the bitrow word primitives of
+// bitmap_index.h, the always-built fallback and the equivalence oracle of
+// the kernel property tests.
 //
 // Overrides, in precedence order:
 //   1. SetKernelsForTest(table) — tests and benchmarks pin a table.
@@ -20,7 +20,7 @@
 // Bit-range conventions match bitmap_index.h exactly: ranges are
 // half-open [from, limit) over global bit positions, and "no bit" is
 // ~size_t{0} (kNoBit). Both tables are observationally identical —
-// property-tested in tests/backend_equivalence_test.cc over random words
+// property-tested in tests/simd_kernels_test.cc over random words
 // and the 63/64/65-bit boundary cases.
 
 #ifndef SPECMINE_ITERMINE_SIMD_KERNELS_H_

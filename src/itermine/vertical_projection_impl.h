@@ -1,29 +1,26 @@
-// Internal: the templated bodies of the vertical projection queries.
+// Internal: the bodies of the vertical projection queries — the same
+// contracts as projection.h, computed word-wise over HybridIndex rows and
+// ID lists instead of per-position scans over CSR position lists.
 //
-// The algorithms here are the word-wise arms documented in
-// bitmap_projection.h, templated over the physical row format so that
-// BitmapIndex (dense rows) and HybridIndex (dense rows + sorted
-// rare-event ID lists) share one implementation. The Index parameter must
-// provide:
+// These are the HybridIndex arms of the CountingBackend dispatch in
+// projection.cc / qre_verifier.cc / occurrence_engine.cc (serving both the
+// "bitmap" and the "hybrid" backend, which differ only in the index's
+// dense cutoff); callers outside those files should use the dispatching
+// overloads. Every function here is observationally identical to its CSR
+// sibling — same entries, same supports, same emission order — which is
+// what the backend-equivalence property suite pins down.
 //
-//   const SequenceDatabase& db() const;
-//   size_t num_events() const;
-//   uint64_t TotalCount(EventId ev) const;
-//   size_t FirstOfEventAtOrAfter(EventId ev, size_t from, size_t limit);
-//   bool AnyOfEventInRange(EventId ev, size_t from, size_t limit);
-//   size_t CountOfEventInRange(EventId ev, size_t from, size_t limit);
-//   void BuildUnionForRange(const std::vector<EventId>& alphabet,
-//                           size_t base, size_t limit,
-//                           std::vector<uint64_t>* union_words);
-//
-// with the global-bit conventions of bitmap_index.h (bit g = arena
-// position g, ranges half-open, kNoBit = none). Union rows are always
-// word-packed — rare hybrid events are scattered into the union as bits —
+// Index queries use the global-bit conventions of bitmap_index.h (bit g =
+// arena position g, ranges half-open, kNoBit = none). Union rows are
+// always word-packed — rare events are scattered into the union as bits —
 // so the union-row scans go through the runtime-dispatched kernel table
 // (simd_kernels.h) directly.
 //
-// Callers outside bitmap_projection.cc / hybrid_index.cc should use the
-// CountingBackend dispatch layer, not this header.
+// Cold-path note: unlike the CSR engine, whose workspace carries several
+// O(alphabet)-sized epoch tables, the vertical engine's scratch is one
+// word row (ceil(total events / 64) words) plus flat candidate buffers
+// that scale with the result size, so a cold call (fresh workspace)
+// allocates almost nothing.
 
 #ifndef SPECMINE_ITERMINE_VERTICAL_PROJECTION_IMPL_H_
 #define SPECMINE_ITERMINE_VERTICAL_PROJECTION_IMPL_H_
@@ -31,7 +28,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/itermine/bitmap_projection.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/simd_kernels.h"
 
@@ -92,13 +89,33 @@ inline void MarkGapEvents(const EventId* arena, size_t num_events,
   }
 }
 
-template <typename Index>
-InstanceList SingleEventInstancesVertical(const Index& index, EventId ev) {
+// Instances of <ev>, in (sequence, position) order. Dense events
+// enumerate their bitmap row per sequence; sparse events walk their sorted
+// ID list directly — O(occurrences x log sequences) instead of a
+// per-sequence scan, which is what makes low-support root expansion cheap
+// on huge-alphabet corpora.
+inline InstanceList SingleEventInstancesVertical(const HybridIndex& index,
+                                                 EventId ev) {
   InstanceList out;
   if (ev >= index.num_events()) return out;
   out.reserve(index.TotalCount(ev));
   const SequenceDatabase& db = index.db();
   const uint64_t* offsets = db.offsets();
+  if (!index.is_dense(ev)) {
+    const size_t num_seqs = db.size();
+    SeqId s = 0;
+    for (const uint32_t* it = index.sparse_begin(ev);
+         it != index.sparse_end(ev); ++it) {
+      // Positions ascend, so each sequence lookup resumes past the last hit.
+      s = static_cast<SeqId>(
+          std::upper_bound(offsets + s + 1, offsets + num_seqs + 1,
+                           static_cast<uint64_t>(*it)) -
+          offsets - 1);
+      const Pos p = static_cast<Pos>(*it - offsets[s]);
+      out.push_back(IterInstance{s, p, p});
+    }
+    return out;
+  }
   for (SeqId s = 0; s < db.size(); ++s) {
     const size_t base = offsets[s];
     const size_t limit = offsets[s + 1];
@@ -111,12 +128,12 @@ InstanceList SingleEventInstancesVertical(const Index& index, EventId ev) {
   return out;
 }
 
-template <typename Index>
-void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
-                               const InstanceList& instances,
-                               ProjectionWorkspace* ws,
-                               ForwardExtensionMap* out) {
-  BitmapProjectionScratch& sc = ws->bitmap;
+inline void ForwardExtensionsVertical(const HybridIndex& index,
+                                      const Pattern& pattern,
+                                      const InstanceList& instances,
+                                      ProjectionWorkspace* ws,
+                                      ForwardExtensionMap* out) {
+  VerticalScratch& sc = ws->vertical;
   const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();
@@ -163,12 +180,12 @@ void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
       if (!ws->seen.TestAndSet(ev)) continue;  // First occurrence only.
       if (has_gaps && sc.gap_events.Test(ev)) continue;
       ++sc.slots.Slot(ev);
-      sc.forward.push_back(BitmapProjectionScratch::ForwardCandidate{
+      sc.forward.push_back(VerticalScratch::ForwardCandidate{
           ev, IterInstance{inst.seq, inst.start, static_cast<Pos>(g - base)}});
     }
     if (stop != kNoBit) {
       ++sc.slots.Slot(arena[stop]);
-      sc.forward.push_back(BitmapProjectionScratch::ForwardCandidate{
+      sc.forward.push_back(VerticalScratch::ForwardCandidate{
           arena[stop],
           IterInstance{inst.seq, inst.start, static_cast<Pos>(stop - base)}});
     }
@@ -193,16 +210,15 @@ void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
     sc.slots.Slot(ev) = static_cast<uint32_t>(i);
   }
   auto& entries = out->entries();
-  for (const BitmapProjectionScratch::ForwardCandidate& cand : sc.forward) {
+  for (const VerticalScratch::ForwardCandidate& cand : sc.forward) {
     entries[sc.slots.At(cand.ev)].second.push_back(cand.inst);
   }
 }
 
-template <typename Index>
-const BackwardExtensionMap& BackwardExtensionsVertical(
-    const Index& index, const Pattern& pattern, const InstanceList& instances,
-    ProjectionWorkspace* ws) {
-  BitmapProjectionScratch& sc = ws->bitmap;
+inline const BackwardExtensionMap& BackwardExtensionsVertical(
+    const HybridIndex& index, const Pattern& pattern,
+    const InstanceList& instances, ProjectionWorkspace* ws) {
+  VerticalScratch& sc = ws->vertical;
   const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();
@@ -265,9 +281,9 @@ const BackwardExtensionMap& BackwardExtensionsVertical(
   return ws->back_result;
 }
 
-template <typename Index>
-uint64_t CountInstancesVertical(const Index& index, const Pattern& pattern,
-                                QreRecountScratch* scratch) {
+inline uint64_t CountInstancesVertical(const HybridIndex& index,
+                                       const Pattern& pattern,
+                                       QreRecountScratch* scratch) {
   if (pattern.empty()) return 0;
   QreRecountScratch local;
   if (scratch == nullptr) scratch = &local;
@@ -307,8 +323,8 @@ uint64_t CountInstancesVertical(const Index& index, const Pattern& pattern,
   return count;
 }
 
-template <typename Index>
-size_t CountOccurrencesVertical(const Index& index, const Pattern& pattern) {
+inline size_t CountOccurrencesVertical(const HybridIndex& index,
+                                       const Pattern& pattern) {
   if (pattern.empty()) return 0;
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "src/itermine/bitmap_projection.h"
 #include "src/itermine/merged_index.h"
 #include "src/itermine/vertical_projection_impl.h"
 
@@ -68,8 +67,6 @@ size_t CountOccurrences(const Pattern& pattern, const SequenceDatabase& db) {
 size_t CountOccurrences(const CountingBackend& backend,
                         const Pattern& pattern) {
   switch (backend.kind()) {
-    case BackendKind::kBitmap:
-      return CountOccurrencesBitmap(backend.bitmap(), pattern);
     case BackendKind::kHybrid:
       return internal::CountOccurrencesVertical(backend.hybrid(), pattern);
     case BackendKind::kMerged:

@@ -45,7 +45,7 @@ size_t CountOccurrences(const Pattern& pattern, const SequenceDatabase& db);
 
 /// \brief Backend-accelerated occurrence count: identical to
 /// CountOccurrences(pattern, backend.db()). The CSR arm IS that scalar
-/// scan; the bitmap arm runs the greedy prefix chain word-wise and
+/// scan; the vertical arm runs the greedy prefix chain word-wise and
 /// popcounts the last event's tail (the rule miner's i-support hot path).
 size_t CountOccurrences(const CountingBackend& backend,
                         const Pattern& pattern);

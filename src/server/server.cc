@@ -66,19 +66,13 @@ Status DecodeBackend(const JsonValue& body, BackendChoice* out) {
   std::string value = "auto";
   Status status = body.GetString("backend", &value);
   if (!status.ok()) return status;
-  if (value == "auto" || value.empty()) {
-    *out = BackendChoice::kAuto;
-  } else if (value == "csr") {
-    *out = BackendChoice::kCsr;
-  } else if (value == "bitmap") {
-    *out = BackendChoice::kBitmap;
-  } else if (value == "hybrid") {
-    *out = BackendChoice::kHybrid;
-  } else {
+  const std::optional<BackendChoice> choice = ParseBackendChoice(value);
+  if (!choice) {
     return Status::InvalidArgument("field 'backend' must be auto, csr, "
                                    "bitmap or hybrid (got '" +
                                    value + "')");
   }
+  *out = *choice;
   return Status::OK();
 }
 

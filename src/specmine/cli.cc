@@ -231,19 +231,13 @@ bool ParseIntegrityFlag(const Args& args, std::ostream& err,
 bool ParseBackendFlag(const Args& args, std::ostream& err,
                       BackendChoice* out) {
   const std::string value = args.Get("backend", "auto");
-  if (value.empty() || value == "auto") {
-    *out = BackendChoice::kAuto;
-  } else if (value == "csr") {
-    *out = BackendChoice::kCsr;
-  } else if (value == "bitmap") {
-    *out = BackendChoice::kBitmap;
-  } else if (value == "hybrid") {
-    *out = BackendChoice::kHybrid;
-  } else {
+  const std::optional<BackendChoice> choice = ParseBackendChoice(value);
+  if (!choice) {
     err << "--backend must be auto, csr, bitmap or hybrid (got '" << value
         << "')\n";
     return false;
   }
+  *out = *choice;
   return true;
 }
 

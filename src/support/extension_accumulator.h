@@ -85,8 +85,8 @@ class ExtensionAccumulator {
   }
 
   /// \brief Takes one empty bucket, reusing pooled capacity — for callers
-  /// that group without the dense stamp table (the bitmap projection's
-  /// sort-based drain) but share this accumulator's recycle pool.
+  /// that group without the dense stamp table (the vertical projection's
+  /// count-and-scatter drain) but share this accumulator's recycle pool.
   Bucket_t AcquireBucket() {
     if (pool_.empty()) return Bucket_t();
     Bucket_t b = std::move(pool_.back());

@@ -1,12 +1,14 @@
 // The backend-equivalence property: every miner produces byte-identical
 // output — patterns, supports, rules, emission order — on the CSR, the
-// bitmap, and the hybrid counting backends, across randomized databases,
-// thresholds, thread counts, and the plain / sharded execution paths —
+// bitmap (a HybridIndex at kBitmapDenseCutoff), and the hybrid counting
+// backends, across randomized databases, thresholds, thread counts, and
+// the plain / sharded execution paths —
 // and the lazy merged backend a sharded session answers merged-view
 // queries through reproduces the eager-merge output exactly, including
 // in quarantined-shard degraded mode. Plus the word-mask edge cases
-// (sequence lengths straddling the 64-bit word boundary) and the
-// adaptive chooser's dense/sparse/hybrid verdicts.
+// (sequence lengths straddling the 64-bit word boundary), the adaptive
+// chooser's dense/sparse/hybrid verdicts, and the explicit-bitmap table
+// cap.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "src/engine/engine.h"
-#include "src/itermine/bitmap_projection.h"
 #include "src/itermine/hybrid_index.h"
 #include "src/itermine/closed_miner.h"
 #include "src/itermine/full_miner.h"
@@ -61,47 +62,47 @@ std::string Render(const PatternSet& set, const EventDictionary& dict) {
 // Word-wise primitive edge cases: first/last/count with ranges that start,
 // end, and straddle 64-bit word boundaries.
 
-TEST(BitmapIndexTest, ScanPrimitivesHandleWordBoundaries) {
+TEST(BitmapLayoutTest, ScanPrimitivesHandleWordBoundaries) {
   // Bits set at 0, 63, 64, 65, 127, 128, 200.
   std::vector<uint64_t> row(4, 0);
   for (size_t bit : {0, 63, 64, 65, 127, 128, 200}) {
     row[bit >> 6] |= uint64_t{1} << (bit & 63);
   }
   const uint64_t* r = row.data();
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 0, 256), 0u);
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 1, 256), 63u);
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 64, 256), 64u);
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 66, 256), 127u);
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 129, 256), 200u);
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 201, 256), kNoBit);
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 63, 63), kNoBit);  // Empty.
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 63, 64), 63u);
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 0, 63), 0u);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 0, 256), 0u);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 1, 256), 63u);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 64, 256), 64u);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 66, 256), 127u);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 129, 256), 200u);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 201, 256), kNoBit);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 63, 63), kNoBit);  // Empty.
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 63, 64), 63u);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 0, 63), 0u);
   // Limit masks a set bit away.
-  EXPECT_EQ(BitmapIndex::FirstSetAtOrAfter(r, 1, 63), kNoBit);
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, 1, 63), kNoBit);
 
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 0, 256), 200u);
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 0, 200), 128u);
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 0, 128), 127u);
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 0, 64), 63u);
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 0, 63), 0u);
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 1, 63), kNoBit);  // Lo masks 0.
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 65, 65), kNoBit);  // Empty.
-  EXPECT_EQ(BitmapIndex::LastSetBefore(r, 64, 65), 64u);
+  EXPECT_EQ(bitrow::LastSetBefore(r, 0, 256), 200u);
+  EXPECT_EQ(bitrow::LastSetBefore(r, 0, 200), 128u);
+  EXPECT_EQ(bitrow::LastSetBefore(r, 0, 128), 127u);
+  EXPECT_EQ(bitrow::LastSetBefore(r, 0, 64), 63u);
+  EXPECT_EQ(bitrow::LastSetBefore(r, 0, 63), 0u);
+  EXPECT_EQ(bitrow::LastSetBefore(r, 1, 63), kNoBit);  // Lo masks 0.
+  EXPECT_EQ(bitrow::LastSetBefore(r, 65, 65), kNoBit);  // Empty.
+  EXPECT_EQ(bitrow::LastSetBefore(r, 64, 65), 64u);
 
-  EXPECT_EQ(BitmapIndex::CountInRange(r, 0, 256), 7u);
-  EXPECT_EQ(BitmapIndex::CountInRange(r, 63, 66), 3u);
-  EXPECT_EQ(BitmapIndex::CountInRange(r, 64, 64), 0u);
-  EXPECT_EQ(BitmapIndex::CountInRange(r, 1, 63), 0u);
-  EXPECT_EQ(BitmapIndex::CountInRange(r, 128, 256), 2u);
-  EXPECT_TRUE(BitmapIndex::AnyInRange(r, 65, 66));
-  EXPECT_FALSE(BitmapIndex::AnyInRange(r, 66, 127));
+  EXPECT_EQ(bitrow::CountInRange(r, 0, 256), 7u);
+  EXPECT_EQ(bitrow::CountInRange(r, 63, 66), 3u);
+  EXPECT_EQ(bitrow::CountInRange(r, 64, 64), 0u);
+  EXPECT_EQ(bitrow::CountInRange(r, 1, 63), 0u);
+  EXPECT_EQ(bitrow::CountInRange(r, 128, 256), 2u);
+  EXPECT_TRUE(bitrow::AnyInRange(r, 65, 66));
+  EXPECT_FALSE(bitrow::AnyInRange(r, 66, 127));
 }
 
 // Sequences of lengths 63 / 64 / 65 (and an event only in the last,
 // partially-filled word): the unpadded layout's boundary masks must not
 // leak bits across sequences.
-TEST(BitmapIndexTest, WordBoundarySequenceLengths) {
+TEST(BitmapLayoutTest, WordBoundarySequenceLengths) {
   for (size_t len : {63u, 64u, 65u}) {
     SequenceDatabaseBuilder builder;
     builder.mutable_dictionary()->Intern("a");
@@ -118,19 +119,18 @@ TEST(BitmapIndexTest, WordBoundarySequenceLengths) {
     for (size_t k = 0; k < len; ++k) s1.Append(1);
     builder.AddSequence(s1);
     SequenceDatabase db = builder.Build();
-    BitmapIndex bitmap(db);
+    HybridIndex bitmap(db, kBitmapDenseCutoff);
+    CountingBackend bb(bitmap);
     PositionIndex csr(db);
     for (EventId ev = 0; ev < 3; ++ev) {
-      EXPECT_EQ(bitmap.TotalCount(ev), csr.TotalCount(ev)) << "len=" << len;
-      EXPECT_EQ(bitmap.SequenceCount(ev), csr.SequenceCount(ev))
+      EXPECT_EQ(bb.TotalCount(ev), csr.TotalCount(ev)) << "len=" << len;
+      EXPECT_EQ(bb.SequenceCount(ev), csr.SequenceCount(ev))
           << "len=" << len;
-      EXPECT_EQ(SingleEventInstancesBitmap(bitmap, ev),
-                SingleEventInstances(csr, ev))
+      EXPECT_EQ(SingleEventInstances(bb, ev), SingleEventInstances(csr, ev))
           << "len=" << len;
     }
     // The z occurrence sits in the last word of sequence 0; sequence 1's
     // b-run must not bleed into its range queries (and vice versa).
-    CountingBackend bb(bitmap);
     EXPECT_TRUE(bb.AnyInRange(2, 0, static_cast<Pos>(len - 1),
                               static_cast<Pos>(len - 1)));
     EXPECT_FALSE(bb.AnyInRange(1, 0, 0, static_cast<Pos>(len - 1)));
@@ -142,7 +142,7 @@ TEST(BitmapIndexTest, WordBoundarySequenceLengths) {
       ForwardExtensionMap csr_fwd = ForwardExtensions(csr, p, insts);
       ProjectionWorkspace ws;
       ForwardExtensionMap bitmap_fwd;
-      ForwardExtensionsBitmap(bitmap, p, insts, &ws, &bitmap_fwd);
+      ForwardExtensions(bb, p, insts, &ws, &bitmap_fwd);
       ASSERT_EQ(csr_fwd.size(), bitmap_fwd.size()) << "len=" << len;
       auto it = bitmap_fwd.begin();
       for (const auto& [ev, il] : csr_fwd) {
@@ -191,8 +191,14 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
   const EquivParams p = GetParam();
   SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
   PositionIndex csr(db);
-  BitmapIndex bitmap(db);
+  HybridIndex bitmap(db, kBitmapDenseCutoff);
   HybridIndex hybrid(db);
+  // The bitmap alias stores exactly the events that occur as rows.
+  size_t present = 0;
+  for (EventId ev = 0; ev < db.dictionary().size(); ++ev) {
+    if (csr.TotalCount(ev) > 0) ++present;
+  }
+  EXPECT_EQ(bitmap.num_dense_events(), present);
   // Also a hybrid forced to keep a sparse tail on every corpus: a huge
   // cutoff pushes *all* events onto the ID-list side, so the sparse
   // scatter path is exercised even where auto-tuning would go all-dense.
@@ -201,6 +207,8 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
   std::array<CountingBackend, 3> alts = {CountingBackend(bitmap),
                                          CountingBackend(hybrid),
                                          CountingBackend(all_sparse)};
+  EXPECT_STREQ(alts[0].name(), "bitmap");
+  EXPECT_STREQ(alts[1].name(), "hybrid");
   std::array<ProjectionWorkspace, 3> alt_ws;
   ProjectionWorkspace csr_ws;
   for (const CountingBackend& alt : alts) {
@@ -325,7 +333,7 @@ TEST_P(BackendEquivalenceTest, RulesAreByteIdenticalAcrossBackends) {
   SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
   const EventDictionary& dict = db.dictionary();
   PositionIndex csr(db);
-  BitmapIndex bitmap(db);
+  HybridIndex bitmap(db, kBitmapDenseCutoff);
   HybridIndex hybrid(db);
   CountingBackend cb(csr), bb(bitmap), hb(hybrid);
   for (bool non_redundant : {true, false}) {
@@ -607,6 +615,94 @@ TEST(BackendEngineTest, RulesReportRecordsTheBackend) {
   Result<RunReport> run = engine.Mine(task, sink);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->backend, "bitmap");
+}
+
+// "bitmap" is the hybrid layout at kBitmapDenseCutoff, but it stays a
+// representation of its own: its own name in reports, its own cache slot.
+TEST(BackendEngineTest, BitmapAliasKeepsItsNameAndCacheSlot) {
+  // The chooser fixture's dense corpus: auto still resolves "bitmap".
+  SequenceDatabase db = RandomDb(1, 40, 60, 12);
+  Engine engine{SequenceDatabase(db)};
+  FullPatternsTask task;
+  task.options.min_support = 8;
+  task.options.backend = BackendChoice::kBitmap;
+  CollectingPatternSink bitmap_sink;
+  Result<RunReport> bitmap_run = engine.Mine(task, bitmap_sink);
+  ASSERT_TRUE(bitmap_run.ok());
+  EXPECT_EQ(bitmap_run->backend, "bitmap");
+
+  task.options.backend = BackendChoice::kHybrid;
+  CollectingPatternSink hybrid_sink;
+  Result<RunReport> hybrid_run = engine.Mine(task, hybrid_sink);
+  ASSERT_TRUE(hybrid_run.ok());
+  EXPECT_EQ(hybrid_run->backend, "hybrid");
+  EXPECT_EQ(engine.index_builds(), 2u);
+
+  task.options.backend = BackendChoice::kAuto;
+  CollectingPatternSink auto_sink;
+  Result<RunReport> auto_run = engine.Mine(task, auto_sink);
+  ASSERT_TRUE(auto_run.ok());
+  EXPECT_EQ(auto_run->backend, "bitmap");
+  EXPECT_EQ(auto_run->index_build_seconds, 0.0);  // The bitmap slot.
+  EXPECT_EQ(engine.index_builds(), 2u);
+  EXPECT_STREQ(engine.backend().name(), "bitmap");
+
+  EXPECT_EQ(Render(bitmap_sink.set(), db.dictionary()),
+            Render(hybrid_sink.set(), db.dictionary()));
+  EXPECT_EQ(Render(bitmap_sink.set(), db.dictionary()),
+            Render(auto_sink.set(), db.dictionary()));
+}
+
+// The explicit-bitmap cap: a cutoff-1 table is alphabet x arena bits, so a
+// wide alphabet over a modest arena must be refused before anything is
+// allocated. 100 sequences of 1000 single-occurrence events, bracketed by
+// a and b: ~100k events x ~1566 words = ~1.25 GB > the 1 GB cap.
+TEST(BackendEngineTest, ExplicitBitmapBeyondTableCapFailsBeforeBuilding) {
+  SequenceDatabaseBuilder builder;
+  EventDictionary* dict = builder.mutable_dictionary();
+  const EventId a = dict->Intern("a");
+  const EventId b = dict->Intern("b");
+  for (size_t s = 0; s < 100; ++s) {
+    Sequence seq;
+    seq.Append(a);
+    for (size_t k = 0; k < 1000; ++k) {
+      seq.Append(dict->Intern("u" + std::to_string(s * 1000 + k)));
+    }
+    seq.Append(b);
+    builder.AddSequence(seq);
+  }
+  SequenceDatabase db = builder.Build();
+  ASSERT_FALSE(CheckBitmapIndexable(db).ok());
+
+  Result<Engine> engine = Engine::Create(SequenceDatabase(db));
+  ASSERT_TRUE(engine.ok());
+  FullPatternsTask task;
+  task.options.min_support = 50;
+  task.options.backend = BackendChoice::kBitmap;
+  CollectingPatternSink refused;
+  Result<RunReport> run = engine->Mine(task, refused);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(engine->index_builds(), 0u);
+
+  // Auto picks a representation within bounds and mines normally.
+  task.options.backend = BackendChoice::kAuto;
+  CollectingPatternSink via_auto;
+  run = engine->Mine(task, via_auto);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_NE(run->backend, "bitmap");
+  EXPECT_EQ(via_auto.set().size(), 3u);  // <a>, <b>, <a, b>.
+
+  // The Status-less db-level entry point clamps the request to csr.
+  IterMinerOptions options;
+  options.min_support = 50;
+  options.backend = BackendChoice::kBitmap;
+  const PatternSet clamped = MineFrequentIterative(db, options);
+  options.backend = BackendChoice::kCsr;
+  EXPECT_EQ(Render(clamped, db.dictionary()),
+            Render(MineFrequentIterative(db, options), db.dictionary()));
+  EXPECT_EQ(Render(clamped, db.dictionary()),
+            Render(via_auto.set(), db.dictionary()));
 }
 
 }  // namespace

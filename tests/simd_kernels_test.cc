@@ -1,7 +1,8 @@
 // The kernel-dispatch property: the AVX2 word kernels are observationally
-// identical to the scalar table (which delegates to the BitmapIndex static
-// primitives) on every range shape — random rows, all-zero and all-one
-// rows, and the 63/64/65-bit word-boundary cases. Plus the dispatch
+// identical to the scalar table (which delegates to the bitrow word
+// primitives of bitmap_index.h) on every range shape — random rows,
+// all-zero and all-one rows, and the 63/64/65-bit word-boundary cases.
+// Plus the dispatch
 // plumbing itself: SetKernelsForTest pins the table Kernels() returns,
 // and SimdDispatchLevel() tracks it.
 
@@ -65,7 +66,7 @@ class SimdKernelsTest : public ::testing::Test {
 
 TEST_F(SimdKernelsTest, ScanKernelsAgreeOnBoundaryRows) {
   // Bits set at word boundaries and their neighbors (the shape of the
-  // BitmapIndex word-boundary test, widened to 8 words).
+  // bitrow word-boundary test, widened to 8 words).
   std::vector<uint64_t> row(kWords, 0);
   for (size_t bit : {0u, 63u, 64u, 65u, 127u, 128u, 200u, 255u, 256u, 448u,
                      511u}) {
