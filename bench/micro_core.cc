@@ -6,8 +6,6 @@
 // benchmark) so successive changes have a perf trajectory to compare
 // against.
 
-#include <algorithm>
-#include <chrono>
 #include <fstream>
 
 #include "bench/bench_util.h"
@@ -18,7 +16,6 @@
 #include "src/itermine/merged_index.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
-#include "src/itermine/simd_kernels.h"
 #include "src/rulemine/temporal_points.h"
 #include "src/seqmine/occurrence_engine.h"
 #include "src/synth/quest_generator.h"
@@ -231,12 +228,8 @@ int Run() {
   // on the same (dense, fig1-style QUEST) corpus. The cold benchmarks
   // construct a fresh workspace per call like their CSR twins above; the
   // chooser line documents what `auto` picks.
-  // The legacy Bitmap* benches are pinned to the scalar kernel table —
-  // their trajectory predates the SIMD dispatch, and the Simd* twins
-  // below carry the native-dispatch numbers.
   std::printf("--- bitmap backend (auto on this corpus: %s) ---\n",
               BackendKindName(ChooseBackendKind(db)));
-  SetKernelsForTest(&ScalarKernels());
   const HybridIndex bitmap_index(db, kBitmapDenseCutoff);
   const CountingBackend bitmap_backend(bitmap_index);
 
@@ -248,46 +241,15 @@ int Run() {
       },
       &report);
 
-  // Cold ForwardExtensions under both kernel tables. The two rows are the
-  // same workload measured in ONE loop, alternating tables every round and
-  // keeping each table's best round: interleaving cancels the thermal /
-  // frequency drift a several-minute bench run accumulates (which would
-  // otherwise systematically penalize whichever row runs later), and
-  // best-of compares the tables' true floors instead of two different
-  // noise samples.
-  auto forward_cold_once = [&] {
-    ProjectionWorkspace cold;
-    ForwardExtensionMap out;
-    ForwardExtensions(bitmap_backend, hot, hot_instances, &cold, &out);
-    DoNotOptimize(out.size());
-  };
-  auto forward_cold_round_ns = [&](int iters) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) forward_cold_once();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           iters;
-  };
-  double bitmap_forward_cold_ns = 1e18, simd_forward_cold_ns = 1e18;
-  for (int round = 0; round < 12; ++round) {
-    // Alternate which table goes first: a fixed order samples each
-    // round's frequency/cache drift asymmetrically and biases the pair.
-    for (int k = 0; k < 2; ++k) {
-      if ((k == 0) == ((round & 1) == 0)) {
-        SetKernelsForTest(&ScalarKernels());
-        bitmap_forward_cold_ns =
-            std::min(bitmap_forward_cold_ns, forward_cold_round_ns(600));
-      } else {
-        SetKernelsForTest(nullptr);
-        simd_forward_cold_ns =
-            std::min(simd_forward_cold_ns, forward_cold_round_ns(600));
-      }
-    }
-  }
-  SetKernelsForTest(&ScalarKernels());
-  report.Record("BitmapForwardExtensions", bitmap_forward_cold_ns);
-  std::printf("BitmapForwardExtensions    %14.1f ns/op (best of 12x600)\n",
-              bitmap_forward_cold_ns);
+  const double bitmap_forward_cold_ns = RunMicroBenchmark(
+      "BitmapForwardExtensions",
+      [&] {
+        ProjectionWorkspace cold;
+        ForwardExtensionMap out;
+        ForwardExtensions(bitmap_backend, hot, hot_instances, &cold, &out);
+        DoNotOptimize(out.size());
+      },
+      &report);
 
   ProjectionWorkspace bitmap_ws;
   ForwardExtensionMap bitmap_forward_out;
@@ -323,33 +285,6 @@ int Run() {
       "forward cold speedup: %.1fx (csr %.1f us -> bitmap %.1f us)\n",
       csr_forward_cold_ns / bitmap_forward_cold_ns,
       csr_forward_cold_ns / 1e3, bitmap_forward_cold_ns / 1e3);
-
-  // --- the same bitmap queries under native kernel dispatch: what the
-  // process actually runs with (AVX2 where the CPU has it). The
-  // scalar-pinned Bitmap* rows above are the baseline of this speedup.
-  SetKernelsForTest(nullptr);
-  std::printf("--- simd kernels (dispatch: %s) ---\n", SimdDispatchLevel());
-  // Measured interleaved with BitmapForwardExtensions above (same
-  // workload, native table rounds).
-  report.Record("SimdForwardExtensions", simd_forward_cold_ns);
-  std::printf("SimdForwardExtensions      %14.1f ns/op (best of 12x600)\n",
-              simd_forward_cold_ns);
-  ProjectionWorkspace simd_ws;
-  ForwardExtensionMap simd_forward_out;
-  RunMicroBenchmark(
-      "SimdForwardExtensionsReuse",
-      [&] {
-        ForwardExtensions(bitmap_backend, hot, hot_instances, &simd_ws,
-                          &simd_forward_out);
-        DoNotOptimize(simd_forward_out.size());
-        simd_ws.forward.Recycle(std::move(simd_forward_out));
-      },
-      &report);
-  std::printf(
-      "simd forward cold speedup: %.2fx (scalar %.1f us -> %s %.1f us)\n",
-      bitmap_forward_cold_ns / simd_forward_cold_ns,
-      bitmap_forward_cold_ns / 1e3, SimdDispatchLevel(),
-      simd_forward_cold_ns / 1e3);
 
   // --- the sparse synthetic corpus (huge alphabet, rare events — mean
   // occurrences ~2): the regime where the full bitmap loses the miners'
@@ -429,8 +364,6 @@ int Run() {
             expand_sparse_roots(sparse_csr_backend, &sparse_ws, &sparse_out));
       },
       &report, /*budget_seconds=*/1.0);
-  // Scalar-pinned like the other legacy bitmap rows.
-  SetKernelsForTest(&ScalarKernels());
   const CountingBackend sparse_bitmap_backend(sparse_bitmap);
   ProjectionWorkspace sparse_bitmap_ws;
   const double sparse_bitmap_ns = RunMicroBenchmark(
@@ -440,7 +373,6 @@ int Run() {
                                           &sparse_bitmap_ws, &sparse_out));
       },
       &report, /*budget_seconds=*/1.0);
-  SetKernelsForTest(nullptr);
   const CountingBackend sparse_hybrid_backend(sparse_hybrid);
   ProjectionWorkspace sparse_hybrid_ws;
   const double sparse_hybrid_ns = RunMicroBenchmark(

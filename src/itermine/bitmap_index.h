@@ -116,7 +116,8 @@ inline BackendKind ResolveBackendKindClamped(BackendChoice choice,
 // bit = arena-position convention). All ranges are half-open [from, limit)
 // in global bit positions; the masks below are what makes unpadded
 // sequence boundaries (and the 63/64/65-length edge cases the tests pin
-// down) safe. These are the scalar kernel table (simd_kernels.h).
+// down) safe. They are the only implementation: HybridIndex and the
+// vertical projection queries call them directly.
 namespace bitrow {
 
 /// \brief First set bit in [from, limit), or kNoBit.
@@ -174,6 +175,17 @@ inline size_t CountInRange(const uint64_t* row, size_t from, size_t limit) {
   const unsigned top = (limit - 1) & 63;
   word &= (top == 63 ? ~uint64_t{0} : (uint64_t{1} << (top + 1)) - 1);
   return count + static_cast<size_t>(std::popcount(word));
+}
+
+/// \brief ORs \p n rows over the word range [wb, we), overwriting
+/// out[wb..we); n == 0 writes zeros. Words outside the range are untouched.
+inline void UnionRows(const uint64_t* const* rows, size_t n, size_t wb,
+                      size_t we, uint64_t* out) {
+  for (size_t w = wb; w < we; ++w) {
+    uint64_t u = 0;
+    for (size_t i = 0; i < n; ++i) u |= rows[i][w];
+    out[w] = u;
+  }
 }
 
 }  // namespace bitrow

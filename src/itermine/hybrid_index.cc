@@ -68,7 +68,7 @@ void HybridIndex::UnionRest(const std::vector<EventId>& alphabet, size_t base,
   for (EventId ev : alphabet) {
     const uint32_t r = row_index_[ev];
     if (r != kNoRow) {
-      // Pathological alphabets beyond the stack chunk: scalar OR tail.
+      // Pathological alphabets beyond the stack chunk: word-wise OR tail.
       if (dense_seen++ < kUnionChunk) continue;
       const uint64_t* row = dense_row(r);
       for (size_t w = wb; w < we; ++w) out[w] |= row[w];

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/itermine/bitmap_index.h"
-#include "src/itermine/simd_kernels.h"
 #include "src/trace/sequence_database.h"
 
 namespace specmine {
@@ -102,7 +101,9 @@ class HybridIndex {
   /// kNoBit; ev must be < num_events().
   size_t FirstOfEventAtOrAfter(EventId ev, size_t from, size_t limit) const {
     const uint32_t r = row_index_[ev];
-    if (r != kNoRow) return Kernels().first_set(dense_row(r), from, limit);
+    if (r != kNoRow) {
+      return bitrow::FirstSetAtOrAfter(dense_row(r), from, limit);
+    }
     if (from >= limit) return kNoBit;
     const uint32_t* begin = positions_.data() + sparse_offsets_[ev];
     const uint32_t* end = positions_.data() + sparse_offsets_[ev + 1];
@@ -114,7 +115,7 @@ class HybridIndex {
   /// \brief True iff \p ev occurs in global bits [from, limit).
   bool AnyOfEventInRange(EventId ev, size_t from, size_t limit) const {
     const uint32_t r = row_index_[ev];
-    if (r != kNoRow) return Kernels().any_range(dense_row(r), from, limit);
+    if (r != kNoRow) return bitrow::AnyInRange(dense_row(r), from, limit);
     if (from >= limit) return false;
     const uint32_t* begin = positions_.data() + sparse_offsets_[ev];
     const uint32_t* end = positions_.data() + sparse_offsets_[ev + 1];
@@ -126,7 +127,7 @@ class HybridIndex {
   /// \brief Occurrences of \p ev in global bits [from, limit).
   size_t CountOfEventInRange(EventId ev, size_t from, size_t limit) const {
     const uint32_t r = row_index_[ev];
-    if (r != kNoRow) return Kernels().count_range(dense_row(r), from, limit);
+    if (r != kNoRow) return bitrow::CountInRange(dense_row(r), from, limit);
     if (from >= limit) return 0;
     const uint32_t* begin = positions_.data() + sparse_offsets_[ev];
     const uint32_t* end = positions_.data() + sparse_offsets_[ev + 1];
@@ -146,11 +147,10 @@ class HybridIndex {
 
   /// \brief ORs the \p alphabet events' occurrences into *union_words
   /// (resized to words_per_row() on growth) over the word range covering
-  /// global bits [base, limit): dense alphabet rows are OR-ed word-wise
-  /// (SIMD when dispatched), rare alphabet events scatter their few
-  /// in-range positions as individual bits. Only that word range is
-  /// written; queries must mask to it (shared boundary words carry
-  /// neighbor-sequence bits).
+  /// global bits [base, limit): dense alphabet rows are OR-ed word-wise,
+  /// rare alphabet events scatter their few in-range positions as
+  /// individual bits. Only that word range is written; queries must mask
+  /// to it (shared boundary words carry neighbor-sequence bits).
   void BuildUnionForRange(const std::vector<EventId>& alphabet, size_t base,
                           size_t limit,
                           std::vector<uint64_t>* union_words) const {
@@ -159,7 +159,7 @@ class HybridIndex {
     const size_t wb = base >> 6;
     const size_t we = ((limit - 1) >> 6) + 1;
     uint64_t* out = union_words->data();
-    // Dense alphabet rows through the union kernel (overwrites the range —
+    // Dense alphabet rows through bitrow::UnionRows (overwrites the range —
     // n == 0 zeroes it, which is what the sparse scatter needs). Patterns
     // are short, so a fixed stack chunk covers every real alphabet; this
     // stays inline because the recount loops call it once per sequence.
@@ -174,7 +174,7 @@ class HybridIndex {
         rest = true;
       }
     }
-    Kernels().union_rows(rows, n, wb, we, out);
+    bitrow::UnionRows(rows, n, wb, we, out);
     if (rest) UnionRest(alphabet, base, limit, out);
   }
 

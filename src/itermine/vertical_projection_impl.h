@@ -13,8 +13,7 @@
 // Index queries use the global-bit conventions of bitmap_index.h (bit g =
 // arena position g, ranges half-open, kNoBit = none). Union rows are
 // always word-packed — rare events are scattered into the union as bits —
-// so the union-row scans go through the runtime-dispatched kernel table
-// (simd_kernels.h) directly.
+// so the union-row scans call the bitrow word primitives directly.
 //
 // Cold-path note: unlike the CSR engine, whose workspace carries several
 // O(alphabet)-sized epoch tables, the vertical engine's scratch is one
@@ -30,7 +29,6 @@
 
 #include "src/itermine/hybrid_index.h"
 #include "src/itermine/projection.h"
-#include "src/itermine/simd_kernels.h"
 
 namespace specmine {
 namespace internal {
@@ -38,9 +36,9 @@ namespace internal {
 // Whether an instance list spanning `distinct_seqs` sequences should build
 // the alphabet union row once over the whole arena instead of once per
 // sequence. Per-sequence builds are dominated by call-and-mask overhead on
-// short ranges (~16 word-ops each), while the single long build is exactly
-// the row shape the union kernel vectorizes; union_rows overwrites its
-// range, so both strategies leave identical bits in every probed range.
+// short ranges (~16 word-ops each), while the single long build streams
+// the rows once; UnionRows overwrites its range, so both strategies leave
+// identical bits in every probed range.
 inline bool UseWholeRowUnion(size_t distinct_seqs, size_t total_words) {
   return distinct_seqs * 16 >= total_words;
 }
@@ -76,9 +74,9 @@ inline void DistinctAlphabet(const Pattern& pattern, size_t num_events,
 // Marks every event occurring strictly inside the instance span (the
 // gaps) into *gap_events (cleared first) with one sequential arena walk.
 // Gap-freedom per candidate then costs one O(1) membership test instead
-// of a per-candidate row probe — the probes were ~5 single-word kernel
-// calls per instance, pure call-and-mask overhead. `base` is the global
-// bit offset of the instance's sequence.
+// of a per-candidate row probe — the probes were ~5 single-word scans per
+// instance, pure call-and-mask overhead. `base` is the global bit offset
+// of the instance's sequence.
 inline void MarkGapEvents(const EventId* arena, size_t num_events,
                           size_t base, const IterInstance& inst,
                           EventMarkSet* gap_events) {
@@ -134,7 +132,6 @@ inline void ForwardExtensionsVertical(const HybridIndex& index,
                                       ProjectionWorkspace* ws,
                                       ForwardExtensionMap* out) {
   VerticalScratch& sc = ws->vertical;
-  const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();
   const EventId* arena = db.arena();
@@ -171,7 +168,8 @@ inline void ForwardExtensionsVertical(const HybridIndex& index,
     // First alphabet(P) event after the instance: bounds the candidate
     // window — everything before it is out-of-alphabet by construction —
     // and is itself the unique alphabet extension endpoint.
-    const size_t stop = kern.first_set(sc.union_words.data(), from, limit);
+    const size_t stop =
+        bitrow::FirstSetAtOrAfter(sc.union_words.data(), from, limit);
     const size_t window_end = stop == kNoBit ? limit : stop;
     ws->seen.Clear();
     for (size_t g = from; g < window_end; ++g) {
@@ -219,7 +217,6 @@ inline const BackwardExtensionMap& BackwardExtensionsVertical(
     const HybridIndex& index, const Pattern& pattern,
     const InstanceList& instances, ProjectionWorkspace* ws) {
   VerticalScratch& sc = ws->vertical;
-  const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();
   const EventId* arena = db.arena();
@@ -253,7 +250,8 @@ inline const BackwardExtensionMap& BackwardExtensionsVertical(
     const size_t gstart = base + inst.start;
     // Last alphabet(P) event before the instance start bounds the window;
     // it is itself the unique alphabet backward extension.
-    const size_t stop = kern.last_set(sc.union_words.data(), base, gstart);
+    const size_t stop =
+        bitrow::LastSetBefore(sc.union_words.data(), base, gstart);
     const size_t window_begin = stop == kNoBit ? base : stop + 1;
     ws->seen.Clear();
     for (size_t g = gstart; g-- > window_begin;) {
@@ -287,7 +285,6 @@ inline uint64_t CountInstancesVertical(const HybridIndex& index,
   if (pattern.empty()) return 0;
   QreRecountScratch local;
   if (scratch == nullptr) scratch = &local;
-  const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   if (pattern[0] >= num_events) return 0;  // First event never occurs.
   DistinctAlphabet(pattern, num_events, &scratch->alphabet);
@@ -310,7 +307,7 @@ inline uint64_t CountInstancesVertical(const HybridIndex& index,
       size_t cur = g;
       bool ok = true;
       for (size_t k = 1; k < pattern.size(); ++k) {
-        const size_t a = kern.first_set(union_row, cur + 1, limit);
+        const size_t a = bitrow::FirstSetAtOrAfter(union_row, cur + 1, limit);
         if (a == kNoBit || arena[a] != pattern[k]) {
           ok = false;
           break;

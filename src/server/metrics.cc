@@ -1,6 +1,5 @@
 #include "src/server/metrics.h"
 
-#include "src/itermine/simd_kernels.h"
 #include "src/support/json_writer.h"
 
 namespace specmine {
@@ -130,13 +129,6 @@ std::string ServerMetrics::Render(const ScrapeGauges& gauges) const {
            "\"}";
     AppendValue(out, count);
   }
-
-  AppendHelp(out, "specmined_simd_dispatch", "gauge",
-             "Info gauge: the SIMD kernel dispatch level the word-wise "
-             "backends resolved at startup (constant 1 per level label).");
-  out += std::string("specmined_simd_dispatch{level=\"") +
-         SimdDispatchLevel() + "\"}";
-  AppendValue(out, 1);
 
   AppendHelp(out, "specmined_patterns_emitted_total", "counter",
              "Patterns emitted across all completed mines.");

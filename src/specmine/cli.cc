@@ -100,10 +100,7 @@ position lists), bitmap (vertical word-packed occurrence rows), hybrid
 (default; per-database density heuristic — on a sharded corpus auto
 mines through the lazy merged backend over the per-shard indexes, never
 materializing the merged arena). Outputs are byte-identical across
-backends. The word-wise backends run through SIMD kernels resolved once
-at startup (AVX2 when the host supports it; set SPECMINE_FORCE_SCALAR=1
-to pin the scalar fallback — the timing line reports the level in
-effect). Accepted by every mine-* command; mine-seq, mine-episodes and
+backends. Accepted by every mine-* command; mine-seq, mine-episodes and
 mine-pairs use no counting index, so there it only validates.
 )";
 
@@ -300,7 +297,6 @@ int CmdStats(const Args& args, std::ostream& out, std::ostream& err) {
   out << ComputeStats(db).ToString() << '\n';
   const BackendKind chosen = ChooseBackendKind(db);
   out << "auto backend: " << BackendKindName(chosen) << '\n';
-  out << "simd dispatch: " << SimdDispatchLevel() << '\n';
   if (chosen == BackendKind::kHybrid) {
     // Show the sparse/dense split the hybrid layout would use — the
     // knob --backend=hybrid tuning starts from (docs/user_guide.md).
@@ -472,9 +468,8 @@ int CmdMinePatterns(const Args& args, std::ostream& out, std::ostream& err) {
   }
   out << patterns.size() << " patterns\n";
   out << "timing: backend " << (report.backend.empty() ? "-" : report.backend)
-      << ", simd " << SimdDispatchLevel() << ", index build "
-      << report.index_build_seconds << " s, mine " << report.mine_seconds
-      << " s\n";
+      << ", index build " << report.index_build_seconds << " s, mine "
+      << report.mine_seconds << " s\n";
   out << patterns.ToString(engine->dictionary());
   return 0;
 }

@@ -5,7 +5,9 @@
 // the plain / sharded execution paths —
 // and the lazy merged backend a sharded session answers merged-view
 // queries through reproduces the eager-merge output exactly, including
-// in quarantined-shard degraded mode. Plus the word-mask edge cases
+// in quarantined-shard degraded mode. Plus the bitrow word primitives
+// against a per-bit reference (word-boundary grids, degenerate and random
+// rows, the union's untouched-words contract), the word-mask edge cases
 // (sequence lengths straddling the 64-bit word boundary), the adaptive
 // chooser's dense/sparse/hybrid verdicts, and the explicit-bitmap table
 // cap.
@@ -15,6 +17,7 @@
 #include <array>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -149,6 +152,120 @@ TEST(BitmapLayoutTest, WordBoundarySequenceLengths) {
         EXPECT_EQ(ev, it->first);
         EXPECT_EQ(il, it->second);
         ++it;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The bitrow primitives against a per-bit reference loop. Rows are 8 words
+// long, so every (from, limit) shape — within one word, across several,
+// starting or ending on a word boundary — is reachable.
+
+constexpr size_t kRowWords = 8;
+constexpr size_t kRowBits = kRowWords * 64;
+
+bool BitAt(const std::vector<uint64_t>& row, size_t g) {
+  return ((row[g >> 6] >> (g & 63)) & 1) != 0;
+}
+
+void ExpectScansMatchReference(const std::vector<uint64_t>& row, size_t from,
+                               size_t limit) {
+  size_t first = kNoBit, last = kNoBit, count = 0;
+  for (size_t g = from; g < limit; ++g) {
+    if (!BitAt(row, g)) continue;
+    if (first == kNoBit) first = g;
+    last = g;
+    ++count;
+  }
+  const uint64_t* r = row.data();
+  EXPECT_EQ(bitrow::FirstSetAtOrAfter(r, from, limit), first)
+      << "FirstSetAtOrAfter [" << from << ", " << limit << ")";
+  EXPECT_EQ(bitrow::LastSetBefore(r, from, limit), last)
+      << "LastSetBefore [" << from << ", " << limit << ")";
+  EXPECT_EQ(bitrow::AnyInRange(r, from, limit), count > 0)
+      << "AnyInRange [" << from << ", " << limit << ")";
+  EXPECT_EQ(bitrow::CountInRange(r, from, limit), count)
+      << "CountInRange [" << from << ", " << limit << ")";
+}
+
+// Word starts/ends and their +-2 neighbors.
+std::vector<size_t> BoundaryProbes() {
+  std::vector<size_t> out;
+  for (size_t w = 0; w <= kRowWords; ++w) {
+    for (int delta : {-2, -1, 0, 1, 2}) {
+      const int64_t pos = static_cast<int64_t>(w) * 64 + delta;
+      if (pos >= 0 && pos <= static_cast<int64_t>(kRowBits)) {
+        out.push_back(static_cast<size_t>(pos));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(BitmapLayoutTest, ScanPrimitivesMatchPerBitReferenceOnBoundaryGrid) {
+  std::vector<uint64_t> boundary(kRowWords, 0);
+  for (size_t bit : {0, 63, 64, 65, 127, 128, 200, 255, 256, 448, 511}) {
+    boundary[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+  const std::vector<uint64_t> zeros(kRowWords, 0);
+  const std::vector<uint64_t> ones(kRowWords, ~uint64_t{0});
+  const std::vector<uint64_t>* rows[] = {&boundary, &zeros, &ones};
+  const std::vector<size_t> probes = BoundaryProbes();
+  for (const std::vector<uint64_t>* row : rows) {
+    for (size_t from : probes) {
+      for (size_t limit : probes) {
+        if (from <= limit) ExpectScansMatchReference(*row, from, limit);
+      }
+    }
+  }
+}
+
+TEST(BitmapLayoutTest, ScanPrimitivesMatchPerBitReferenceOnRandomRows) {
+  Rng rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Mixed densities: uniform words, sparse rows, near-full rows.
+    std::vector<uint64_t> row(kRowWords);
+    for (uint64_t& w : row) {
+      w = rng.Next64();
+      if (trial % 3 == 1) w &= rng.Next64() & rng.Next64();
+      if (trial % 3 == 2) w |= rng.Next64() | rng.Next64();
+    }
+    for (int probe = 0; probe < 32; ++probe) {
+      size_t a = rng.Uniform(kRowBits + 1);
+      size_t b = rng.Uniform(kRowBits + 1);
+      if (a > b) std::swap(a, b);
+      ExpectScansMatchReference(row, a, b);
+    }
+    ExpectScansMatchReference(row, kRowBits, kRowBits);
+  }
+}
+
+TEST(BitmapLayoutTest, UnionRowsMatchesNaiveOrInsideItsWordRange) {
+  constexpr uint64_t kPoison = 0xDEADBEEFCAFEF00Dull;
+  Rng rng(7);
+  for (size_t n = 0; n <= 8; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::vector<uint64_t>> rows(n);
+      std::vector<const uint64_t*> ptrs(n);
+      for (size_t i = 0; i < n; ++i) {
+        rows[i].resize(kRowWords);
+        for (uint64_t& w : rows[i]) w = rng.Next64() & rng.Next64();
+        ptrs[i] = rows[i].data();
+      }
+      size_t wb = rng.Uniform(kRowWords + 1);
+      size_t we = rng.Uniform(kRowWords + 1);
+      if (wb > we) std::swap(wb, we);
+      std::vector<uint64_t> out(kRowWords, kPoison);
+      bitrow::UnionRows(ptrs.data(), n, wb, we, out.data());
+      for (size_t w = 0; w < kRowWords; ++w) {
+        uint64_t want = kPoison;  // Outside [wb, we): untouched.
+        if (w >= wb && w < we) {
+          want = 0;
+          for (size_t i = 0; i < n; ++i) want |= rows[i][w];
+        }
+        EXPECT_EQ(out[w], want)
+            << "n=" << n << " wb=" << wb << " we=" << we << " w=" << w;
       }
     }
   }

@@ -21,6 +21,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -81,6 +82,22 @@ std::string StripTimings(const std::string& text) {
     out += '\n';
   }
   return out;
+}
+
+// The series names of the metrics catalog table in docs/server.md: the
+// backticked first cell of each table row under "## 5. Metrics catalog".
+std::set<std::string> DocumentedMetrics() {
+  std::ifstream doc(std::string(SPECMINE_SOURCE_DIR) + "/docs/server.md");
+  std::set<std::string> names;
+  bool in_catalog = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("## ", 0) == 0) {
+      in_catalog = line.find("Metrics catalog") != std::string::npos;
+    } else if (in_catalog && line.rfind("| `", 0) == 0) {
+      names.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  return names;
 }
 
 class ServerTest : public ::testing::Test {
@@ -245,6 +262,17 @@ TEST_F(ServerTest, MetricsScrapeCarriesTheCatalog) {
         "specmined_corpora 1", "specmined_quarantined_shards 0"}) {
     EXPECT_NE(body.find(series), std::string::npos) << series;
   }
+  // Every series the scrape declares is documented in the catalog table
+  // of docs/server.md, and every documented series is declared.
+  std::set<std::string> scraped;
+  std::istringstream lines(body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE specmined_", 0) != 0) continue;
+    scraped.insert(line.substr(7, line.find(' ', 7) - 7));
+  }
+  const std::set<std::string> documented = DocumentedMetrics();
+  ASSERT_FALSE(documented.empty()) << "no catalog in docs/server.md";
+  EXPECT_EQ(scraped, documented);
 }
 
 TEST_F(ServerTest, KeepAlivePipeliningServesBothRequests) {

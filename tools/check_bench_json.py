@@ -30,8 +30,6 @@ REQUIRED = [
     "SparseForwardExtensionsCsr",
     "SparseForwardExtensionsBitmap",
     "HybridSparseForwardExtensions",
-    "SimdForwardExtensions",
-    "SimdForwardExtensionsReuse",
     "LazyMergedQueryForwardExtensions",
     "LazyMergedQueryCountInstances",
     "EagerMergePeakRssKb",

@@ -34,25 +34,34 @@ done
 grep '"status": "ok"' healthz.json
 grep '"version"' healthz.json
 
-# One request per mining route.
+# One request per mining route. Every response body goes to a file before
+# it is grepped: piping curl into `grep -q` under pipefail fails with curl
+# exit 23 whenever grep exits before curl has written the whole body.
 curl -fsS -d '{"corpus": "demo", "min_sup": 0.4}' \
-  "$BASE/mine/patterns" | grep -q '"patterns"'
+  "$BASE/mine/patterns" > patterns.json
+grep -q '"patterns"' patterns.json
 curl -fsS -d '{"corpus": "demo", "min_ssup": 0.4, "min_conf": 0.5}' \
-  "$BASE/mine/rules" | grep -q '"rules"'
+  "$BASE/mine/rules" > rules.json
+grep -q '"rules"' rules.json
 curl -fsS -d '{"corpus": "demo", "min_sup": 0.4, "closed": true}' \
-  "$BASE/mine/seq" | grep -q '"patterns"'
+  "$BASE/mine/seq" > seq.json
+grep -q '"patterns"' seq.json
 curl -fsS -d '{"corpus": "demo", "window": 5}' \
-  "$BASE/mine/episodes" | grep -q '"patterns"'
+  "$BASE/mine/episodes" > episodes.json
+grep -q '"patterns"' episodes.json
 curl -fsS -d '{"corpus": "demo", "min_sat": 0.5}' \
-  "$BASE/mine/pairs" | grep -q '"pairs"'
+  "$BASE/mine/pairs" > pairs.json
+grep -q '"pairs"' pairs.json
 
 # Runtime corpus registration, then mine the new corpus.
 code=$(curl -s -o /dev/null -w '%{http_code}' \
   -d '{"name": "second", "path": "server_smoke_traces.txt"}' "$BASE/corpora")
 [ "$code" = 201 ]
-curl -fsS "$BASE/corpora" | grep -q '"second"'
+curl -fsS "$BASE/corpora" > corpora.json
+grep -q '"second"' corpora.json
 curl -fsS -d '{"corpus": "second", "min_sup": 0.4}' \
-  "$BASE/mine/patterns" | grep -q '"patterns"'
+  "$BASE/mine/patterns" > second.json
+grep -q '"patterns"' second.json
 
 # Append route: pack a sharded corpus, register it, append traces, and
 # check the committed generation both in the response and on re-mine.
@@ -65,7 +74,8 @@ curl -fsS -d '{"traces": ["lock write unlock", "open read close"], "seal": true}
 grep -q '"appended": 2' append.json
 grep -q '"generation": 1' append.json
 curl -fsS -d '{"corpus": "growing", "min_sup": 0.4}' \
-  "$BASE/mine/patterns" | grep -q '"patterns"'
+  "$BASE/mine/patterns" > growing.json
+grep -q '"patterns"' growing.json
 # Appending to a non-sharded corpus is a clean client error.
 code=$(curl -s -o /dev/null -w '%{http_code}' \
   -d '{"traces": ["a b"]}' "$BASE/corpora/demo/append")
