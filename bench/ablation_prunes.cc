@@ -10,7 +10,6 @@
 #include "src/episode/gap_episodes.h"
 #include "src/episode/minepi.h"
 #include "src/episode/winepi.h"
-#include "src/itermine/closed_miner.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/support/random.h"
 
@@ -19,16 +18,17 @@ namespace {
 
 void RunConfig(const SequenceDatabase& db, uint64_t min_sup, bool p1, bool p2,
                bool p3, const char* label) {
-  ClosedIterMinerOptions options;
-  options.min_support = min_sup;
-  options.prefix_prune = p1;
-  options.aggressive_prefix_prune = p2;
-  options.infix_prune = p3;
+  ClosedTask task;
+  task.options.min_support = min_sup;
+  task.options.prefix_prune = p1;
+  task.options.aggressive_prefix_prune = p2;
+  task.options.infix_prune = p3;
+  const Engine engine(db);  // Fresh session: the time includes its index.
   Stopwatch sw;
-  IterMinerStats stats;
-  PatternSet out = MineClosedIterative(db, options, &stats);
+  RunReport report;
+  PatternSet out = bench::CollectOrDie(engine, task, &report);
   std::printf("%-24s %10.3f %10zu %10zu %10zu\n", label, sw.ElapsedSeconds(),
-              out.size(), stats.nodes_visited, stats.subtrees_pruned);
+              out.size(), report.nodes_visited, report.subtrees_pruned);
 }
 
 int Run() {

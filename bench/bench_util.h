@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/engine/engine.h"
 #include "src/support/stopwatch.h"
 #include "src/synth/quest_generator.h"
 #include "src/trace/binary_format.h"
@@ -169,6 +170,22 @@ inline ShardBenchFiles WriteShardBenchFiles(
     std::exit(1);
   }
   return files;
+}
+
+/// \brief Runs \p task on \p engine and returns the mined patterns; exits
+/// with the Status on failure (bench inputs are generated, so a failure is
+/// a bug). A fresh session's first call also builds its index, which is
+/// what the figure benches time alongside the mining.
+template <typename Task>
+PatternSet CollectOrDie(const Engine& engine, const Task& task,
+                        RunReport* report = nullptr) {
+  Result<PatternSet> mined = engine.CollectPatterns(task, report);
+  if (!mined.ok()) {
+    std::fprintf(stderr, "mining failed: %s\n",
+                 mined.status().ToString().c_str());
+    std::exit(1);
+  }
+  return mined.TakeValueOrDie();
 }
 
 /// \brief Times a callable returning a size (pattern/rule count).

@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/itermine/closed_miner.h"
-#include "src/itermine/full_miner.h"
 #include "src/specmine/visualize.h"
 
 namespace specmine {
@@ -43,19 +41,22 @@ int Run() {
     uint64_t min_sup = static_cast<uint64_t>(fraction * db.size());
     if (min_sup == 0) min_sup = 1;
 
-    IterMinerOptions full_options;
-    full_options.min_support = min_sup;
-    full_options.max_patterns = 20'000'000;
-    IterMinerStats full_stats;
+    // Each miner runs in a fresh session (copied outside the timer), so
+    // its time covers the index build at the auto backend plus mining.
+    FullPatternsTask full;
+    full.options.min_support = min_sup;
+    full.options.max_patterns = 20'000'000;
+    RunReport full_report;
+    const Engine full_engine(db);
     auto [full_time_s, full_count_n] = TimedCount([&] {
-      return MineFrequentIterative(db, full_options, &full_stats).size();
+      return bench::CollectOrDie(full_engine, full, &full_report).size();
     });
 
-    ClosedIterMinerOptions closed_options;
-    closed_options.min_support = min_sup;
-    IterMinerStats closed_stats;
+    ClosedTask closed;
+    closed.options.min_support = min_sup;
+    const Engine closed_engine(db);
     auto [closed_time_s, closed_count_n] = TimedCount([&] {
-      return MineClosedIterative(db, closed_options, &closed_stats).size();
+      return bench::CollectOrDie(closed_engine, closed).size();
     });
 
     std::printf("%-9.3f%% %12.3f %12.3f %12zu %12zu %8.1fx %8.1fx%s\n",
@@ -66,7 +67,7 @@ int Run() {
                     ? static_cast<double>(full_count_n) /
                           static_cast<double>(closed_count_n)
                     : 0.0,
-                full_stats.truncated ? "  [full truncated]" : "");
+                full_report.truncated ? "  [full truncated]" : "");
     char label[16];
     std::snprintf(label, sizeof(label), "%.2f%%", fraction * 100.0);
     labels.push_back(label);

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/itermine/closed_miner.h"
 #include "src/sim/test_suite.h"
 #include "src/support/stopwatch.h"
 
@@ -35,16 +34,17 @@ int Run() {
   std::printf("traces: %zu, events: %zu, alphabet: %zu\n", db.size(),
               db.TotalEvents(), db.dictionary().size());
 
-  ClosedIterMinerOptions options;
+  ClosedTask task;
   // Commit runs are ~85% of transactions; 60% of traces is a safe floor.
-  options.min_support = static_cast<uint64_t>(0.6 * db.size());
-  Stopwatch sw;
-  IterMinerStats stats;
-  PatternSet closed = MineClosedIterative(db, options, &stats);
+  task.options.min_support = static_cast<uint64_t>(0.6 * db.size());
+  const Engine engine(std::move(db));
+  Stopwatch sw;  // Covers the session's index build and the mining.
+  RunReport report;
+  PatternSet closed = bench::CollectOrDie(engine, task, &report);
   double elapsed = sw.ElapsedSeconds();
 
   std::printf("closed patterns: %zu (nodes %zu, %0.3fs)\n", closed.size(),
-              stats.nodes_visited, elapsed);
+              report.nodes_visited, elapsed);
   if (closed.empty()) return 1;
   const MinedPattern& longest = closed.Longest();
   std::printf("\nlongest pattern (%zu events, support %llu):\n",
@@ -56,8 +56,9 @@ int Run() {
       std::printf("  -- %s --\n", kBlockHeaders[block]);
       ++block;
     }
-    std::printf("  %s\n",
-                db.dictionary().NameOrPlaceholder(longest.pattern[i]).c_str());
+    const std::string name =
+        engine.dictionary().NameOrPlaceholder(longest.pattern[i]);
+    std::printf("  %s\n", name.c_str());
   }
   std::printf(
       "\npaper reference: the 32-event protocol run of Figure 4 "

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/itermine/closed_miner.h"
 #include "src/rulemine/rule_miner.h"
 
 namespace specmine {
@@ -23,11 +22,12 @@ SequenceDatabase MakeDataset(double d_thousands, double c_len) {
 }
 
 void Row(const SequenceDatabase& db, const char* label) {
-  ClosedIterMinerOptions pattern_options;
-  pattern_options.min_support =
+  ClosedTask pattern_task;
+  pattern_task.options.min_support =
       static_cast<uint64_t>(0.03 * db.size()) + 1;
+  const Engine engine(db);  // Fresh session: the time includes its index.
   Stopwatch sw1;
-  size_t patterns = MineClosedIterative(db, pattern_options).size();
+  size_t patterns = bench::CollectOrDie(engine, pattern_task).size();
   double t_patterns = sw1.ElapsedSeconds();
 
   RuleMinerOptions rule_options;

@@ -16,8 +16,8 @@
 //
 // Failures are values: invalid options, an empty database, and
 // uint32-offset overflow all return Status instead of aborting or mining
-// garbage. Emission order and content are byte-identical to the legacy
-// per-miner free functions (which remain as thin deprecated wrappers).
+// garbage. Emission order and content are byte-identical to each miner's
+// single entry point run over the same index.
 //
 // Thread-safety: Mine is safe to call concurrently from multiple threads
 // on one Engine (the specmined server shares one session per corpus
@@ -171,7 +171,7 @@ class Engine {
 
   // -------------------------------------------------------------------------
   // Tasks. Each validates its options, runs the miner against the cached
-  // index / shared pool, streams results into the sink in the legacy
+  // index / shared pool, streams results into the sink in the miner's
   // emission order, and returns the unified RunReport.
   // report.index_build_seconds is non-zero only for the call that actually
   // built the session's index.

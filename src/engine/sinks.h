@@ -2,7 +2,7 @@
 // std::function callbacks. A sink receives each mined item in the miner's
 // canonical emission order; returning false asks the producer to stop (for
 // the streaming full-pattern scan this prunes the current subtree, exactly
-// like the legacy callback contract; for materialized miners it stops
+// like ScanFrequentIterative's callback; for materialized miners it stops
 // delivery and the RunReport is marked truncated).
 //
 // Sinks compose by wrapping (TeePatternSink{collector, writer}) and are
@@ -53,7 +53,7 @@ class TwoEventSink {
 // ---------------------------------------------------------------------------
 // Pattern sinks.
 
-/// \brief Collects everything into a PatternSet (the legacy return shape).
+/// \brief Collects everything into a PatternSet.
 class CollectingPatternSink : public PatternSink {
  public:
   bool Consume(const Pattern& pattern, uint64_t support) override {
@@ -136,7 +136,7 @@ class TeePatternSink : public PatternSink {
 // ---------------------------------------------------------------------------
 // Rule sinks.
 
-/// \brief Collects everything into a RuleSet (the legacy return shape).
+/// \brief Collects everything into a RuleSet.
 class CollectingRuleSink : public RuleSink {
  public:
   bool Consume(const Rule& rule) override {

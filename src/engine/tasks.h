@@ -1,7 +1,7 @@
 // Engine task descriptors: one small struct per miner, each wrapping that
-// miner's existing option struct, plus the up-front Status validation the
-// legacy free functions never did. A task names *what* to mine; the Engine
-// supplies the database, the cached PositionIndex, and the shared pool.
+// miner's option struct, plus the up-front Status validation the miners'
+// own entry points do not do. A task names *what* to mine; the Engine
+// supplies the database, the cached counting index, and the shared pool.
 
 #ifndef SPECMINE_ENGINE_TASKS_H_
 #define SPECMINE_ENGINE_TASKS_H_

@@ -97,20 +97,6 @@ inline uint64_t DenseCutoffFor(BackendKind kind) {
 /// and must run before its HybridIndex is built.
 Status CheckBitmapIndexable(const SequenceDatabase& db);
 
-/// \brief ResolveBackendKind with the table cap applied: an explicit
-/// bitmap request beyond CheckBitmapIndexable is downgraded to CSR
-/// (identical output). The policy of the Status-less db-level miner entry
-/// points — the Engine path reports the same condition as OutOfRange
-/// instead.
-inline BackendKind ResolveBackendKindClamped(BackendChoice choice,
-                                             const SequenceDatabase& db) {
-  const BackendKind kind = ResolveBackendKind(choice, db);
-  if (kind == BackendKind::kBitmap && !CheckBitmapIndexable(db).ok()) {
-    return BackendKind::kCsr;
-  }
-  return kind;
-}
-
 // ---------------------------------------------------------------------------
 // Word-wise scan primitives over one row (or any word array using the
 // bit = arena-position convention). All ranges are half-open [from, limit)

@@ -151,33 +151,4 @@ PatternSet MineClosedIterative(const CountingBackend& backend,
   return out;
 }
 
-PatternSet MineClosedIterative(const PositionIndex& index,
-                               const ClosedIterMinerOptions& options,
-                               IterMinerStats* stats, ThreadPool* pool) {
-  return MineClosedIterative(CountingBackend(index), options, stats, pool);
-}
-
-PatternSet MineClosedIterative(const SequenceDatabase& db,
-                               const ClosedIterMinerOptions& options,
-                               IterMinerStats* stats) {
-  IterMinerStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const BackendKind kind = ResolveBackendKindClamped(options.backend, db);
-  Stopwatch sw;
-  if (kind != BackendKind::kCsr) {
-    HybridIndex index(db, DenseCutoffFor(kind));
-    const double index_build_seconds = sw.ElapsedSeconds();
-    PatternSet out =
-        MineClosedIterative(CountingBackend(index), options, stats, nullptr);
-    stats->index_build_seconds = index_build_seconds;
-    return out;
-  }
-  PositionIndex index(db);
-  const double index_build_seconds = sw.ElapsedSeconds();
-  PatternSet out =
-      MineClosedIterative(CountingBackend(index), options, stats, nullptr);
-  stats->index_build_seconds = index_build_seconds;
-  return out;
-}
-
 }  // namespace specmine

@@ -39,7 +39,8 @@ namespace specmine {
 struct ClosedIterMinerOptions {
   /// Minimum number of instances (absolute).
   uint64_t min_support = 1;
-  /// Physical counting representation (see IterMinerOptions::backend).
+  /// Physical counting representation. Read by the Engine only; the miner
+  /// mines whatever backend it is handed.
   BackendChoice backend = BackendChoice::kAuto;
   /// Maximum pattern length; 0 means unbounded.
   size_t max_length = 0;
@@ -71,24 +72,9 @@ struct ClosedIterMinerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// \brief Mines the closed frequent iterative patterns of \p db.
-///
-/// Deprecated entry point: builds a fresh PositionIndex per call. New code
-/// should go through specmine::Engine (src/engine/engine.h).
-PatternSet MineClosedIterative(const SequenceDatabase& db,
-                               const ClosedIterMinerOptions& options,
-                               IterMinerStats* stats = nullptr);
-
-/// \brief Index-reusing variant: mines over a prebuilt \p index (its
-/// database). stats->index_build_seconds is left at 0; \p pool, when
-/// non-null and matching the resolved thread count, runs the fan-out.
-PatternSet MineClosedIterative(const PositionIndex& index,
-                               const ClosedIterMinerOptions& options,
-                               IterMinerStats* stats = nullptr,
-                               ThreadPool* pool = nullptr);
-
-/// \brief Backend-reusing variant: mines over either physical counting
-/// representation (the PositionIndex overload wraps the CSR one).
+/// \brief Mines the closed frequent iterative patterns over \p backend.
+/// \p pool, when non-null and matching the resolved thread count, runs the
+/// first-level fan-out.
 PatternSet MineClosedIterative(const CountingBackend& backend,
                                const ClosedIterMinerOptions& options,
                                IterMinerStats* stats = nullptr,

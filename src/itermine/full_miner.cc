@@ -190,68 +190,4 @@ void ScanFrequentIterative(
   stats->mine_seconds = sw.ElapsedSeconds();
 }
 
-void ScanFrequentIterative(
-    const PositionIndex& index, const IterMinerOptions& options,
-    const std::function<bool(const Pattern&, uint64_t)>& sink,
-    IterMinerStats* stats, ThreadPool* pool) {
-  ScanFrequentIterative(CountingBackend(index), options, sink, stats, pool);
-}
-
-void ScanFrequentIterative(
-    const SequenceDatabase& db, const IterMinerOptions& options,
-    const std::function<bool(const Pattern&, uint64_t)>& sink,
-    IterMinerStats* stats) {
-  IterMinerStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const BackendKind kind = ResolveBackendKindClamped(options.backend, db);
-  Stopwatch sw;
-  if (kind != BackendKind::kCsr) {
-    HybridIndex index(db, DenseCutoffFor(kind));
-    const double index_build_seconds = sw.ElapsedSeconds();
-    ScanFrequentIterative(CountingBackend(index), options, sink, stats,
-                          nullptr);
-    stats->index_build_seconds = index_build_seconds;
-    return;
-  }
-  PositionIndex index(db);
-  const double index_build_seconds = sw.ElapsedSeconds();
-  ScanFrequentIterative(CountingBackend(index), options, sink, stats,
-                        nullptr);
-  stats->index_build_seconds = index_build_seconds;
-}
-
-PatternSet MineFrequentIterative(const CountingBackend& backend,
-                                 const IterMinerOptions& options,
-                                 IterMinerStats* stats, ThreadPool* pool) {
-  PatternSet out;
-  ScanFrequentIterative(
-      backend, options,
-      [&out](const Pattern& p, uint64_t support) {
-        out.Add(p, support);
-        return true;
-      },
-      stats, pool);
-  return out;
-}
-
-PatternSet MineFrequentIterative(const PositionIndex& index,
-                                 const IterMinerOptions& options,
-                                 IterMinerStats* stats, ThreadPool* pool) {
-  return MineFrequentIterative(CountingBackend(index), options, stats, pool);
-}
-
-PatternSet MineFrequentIterative(const SequenceDatabase& db,
-                                 const IterMinerOptions& options,
-                                 IterMinerStats* stats) {
-  PatternSet out;
-  ScanFrequentIterative(
-      db, options,
-      [&out](const Pattern& p, uint64_t support) {
-        out.Add(p, support);
-        return true;
-      },
-      stats);
-  return out;
-}
-
 }  // namespace specmine

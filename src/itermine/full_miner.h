@@ -11,8 +11,6 @@
 #include "src/itermine/counting_backend.h"
 #include "src/patterns/pattern_set.h"
 #include "src/support/status.h"
-#include "src/trace/position_index.h"
-#include "src/trace/sequence_database.h"
 
 namespace specmine {
 
@@ -26,9 +24,8 @@ struct IterMinerOptions {
   /// Physical counting representation: kAuto picks per database via
   /// ChooseBackendKind (density x alphabet heuristic); kCsr, kBitmap
   /// (a HybridIndex at kBitmapDenseCutoff) and kHybrid (one at its tuned
-  /// cutoff) force one. Honored by the database-level entry points and the
-  /// Engine; the index-reusing overloads mine whatever index they are
-  /// handed. Output is byte-identical across backends.
+  /// cutoff) force one. Read by the Engine only; the miners mine whatever
+  /// backend they are handed. Output is byte-identical across backends.
   BackendChoice backend = BackendChoice::kAuto;
   /// Maximum pattern length; 0 means unbounded.
   size_t max_length = 0;
@@ -61,8 +58,7 @@ struct IterMinerStats {
   size_t patterns_emitted = 0;  ///< Patterns written to the output.
   size_t subtrees_pruned = 0;   ///< Closed miner: P1/P2 subtree prunes.
   bool truncated = false;       ///< True iff max_patterns stopped the run.
-  double index_build_seconds = 0.0;  ///< PositionIndex construction time.
-  double mine_seconds = 0.0;         ///< Pattern-growth time.
+  double mine_seconds = 0.0;    ///< Pattern-growth time.
   /// kCancelled / kDeadlineExceeded when the run's CancelToken stopped it
   /// early; kOk otherwise.
   StatusCode stopped = StatusCode::kOk;
@@ -71,51 +67,14 @@ struct IterMinerStats {
   Status error = Status::OK();
 };
 
-/// \brief Mines every frequent iterative pattern of \p db.
+/// \brief Mines every frequent iterative pattern over \p backend; \p sink
+/// receives (pattern, support) and returns false to skip growing that
+/// pattern's subtree.
 ///
 /// Support of P = number of QRE instances, counted within and across
-/// sequences. Patterns of length >= 1 are emitted.
-///
-/// Deprecated entry point: builds a fresh PositionIndex per call. New code
-/// should go through specmine::Engine (src/engine/engine.h), which caches
-/// the index and a thread pool across tasks and reports errors as values.
-PatternSet MineFrequentIterative(const SequenceDatabase& db,
-                                 const IterMinerOptions& options,
-                                 IterMinerStats* stats = nullptr);
-
-/// \brief Index-reusing variant: mines over a prebuilt \p index (its
-/// database). stats->index_build_seconds is left at 0 — no build happened
-/// here. \p pool, when non-null and matching the resolved thread count, is
-/// used for the first-level fan-out instead of spawning a fresh pool.
-PatternSet MineFrequentIterative(const PositionIndex& index,
-                                 const IterMinerOptions& options,
-                                 IterMinerStats* stats = nullptr,
-                                 ThreadPool* pool = nullptr);
-
-/// \brief Backend-reusing variant: mines over either physical counting
-/// representation (the PositionIndex overloads wrap the CSR one).
-PatternSet MineFrequentIterative(const CountingBackend& backend,
-                                 const IterMinerOptions& options,
-                                 IterMinerStats* stats = nullptr,
-                                 ThreadPool* pool = nullptr);
-
-/// \brief Callback variant: \p sink receives (pattern, support); return
-/// false to skip growing that pattern's subtree.
-///
-/// Deprecated entry point: builds a fresh PositionIndex per call (see
-/// MineFrequentIterative above).
-void ScanFrequentIterative(
-    const SequenceDatabase& db, const IterMinerOptions& options,
-    const std::function<bool(const Pattern&, uint64_t)>& sink,
-    IterMinerStats* stats = nullptr);
-
-/// \brief Index-reusing callback variant.
-void ScanFrequentIterative(
-    const PositionIndex& index, const IterMinerOptions& options,
-    const std::function<bool(const Pattern&, uint64_t)>& sink,
-    IterMinerStats* stats = nullptr, ThreadPool* pool = nullptr);
-
-/// \brief Backend-reusing callback variant (the Engine's workhorse).
+/// sequences. Patterns of length >= 1 are emitted. \p pool, when non-null
+/// and matching the resolved thread count, runs the first-level fan-out
+/// instead of a fresh pool per call.
 void ScanFrequentIterative(
     const CountingBackend& backend, const IterMinerOptions& options,
     const std::function<bool(const Pattern&, uint64_t)>& sink,

@@ -2,7 +2,6 @@
 
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
-#include "src/support/stopwatch.h"
 
 namespace specmine {
 
@@ -19,16 +18,6 @@ bool IsGeneratorImpl(const CountingBackend& backend, const Pattern& pattern,
 }
 
 }  // namespace
-
-bool IsIterativeGenerator(const SequenceDatabase& db, const Pattern& pattern,
-                          uint64_t support) {
-  for (size_t k = 0; k < pattern.size(); ++k) {
-    Pattern deleted = pattern.Erase(k);
-    if (deleted.empty()) continue;  // Length-1 patterns are generators.
-    if (CountInstances(deleted, db) == support) return false;
-  }
-  return true;
-}
 
 bool IsIterativeGenerator(const CountingBackend& backend,
                           const Pattern& pattern, uint64_t support) {
@@ -59,36 +48,6 @@ PatternSet MineIterativeGenerators(const CountingBackend& backend,
         return true;
       },
       stats, pool);
-  return out;
-}
-
-PatternSet MineIterativeGenerators(const PositionIndex& index,
-                                   const IterGeneratorMinerOptions& options,
-                                   IterMinerStats* stats, ThreadPool* pool) {
-  return MineIterativeGenerators(CountingBackend(index), options, stats,
-                                 pool);
-}
-
-PatternSet MineIterativeGenerators(const SequenceDatabase& db,
-                                   const IterGeneratorMinerOptions& options,
-                                   IterMinerStats* stats) {
-  IterMinerStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const BackendKind kind = ResolveBackendKindClamped(options.backend, db);
-  Stopwatch sw;
-  if (kind != BackendKind::kCsr) {
-    HybridIndex index(db, DenseCutoffFor(kind));
-    const double index_build_seconds = sw.ElapsedSeconds();
-    PatternSet out = MineIterativeGenerators(CountingBackend(index), options,
-                                             stats, nullptr);
-    stats->index_build_seconds = index_build_seconds;
-    return out;
-  }
-  PositionIndex index(db);
-  const double index_build_seconds = sw.ElapsedSeconds();
-  PatternSet out = MineIterativeGenerators(CountingBackend(index), options,
-                                           stats, nullptr);
-  stats->index_build_seconds = index_build_seconds;
   return out;
 }
 

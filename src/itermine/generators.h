@@ -26,8 +26,9 @@ namespace specmine {
 struct IterGeneratorMinerOptions {
   /// Minimum number of instances (absolute).
   uint64_t min_support = 1;
-  /// Physical counting representation (see IterMinerOptions::backend).
-  /// The deletion recounts run on the same backend as the scan.
+  /// Physical counting representation. Read by the Engine only; the miner
+  /// mines whatever backend it is handed, and runs the deletion recounts
+  /// on that same backend.
   BackendChoice backend = BackendChoice::kAuto;
   /// Maximum pattern length; 0 means unbounded.
   size_t max_length = 0;
@@ -39,36 +40,15 @@ struct IterGeneratorMinerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// \brief Mines the frequent iterative generators of \p db.
-///
-/// Deprecated entry point: builds a fresh PositionIndex per call. New code
-/// should go through specmine::Engine (src/engine/engine.h).
-PatternSet MineIterativeGenerators(const SequenceDatabase& db,
-                                   const IterGeneratorMinerOptions& options,
-                                   IterMinerStats* stats = nullptr);
-
-/// \brief Index-reusing variant: mines over a prebuilt \p index (its
-/// database). stats->index_build_seconds is left at 0; \p pool, when
-/// non-null and matching the resolved thread count, runs the fan-out.
-PatternSet MineIterativeGenerators(const PositionIndex& index,
-                                   const IterGeneratorMinerOptions& options,
-                                   IterMinerStats* stats = nullptr,
-                                   ThreadPool* pool = nullptr);
-
-/// \brief Backend-reusing variant: mines over either physical counting
-/// representation (the PositionIndex overload wraps the CSR one).
+/// \brief Mines the frequent iterative generators over \p backend. \p pool,
+/// when non-null and matching the resolved thread count, runs the fan-out.
 PatternSet MineIterativeGenerators(const CountingBackend& backend,
                                    const IterGeneratorMinerOptions& options,
                                    IterMinerStats* stats = nullptr,
                                    ThreadPool* pool = nullptr);
 
 /// \brief True iff the one-event deletion check declares \p pattern a
-/// generator (exposed for tests and the ranking module).
-bool IsIterativeGenerator(const SequenceDatabase& db, const Pattern& pattern,
-                          uint64_t support);
-
-/// \brief Backend-accelerated deletion check: identical verdicts, with
-/// the recounts on \p backend (word-wise on the vertical backends).
+/// generator, with the recounts on \p backend (exposed for tests).
 bool IsIterativeGenerator(const CountingBackend& backend,
                           const Pattern& pattern, uint64_t support);
 

@@ -50,12 +50,6 @@ struct PremiseJob {
 
 RuleSet MineRecurrentRules(const SequenceDatabase& db,
                            const RuleMinerOptions& options,
-                           RuleMinerStats* stats) {
-  return MineRecurrentRules(db, options, stats, nullptr);
-}
-
-RuleSet MineRecurrentRules(const SequenceDatabase& db,
-                           const RuleMinerOptions& options,
                            RuleMinerStats* stats, ThreadPool* pool,
                            const CountingBackend* backend) {
   RuleMinerStats local_stats;

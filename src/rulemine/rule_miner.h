@@ -37,9 +37,9 @@ struct RuleMinerOptions {
   /// Safety valve: stop after this many candidate rules (0 = unbounded).
   size_t max_rules = 0;
   /// Physical counting representation for the i-support occurrence counts
-  /// and the Step-1 insertion-window tests (see IterMinerOptions::backend).
-  /// Honored by the Engine, which passes its cached backend down; the free
-  /// functions run backend-free (scalar scans) unless handed one.
+  /// and the Step-1 insertion-window tests. Read by the Engine only, which
+  /// passes its cached backend down; MineRecurrentRules uses whatever
+  /// backend it is handed and runs scalar scans without one.
   BackendChoice backend = BackendChoice::kAuto;
   /// Worker threads for per-premise consequent mining; 0 = hardware
   /// concurrency, 1 = sequential. Rule sets are identical at every
@@ -68,21 +68,17 @@ class ThreadPool;
 
 /// \brief Mines recurrent rules from \p db per \p options.
 ///
-/// New code should go through specmine::Engine (src/engine/engine.h),
-/// which validates options up front and shares one thread pool across a
-/// session's tasks.
+/// \p pool, when non-null and matching the resolved thread count, runs the
+/// per-premise fan-out instead of a fresh pool per call. \p backend, when
+/// non-null (and indexing \p db), accelerates the i-support occurrence
+/// counts and the premise maximality tests; the rule set is identical with
+/// and without it. New code should go through specmine::Engine
+/// (src/engine/engine.h), which validates options up front and shares one
+/// thread pool and index across a session's tasks.
 RuleSet MineRecurrentRules(const SequenceDatabase& db,
                            const RuleMinerOptions& options,
-                           RuleMinerStats* stats = nullptr);
-
-/// \brief Pool-reusing variant: \p pool, when non-null and matching the
-/// resolved thread count, runs the per-premise fan-out instead of a fresh
-/// pool per call. \p backend, when non-null (and indexing \p db),
-/// accelerates the i-support occurrence counts and the premise
-/// maximality tests; the rule set is identical with and without it.
-RuleSet MineRecurrentRules(const SequenceDatabase& db,
-                           const RuleMinerOptions& options,
-                           RuleMinerStats* stats, ThreadPool* pool,
+                           RuleMinerStats* stats = nullptr,
+                           ThreadPool* pool = nullptr,
                            const CountingBackend* backend = nullptr);
 
 }  // namespace specmine

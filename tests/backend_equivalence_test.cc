@@ -22,9 +22,6 @@
 
 #include "src/engine/engine.h"
 #include "src/itermine/hybrid_index.h"
-#include "src/itermine/closed_miner.h"
-#include "src/itermine/full_miner.h"
-#include "src/itermine/generators.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/rulemine/rule_miner.h"
@@ -387,56 +384,47 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
 }
 
 // Full / closed / generator miners: byte-identical emission across
-// backends x thresholds x thread counts.
+// backends x thresholds x thread counts, through one Engine session whose
+// tasks pick the backend per arm.
 TEST_P(BackendEquivalenceTest, MinersAreByteIdenticalAcrossBackends) {
   const EquivParams p = GetParam();
-  SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
-  const EventDictionary& dict = db.dictionary();
+  const Engine engine(RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet));
+  const auto mine = [&engine](auto task, BackendChoice backend) {
+    task.options.backend = backend;
+    Result<PatternSet> mined = engine.CollectPatterns(task);
+    EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+    return mined.ok() ? Render(*mined, engine.dictionary()) : std::string();
+  };
   // min_support 1 is omitted: the *full* pattern tree at support 1 grows
   // combinatorially on the larger corpora (equally on both backends) —
   // the low-threshold regime is covered by the smaller projection test.
   for (uint64_t min_sup : {2u, 4u}) {
     for (size_t threads : {1u, 4u}) {
-      IterMinerOptions full;
-      full.min_support = min_sup;
-      full.num_threads = threads;
-      full.backend = BackendChoice::kCsr;
-      PatternSet full_csr = MineFrequentIterative(db, full);
-      full.backend = BackendChoice::kBitmap;
-      PatternSet full_bitmap = MineFrequentIterative(db, full);
-      ASSERT_EQ(Render(full_csr, dict), Render(full_bitmap, dict))
+      FullPatternsTask full;
+      full.options.min_support = min_sup;
+      full.options.num_threads = threads;
+      const std::string full_csr = mine(full, BackendChoice::kCsr);
+      ASSERT_EQ(full_csr, mine(full, BackendChoice::kBitmap))
           << "full min_sup=" << min_sup << " threads=" << threads;
-      full.backend = BackendChoice::kHybrid;
-      PatternSet full_hybrid = MineFrequentIterative(db, full);
-      ASSERT_EQ(Render(full_csr, dict), Render(full_hybrid, dict))
+      ASSERT_EQ(full_csr, mine(full, BackendChoice::kHybrid))
           << "full/hybrid min_sup=" << min_sup << " threads=" << threads;
 
-      ClosedIterMinerOptions closed;
-      closed.min_support = min_sup;
-      closed.num_threads = threads;
-      closed.backend = BackendChoice::kCsr;
-      PatternSet closed_csr = MineClosedIterative(db, closed);
-      closed.backend = BackendChoice::kBitmap;
-      PatternSet closed_bitmap = MineClosedIterative(db, closed);
-      ASSERT_EQ(Render(closed_csr, dict), Render(closed_bitmap, dict))
+      ClosedTask closed;
+      closed.options.min_support = min_sup;
+      closed.options.num_threads = threads;
+      const std::string closed_csr = mine(closed, BackendChoice::kCsr);
+      ASSERT_EQ(closed_csr, mine(closed, BackendChoice::kBitmap))
           << "closed min_sup=" << min_sup << " threads=" << threads;
-      closed.backend = BackendChoice::kHybrid;
-      PatternSet closed_hybrid = MineClosedIterative(db, closed);
-      ASSERT_EQ(Render(closed_csr, dict), Render(closed_hybrid, dict))
+      ASSERT_EQ(closed_csr, mine(closed, BackendChoice::kHybrid))
           << "closed/hybrid min_sup=" << min_sup << " threads=" << threads;
 
-      IterGeneratorMinerOptions gens;
-      gens.min_support = min_sup;
-      gens.num_threads = threads;
-      gens.backend = BackendChoice::kCsr;
-      PatternSet gens_csr = MineIterativeGenerators(db, gens);
-      gens.backend = BackendChoice::kBitmap;
-      PatternSet gens_bitmap = MineIterativeGenerators(db, gens);
-      ASSERT_EQ(Render(gens_csr, dict), Render(gens_bitmap, dict))
+      GeneratorsTask gens;
+      gens.options.min_support = min_sup;
+      gens.options.num_threads = threads;
+      const std::string gens_csr = mine(gens, BackendChoice::kCsr);
+      ASSERT_EQ(gens_csr, mine(gens, BackendChoice::kBitmap))
           << "generators min_sup=" << min_sup << " threads=" << threads;
-      gens.backend = BackendChoice::kHybrid;
-      PatternSet gens_hybrid = MineIterativeGenerators(db, gens);
-      ASSERT_EQ(Render(gens_csr, dict), Render(gens_hybrid, dict))
+      ASSERT_EQ(gens_csr, mine(gens, BackendChoice::kHybrid))
           << "generators/hybrid min_sup=" << min_sup
           << " threads=" << threads;
     }
@@ -809,17 +797,6 @@ TEST(BackendEngineTest, ExplicitBitmapBeyondTableCapFailsBeforeBuilding) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_NE(run->backend, "bitmap");
   EXPECT_EQ(via_auto.set().size(), 3u);  // <a>, <b>, <a, b>.
-
-  // The Status-less db-level entry point clamps the request to csr.
-  IterMinerOptions options;
-  options.min_support = 50;
-  options.backend = BackendChoice::kBitmap;
-  const PatternSet clamped = MineFrequentIterative(db, options);
-  options.backend = BackendChoice::kCsr;
-  EXPECT_EQ(Render(clamped, db.dictionary()),
-            Render(MineFrequentIterative(db, options), db.dictionary()));
-  EXPECT_EQ(Render(clamped, db.dictionary()),
-            Render(via_auto.set(), db.dictionary()));
 }
 
 }  // namespace

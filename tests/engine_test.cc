@@ -1,6 +1,7 @@
 // Tests for the specmine::Engine session façade: one cached index across
-// a multi-task session, byte-identical outputs versus the legacy free
-// functions, Status error paths, and the composable sink layer.
+// a multi-task session, byte-identical outputs versus each miner's single
+// entry point over an explicit PositionIndex, Status error paths, and the
+// composable sink layer.
 
 #include "src/engine/engine.h"
 
@@ -16,7 +17,6 @@
 #include "src/itermine/generators.h"
 #include "src/rulemine/rule_miner.h"
 #include "src/seqmine/closed_sequential_miner.h"
-#include "src/specmine/spec_miner.h"
 #include "src/twoevent/perracotta.h"
 
 namespace specmine {
@@ -77,87 +77,96 @@ TEST(EngineTest, IndexBuiltOnceAcrossFullClosedRulesSession) {
   EXPECT_FALSE(rule_sink.set().empty());
 }
 
-TEST(EngineTest, SpecMinerReportSharesOneIndexAcrossPatternsAndRules) {
-  SpecMiner miner(SmallDb());
-  PatternMiningConfig pattern_config;
-  pattern_config.min_support_fraction = 0.6;
-  RuleMiningConfig rule_config;
-  rule_config.min_s_support_fraction = 0.6;
-  rule_config.min_confidence = 1.0;
-  SpecificationReport report = miner.Mine(pattern_config, rule_config);
-  EXPECT_FALSE(report.patterns.empty());
-  EXPECT_EQ(miner.engine().index_builds(), 1u);
+// ---------------------------------------------------------------------------
+// Byte-identical outputs versus each miner's single entry point, run over
+// an explicit CSR PositionIndex (SmallDb's auto choice).
+
+// The full miner's scan form, collected into a PatternSet.
+PatternSet ScanFull(const CountingBackend& backend,
+                    const IterMinerOptions& options) {
+  PatternSet out;
+  ScanFrequentIterative(backend, options,
+                        [&out](const Pattern& p, uint64_t support) {
+                          out.Add(p, support);
+                          return true;
+                        });
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// Byte-identical outputs versus the legacy free functions.
-
-TEST(EngineTest, FullPatternsMatchLegacyByteForByte) {
+TEST(EngineTest, FullPatternsMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
+  PositionIndex index(db);
   Engine engine(SmallDb());
   IterMinerOptions options;
   options.min_support = 2;
-  PatternSet legacy = MineFrequentIterative(db, options);
+  PatternSet direct = ScanFull(CountingBackend(index), options);
 
   FullPatternsTask task;
   task.options = options;
   Result<PatternSet> mined = engine.CollectPatterns(task);
   ASSERT_TRUE(mined.ok());
   EXPECT_EQ(mined->ToString(engine.database().dictionary()),
-            legacy.ToString(db.dictionary()));
+            direct.ToString(db.dictionary()));
 }
 
-TEST(EngineTest, ClosedPatternsMatchLegacyByteForByte) {
+TEST(EngineTest, ClosedPatternsMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
+  PositionIndex index(db);
   Engine engine(SmallDb());
   ClosedIterMinerOptions options;
   options.min_support = 2;
-  PatternSet legacy = MineClosedIterative(db, options);
+  PatternSet direct = MineClosedIterative(CountingBackend(index), options);
 
   ClosedTask task;
   task.options = options;
   Result<PatternSet> mined = engine.CollectPatterns(task);
   ASSERT_TRUE(mined.ok());
   EXPECT_EQ(mined->ToString(engine.database().dictionary()),
-            legacy.ToString(db.dictionary()));
+            direct.ToString(db.dictionary()));
 }
 
-TEST(EngineTest, GeneratorsMatchLegacyByteForByte) {
+TEST(EngineTest, GeneratorsMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
+  PositionIndex index(db);
   Engine engine(SmallDb());
   IterGeneratorMinerOptions options;
   options.min_support = 2;
-  PatternSet legacy = MineIterativeGenerators(db, options);
+  PatternSet direct =
+      MineIterativeGenerators(CountingBackend(index), options);
 
   GeneratorsTask task;
   task.options = options;
   Result<PatternSet> mined = engine.CollectPatterns(task);
   ASSERT_TRUE(mined.ok());
   EXPECT_EQ(mined->ToString(engine.database().dictionary()),
-            legacy.ToString(db.dictionary()));
+            direct.ToString(db.dictionary()));
 }
 
-TEST(EngineTest, RulesMatchLegacyByteForByte) {
+TEST(EngineTest, RulesMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
+  PositionIndex index(db);
+  const CountingBackend backend(index);
   Engine engine(SmallDb());
   RuleMinerOptions options;
   options.min_s_support = 3;
   options.min_confidence = 0.9;
-  RuleSet legacy = MineRecurrentRules(db, options);
+  RuleSet direct = MineRecurrentRules(db, options, nullptr, nullptr, &backend);
 
   RulesTask task;
   task.options = options;
   Result<RuleSet> mined = engine.CollectRules(task);
   ASSERT_TRUE(mined.ok());
   EXPECT_EQ(mined->ToString(engine.database().dictionary()),
-            legacy.ToString(db.dictionary()));
+            direct.ToString(db.dictionary()));
 }
 
-TEST(EngineTest, SessionReusedIndexStillMatchesLegacyOnEveryTask) {
+TEST(EngineTest, SessionReusedIndexStillMatchesEntryPointsOnEveryTask) {
   // The acceptance-criteria shape: one session runs full, closed, and
-  // rules back-to-back (index built once), each byte-identical to a
-  // fresh legacy call.
+  // rules back-to-back (index built once), each byte-identical to the
+  // miner's entry point over a separately built index.
   SequenceDatabase db = SmallDb();
+  PositionIndex index(db);
+  const CountingBackend backend(index);
   Engine engine(SmallDb());
 
   FullPatternsTask full;
@@ -176,20 +185,15 @@ TEST(EngineTest, SessionReusedIndexStillMatchesLegacyOnEveryTask) {
   ASSERT_TRUE(rules_mined.ok());
   EXPECT_EQ(engine.index_builds(), 1u);
 
-  IterMinerOptions full_options;
-  full_options.min_support = 2;
-  ClosedIterMinerOptions closed_options;
-  closed_options.min_support = 2;
-  RuleMinerOptions rule_options;
-  rule_options.min_s_support = 3;
-  rule_options.min_confidence = 0.9;
   const EventDictionary& dict = engine.database().dictionary();
   EXPECT_EQ(full_mined->ToString(dict),
-            MineFrequentIterative(db, full_options).ToString(db.dictionary()));
+            ScanFull(backend, full.options).ToString(db.dictionary()));
   EXPECT_EQ(closed_mined->ToString(dict),
-            MineClosedIterative(db, closed_options).ToString(db.dictionary()));
+            MineClosedIterative(backend, closed.options)
+                .ToString(db.dictionary()));
   EXPECT_EQ(rules_mined->ToString(dict),
-            MineRecurrentRules(db, rule_options).ToString(db.dictionary()));
+            MineRecurrentRules(db, rules.options, nullptr, nullptr, &backend)
+                .ToString(db.dictionary()));
 }
 
 TEST(EngineTest, SharedPoolParallelMiningMatchesSequential) {
@@ -326,17 +330,6 @@ TEST(EngineTest, MalformedCsvReportsLineNumberThroughFactory) {
   EXPECT_EQ(engine.status().code(), StatusCode::kParseError);
   EXPECT_NE(engine.status().message().find("line 3"), std::string::npos);
   std::remove(path.c_str());
-}
-
-TEST(EngineTest, SpecMinerCheckedSurfacesBadOptions) {
-  SpecMiner miner(SmallDb());
-  RuleMiningConfig config;
-  config.min_confidence = 2.0;  // Out of [0, 1].
-  Result<RuleSet> checked = miner.MineRulesChecked(config);
-  ASSERT_FALSE(checked.ok());
-  EXPECT_EQ(checked.status().code(), StatusCode::kInvalidArgument);
-  // The legacy shape degrades to an empty set rather than mining garbage.
-  EXPECT_TRUE(miner.MineRules(config).empty());
 }
 
 TEST(EngineTest, CheckIndexableAcceptsSmallDatabases) {

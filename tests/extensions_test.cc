@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "src/engine/engine.h"
 #include "src/itermine/generators.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/rulemine/backward_rules.h"
@@ -32,6 +33,15 @@ Pattern P(const SequenceDatabase& db, const std::string& names) {
   return p;
 }
 
+// Runs \p task in a fresh Engine session over a copy of \p db, failing
+// the test on an error Status.
+template <typename Task>
+PatternSet Collect(const SequenceDatabase& db, const Task& task) {
+  Result<PatternSet> mined = Engine(db).CollectPatterns(task);
+  EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  return mined.ok() ? mined.TakeValueOrDie() : PatternSet{};
+}
+
 // ---------------------------------------------------------------------------
 // Iterative generators.
 
@@ -39,7 +49,7 @@ TEST(IterGeneratorsTest, SingletonsAreGenerators) {
   SequenceDatabase db = MakeDb({"a b a b"});
   IterGeneratorMinerOptions options;
   options.min_support = 1;
-  PatternSet gens = MineIterativeGenerators(db, options);
+  PatternSet gens = Collect(db, GeneratorsTask{.options = options});
   EXPECT_TRUE(gens.Contains(P(db, "a")));
   EXPECT_TRUE(gens.Contains(P(db, "b")));
 }
@@ -50,10 +60,11 @@ TEST(IterGeneratorsTest, EqualSupportExtensionIsNotGenerator) {
   SequenceDatabase db = MakeDb({"a b x a b"});
   IterGeneratorMinerOptions options;
   options.min_support = 1;
-  PatternSet gens = MineIterativeGenerators(db, options);
+  PatternSet gens = Collect(db, GeneratorsTask{.options = options});
   EXPECT_TRUE(gens.Contains(P(db, "a")));
   EXPECT_FALSE(gens.Contains(P(db, "a b")));
-  EXPECT_FALSE(IsIterativeGenerator(db, P(db, "a b"), 2));
+  PositionIndex index(db);
+  EXPECT_FALSE(IsIterativeGenerator(CountingBackend(index), P(db, "a b"), 2));
 }
 
 TEST(IterGeneratorsTest, LowerSupportExtensionIsGenerator) {
@@ -63,7 +74,7 @@ TEST(IterGeneratorsTest, LowerSupportExtensionIsGenerator) {
   SequenceDatabase db = MakeDb({"a b a b a", "b"});
   IterGeneratorMinerOptions options;
   options.min_support = 1;
-  PatternSet gens = MineIterativeGenerators(db, options);
+  PatternSet gens = Collect(db, GeneratorsTask{.options = options});
   EXPECT_TRUE(gens.Contains(P(db, "a b")));
 }
 
@@ -75,7 +86,7 @@ TEST(IterGeneratorsTest, GeneratorsAndClosedPartitionEvidence) {
   const uint64_t min_sup = 2;
   IterGeneratorMinerOptions options;
   options.min_support = min_sup;
-  PatternSet gens = MineIterativeGenerators(db, options);
+  PatternSet gens = Collect(db, GeneratorsTask{.options = options});
   // Spot-check on all frequent patterns up to length 3.
   for (const auto& item : gens.items()) {
     EXPECT_EQ(item.support, CountInstances(item.pattern, db));
@@ -83,7 +94,7 @@ TEST(IterGeneratorsTest, GeneratorsAndClosedPartitionEvidence) {
   IterMinerOptions full_options;
   full_options.min_support = min_sup;
   full_options.max_length = 3;
-  PatternSet full = MineFrequentIterative(db, full_options);
+  PatternSet full = Collect(db, FullPatternsTask{.options = full_options});
   for (const auto& fp : full.items()) {
     bool witnessed = false;
     for (const auto& g : gens.items()) {

@@ -8,9 +8,8 @@
 
 #include <map>
 
+#include "src/engine/engine.h"
 #include "src/itermine/brute_force.h"
-#include "src/itermine/closed_miner.h"
-#include "src/itermine/full_miner.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/support/random.h"
@@ -48,6 +47,15 @@ std::map<Pattern, uint64_t> ToMap(const PatternSet& set) {
   return out;
 }
 
+// Runs \p task in a fresh Engine session over a copy of \p db, failing
+// the test on an error Status.
+template <typename Task>
+PatternSet Collect(const SequenceDatabase& db, const Task& task) {
+  Result<PatternSet> mined = Engine(db).CollectPatterns(task);
+  EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  return mined.ok() ? mined.TakeValueOrDie() : PatternSet{};
+}
+
 class IterMinePropertyTest : public ::testing::TestWithParam<RandomDbParams> {
 };
 
@@ -56,7 +64,7 @@ TEST_P(IterMinePropertyTest, FullMinerMatchesBruteForce) {
   for (uint64_t min_sup : {1u, 2u, 3u}) {
     IterMinerOptions options;
     options.min_support = min_sup;
-    auto got = ToMap(MineFrequentIterative(db, options));
+    auto got = ToMap(Collect(db, FullPatternsTask{.options = options}));
     auto want = ToMap(BruteForceFrequentIterative(db, min_sup));
     ASSERT_EQ(got, want) << "min_sup=" << min_sup;
   }
@@ -66,7 +74,7 @@ TEST_P(IterMinePropertyTest, SupportsAgreeWithIndependentVerifier) {
   SequenceDatabase db = RandomDb(GetParam());
   IterMinerOptions options;
   options.min_support = 2;
-  PatternSet mined = MineFrequentIterative(db, options);
+  PatternSet mined = Collect(db, FullPatternsTask{.options = options});
   for (const auto& it : mined.items()) {
     ASSERT_EQ(it.support, CountInstances(it.pattern, db))
         << it.pattern.ToString();
@@ -79,7 +87,7 @@ TEST_P(IterMinePropertyTest, AprioriAntiMonotone) {
   IterMinerOptions options;
   options.min_support = 1;
   options.max_length = 3;
-  PatternSet mined = MineFrequentIterative(db, options);
+  PatternSet mined = Collect(db, FullPatternsTask{.options = options});
   for (const auto& it : mined.items()) {
     for (EventId ev = 0; ev < db.dictionary().size(); ++ev) {
       ASSERT_LE(CountInstances(it.pattern.Extend(ev), db), it.support);
@@ -93,7 +101,7 @@ TEST_P(IterMinePropertyTest, InstancesAreValidQreMatchesAndKeyedByStart) {
   IterMinerOptions options;
   options.min_support = 2;
   options.max_length = 4;
-  PatternSet mined = MineFrequentIterative(db, options);
+  PatternSet mined = Collect(db, FullPatternsTask{.options = options});
   for (const auto& it : mined.items()) {
     InstanceList insts = FindAllInstances(it.pattern, db);
     for (size_t i = 0; i < insts.size(); ++i) {
@@ -112,7 +120,7 @@ TEST_P(IterMinePropertyTest, ClosedMinerMatchesDefinitionOracle) {
   for (uint64_t min_sup : {1u, 2u, 3u}) {
     ClosedIterMinerOptions options;
     options.min_support = min_sup;
-    auto got = ToMap(MineClosedIterative(db, options));
+    auto got = ToMap(Collect(db, ClosedTask{.options = options}));
     auto want = ToMap(BruteForceClosedIterative(db, min_sup));
     ASSERT_EQ(got, want) << "min_sup=" << min_sup;
   }
@@ -124,15 +132,17 @@ TEST_P(IterMinePropertyTest, PrunesPreserveOutput) {
   baseline.min_support = 2;
   baseline.prefix_prune = false;
   baseline.aggressive_prefix_prune = false;
-  auto want = ToMap(MineClosedIterative(db, baseline));
+  auto want = ToMap(Collect(db, ClosedTask{.options = baseline}));
 
   ClosedIterMinerOptions p1_only = baseline;
   p1_only.prefix_prune = true;
-  ASSERT_EQ(ToMap(MineClosedIterative(db, p1_only)), want) << "P1 diverged";
+  ASSERT_EQ(ToMap(Collect(db, ClosedTask{.options = p1_only})), want)
+      << "P1 diverged";
 
   ClosedIterMinerOptions p1_p2 = p1_only;
   p1_p2.aggressive_prefix_prune = true;
-  ASSERT_EQ(ToMap(MineClosedIterative(db, p1_p2)), want) << "P2 diverged";
+  ASSERT_EQ(ToMap(Collect(db, ClosedTask{.options = p1_p2})), want)
+      << "P2 diverged";
 }
 
 TEST_P(IterMinePropertyTest, EveryFrequentPatternAbsorbedByClosedOne) {
@@ -144,7 +154,7 @@ TEST_P(IterMinePropertyTest, EveryFrequentPatternAbsorbedByClosedOne) {
   auto full = BruteForceFrequentIterative(db, min_sup);
   ClosedIterMinerOptions options;
   options.min_support = min_sup;
-  PatternSet closed = MineClosedIterative(db, options);
+  PatternSet closed = Collect(db, ClosedTask{.options = options});
   for (const auto& fp : full.items()) {
     bool covered = false;
     for (const auto& cp : closed.items()) {
@@ -166,8 +176,8 @@ TEST_P(IterMinePropertyTest, ClosedCountNeverExceedsFullCount) {
     fo.min_support = min_sup;
     ClosedIterMinerOptions co;
     co.min_support = min_sup;
-    EXPECT_LE(MineClosedIterative(db, co).size(),
-              MineFrequentIterative(db, fo).size());
+    EXPECT_LE(Collect(db, ClosedTask{.options = co}).size(),
+              Collect(db, FullPatternsTask{.options = fo}).size());
   }
 }
 

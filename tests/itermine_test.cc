@@ -5,9 +5,8 @@
 
 #include <map>
 
+#include "src/engine/engine.h"
 #include "src/itermine/brute_force.h"
-#include "src/itermine/closed_miner.h"
-#include "src/itermine/full_miner.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/support/strings.h"
@@ -35,6 +34,16 @@ std::map<Pattern, uint64_t> ToMap(const PatternSet& set) {
   std::map<Pattern, uint64_t> out;
   for (const auto& it : set.items()) out[it.pattern] = it.support;
   return out;
+}
+
+// Runs \p task in a fresh Engine session over a copy of \p db, failing
+// the test on an error Status.
+template <typename Task>
+PatternSet Collect(const SequenceDatabase& db, const Task& task,
+                   RunReport* report = nullptr) {
+  Result<PatternSet> mined = Engine(db).CollectPatterns(task, report);
+  EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  return mined.ok() ? mined.TakeValueOrDie() : PatternSet{};
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +260,7 @@ TEST(FullIterMinerTest, LockUnlockExample) {
   });
   IterMinerOptions options;
   options.min_support = 4;
-  auto m = ToMap(MineFrequentIterative(db, options));
+  auto m = ToMap(Collect(db, FullPatternsTask{.options = options}));
   EXPECT_EQ(m.at(P(db, "lock")), 4u);
   EXPECT_EQ(m.at(P(db, "unlock")), 4u);
   EXPECT_EQ(m.at(P(db, "lock unlock")), 4u);
@@ -262,7 +271,7 @@ TEST(FullIterMinerTest, SupportsCountInstancesWithinAndAcross) {
   SequenceDatabase db = MakeDb({"a b a b", "a b"});
   IterMinerOptions options;
   options.min_support = 1;
-  auto m = ToMap(MineFrequentIterative(db, options));
+  auto m = ToMap(Collect(db, FullPatternsTask{.options = options}));
   EXPECT_EQ(m.at(P(db, "a b")), 3u);
   EXPECT_EQ(m.at(P(db, "a b a")), 1u);
   EXPECT_EQ(m.at(P(db, "a b a b")), 1u);
@@ -273,7 +282,7 @@ TEST(FullIterMinerTest, MatchesBruteForce) {
   for (uint64_t min_sup : {1u, 2u, 3u}) {
     IterMinerOptions options;
     options.min_support = min_sup;
-    auto got = ToMap(MineFrequentIterative(db, options));
+    auto got = ToMap(Collect(db, FullPatternsTask{.options = options}));
     auto want = ToMap(BruteForceFrequentIterative(db, min_sup));
     EXPECT_EQ(got, want) << "min_sup=" << min_sup;
   }
@@ -284,7 +293,7 @@ TEST(FullIterMinerTest, MaxLengthRespected) {
   IterMinerOptions options;
   options.min_support = 1;
   options.max_length = 2;
-  PatternSet out = MineFrequentIterative(db, options);
+  PatternSet out = Collect(db, FullPatternsTask{.options = options});
   for (const auto& it : out.items()) EXPECT_LE(it.pattern.size(), 2u);
 }
 
@@ -293,10 +302,10 @@ TEST(FullIterMinerTest, TruncationReported) {
   IterMinerOptions options;
   options.min_support = 1;
   options.max_patterns = 3;
-  IterMinerStats stats;
-  PatternSet out = MineFrequentIterative(db, options, &stats);
+  RunReport report;
+  PatternSet out = Collect(db, FullPatternsTask{.options = options}, &report);
   EXPECT_EQ(out.size(), 3u);
-  EXPECT_TRUE(stats.truncated);
+  EXPECT_TRUE(report.truncated);
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +317,7 @@ TEST(ClosedIterMinerTest, AbsorbedPatternsDropped) {
   SequenceDatabase db = MakeDb({"a b x a b", "y a b"});
   ClosedIterMinerOptions options;
   options.min_support = 2;
-  auto m = ToMap(MineClosedIterative(db, options));
+  auto m = ToMap(Collect(db, ClosedTask{.options = options}));
   EXPECT_EQ(m.count(P(db, "a")), 0u);
   EXPECT_EQ(m.count(P(db, "b")), 0u);
   EXPECT_EQ(m.at(P(db, "a b")), 3u);
@@ -327,7 +336,7 @@ TEST(ClosedIterMinerTest, MatchesBruteForceDefinitionLevel) {
     for (uint64_t min_sup : {1u, 2u}) {
       ClosedIterMinerOptions options;
       options.min_support = min_sup;
-      auto got = ToMap(MineClosedIterative(db, options));
+      auto got = ToMap(Collect(db, ClosedTask{.options = options}));
       auto want = ToMap(BruteForceClosedIterative(db, min_sup));
       EXPECT_EQ(got, want) << "db=" << i << " min_sup=" << min_sup;
     }
@@ -338,10 +347,10 @@ TEST(ClosedIterMinerTest, ClosedSetIsSubsetOfFullWithEqualSupports) {
   SequenceDatabase db = MakeDb({"a b c a b c", "c a b", "b c a"});
   IterMinerOptions full_options;
   full_options.min_support = 2;
-  auto full = ToMap(MineFrequentIterative(db, full_options));
+  auto full = ToMap(Collect(db, FullPatternsTask{.options = full_options}));
   ClosedIterMinerOptions closed_options;
   closed_options.min_support = 2;
-  auto closed = ToMap(MineClosedIterative(db, closed_options));
+  auto closed = ToMap(Collect(db, ClosedTask{.options = closed_options}));
   EXPECT_LE(closed.size(), full.size());
   for (const auto& [p, sup] : closed) {
     ASSERT_EQ(full.count(p), 1u) << p.ToString();
@@ -357,13 +366,14 @@ TEST(ClosedIterMinerTest, PrunesSubtrees) {
   });
   ClosedIterMinerOptions with;
   with.min_support = 2;
-  IterMinerStats stats_with;
-  auto closed = ToMap(MineClosedIterative(db, with, &stats_with));
+  RunReport stats_with;
+  auto closed = ToMap(Collect(db, ClosedTask{.options = with}, &stats_with));
   ClosedIterMinerOptions without = with;
   without.prefix_prune = false;
   without.aggressive_prefix_prune = false;
-  IterMinerStats stats_without;
-  auto closed_unpruned = ToMap(MineClosedIterative(db, without, &stats_without));
+  RunReport stats_without;
+  auto closed_unpruned =
+      ToMap(Collect(db, ClosedTask{.options = without}, &stats_without));
   EXPECT_EQ(closed, closed_unpruned);
   EXPECT_GT(stats_with.subtrees_pruned, 0u);
   EXPECT_LT(stats_with.nodes_visited, stats_without.nodes_visited);

@@ -11,8 +11,7 @@
 
 #include <atomic>
 
-#include "src/itermine/closed_miner.h"
-#include "src/itermine/full_miner.h"
+#include "src/engine/engine.h"
 #include "src/rulemine/rule_miner.h"
 #include "src/support/random.h"
 #include "src/support/thread_pool.h"
@@ -139,52 +138,55 @@ class ParallelEquivalenceTest
     : public ::testing::TestWithParam<RandomDbParams> {};
 
 TEST_P(ParallelEquivalenceTest, FullMinerIdenticalAcrossThreadCounts) {
-  SequenceDatabase db = RandomDb(GetParam());
+  Engine engine(RandomDb(GetParam()));
   for (uint64_t min_sup : {1u, 2u}) {
-    IterMinerOptions seq;
-    seq.min_support = min_sup;
-    seq.num_threads = 1;
-    IterMinerOptions par = seq;
-    par.num_threads = 4;
-    PatternSet a = MineFrequentIterative(db, seq);
-    PatternSet b = MineFrequentIterative(db, par);
-    EXPECT_EQ(a.items(), b.items()) << "min_sup=" << min_sup;
+    FullPatternsTask seq;
+    seq.options.min_support = min_sup;
+    seq.options.num_threads = 1;
+    FullPatternsTask par = seq;
+    par.options.num_threads = 4;
+    Result<PatternSet> a = engine.CollectPatterns(seq);
+    Result<PatternSet> b = engine.CollectPatterns(par);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->items(), b->items()) << "min_sup=" << min_sup;
   }
 }
 
 TEST_P(ParallelEquivalenceTest, FullMinerTruncationIdentical) {
-  SequenceDatabase db = RandomDb(GetParam());
-  IterMinerOptions seq;
-  seq.min_support = 1;
-  seq.max_patterns = 17;
-  seq.num_threads = 1;
-  IterMinerOptions par = seq;
-  par.num_threads = 4;
-  IterMinerStats stats_seq, stats_par;
-  PatternSet a = MineFrequentIterative(db, seq, &stats_seq);
-  PatternSet b = MineFrequentIterative(db, par, &stats_par);
-  EXPECT_EQ(a.items(), b.items());
-  EXPECT_EQ(stats_seq.truncated, stats_par.truncated);
-  EXPECT_EQ(stats_seq.patterns_emitted, stats_par.patterns_emitted);
+  Engine engine(RandomDb(GetParam()));
+  FullPatternsTask seq;
+  seq.options.min_support = 1;
+  seq.options.max_patterns = 17;
+  seq.options.num_threads = 1;
+  FullPatternsTask par = seq;
+  par.options.num_threads = 4;
+  RunReport report_seq, report_par;
+  Result<PatternSet> a = engine.CollectPatterns(seq, &report_seq);
+  Result<PatternSet> b = engine.CollectPatterns(par, &report_par);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->items(), b->items());
+  EXPECT_EQ(report_seq.truncated, report_par.truncated);
+  EXPECT_EQ(report_seq.patterns_emitted, report_par.patterns_emitted);
 }
 
 TEST_P(ParallelEquivalenceTest, ClosedMinerIdenticalAcrossThreadCounts) {
-  SequenceDatabase db = RandomDb(GetParam());
+  Engine engine(RandomDb(GetParam()));
   for (uint64_t min_sup : {1u, 2u}) {
-    ClosedIterMinerOptions seq;
-    seq.min_support = min_sup;
-    seq.num_threads = 1;
-    ClosedIterMinerOptions par = seq;
-    par.num_threads = 4;
-    IterMinerStats stats_seq, stats_par;
-    PatternSet a = MineClosedIterative(db, seq, &stats_seq);
-    PatternSet b = MineClosedIterative(db, par, &stats_par);
-    EXPECT_EQ(a.items(), b.items()) << "min_sup=" << min_sup;
+    ClosedTask seq;
+    seq.options.min_support = min_sup;
+    seq.options.num_threads = 1;
+    ClosedTask par = seq;
+    par.options.num_threads = 4;
+    RunReport report_seq, report_par;
+    Result<PatternSet> a = engine.CollectPatterns(seq, &report_seq);
+    Result<PatternSet> b = engine.CollectPatterns(par, &report_par);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->items(), b->items()) << "min_sup=" << min_sup;
     // The closed miner has no truncation, so even the search stats merge
     // to the sequential values.
-    EXPECT_EQ(stats_seq.nodes_visited, stats_par.nodes_visited);
-    EXPECT_EQ(stats_seq.patterns_emitted, stats_par.patterns_emitted);
-    EXPECT_EQ(stats_seq.subtrees_pruned, stats_par.subtrees_pruned);
+    EXPECT_EQ(report_seq.nodes_visited, report_par.nodes_visited);
+    EXPECT_EQ(report_seq.patterns_emitted, report_par.patterns_emitted);
+    EXPECT_EQ(report_seq.subtrees_pruned, report_par.subtrees_pruned);
   }
 }
 

@@ -21,6 +21,8 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -84,20 +86,77 @@ std::string StripTimings(const std::string& text) {
   return out;
 }
 
-// The series names of the metrics catalog table in docs/server.md: the
-// backticked first cell of each table row under "## 5. Metrics catalog".
-std::set<std::string> DocumentedMetrics() {
+// One metric family as the catalog documents it or the scrape declares
+// it: its type, and every distinct set of label names its samples carry
+// (one set — the labels column — for a documented row).
+struct MetricShape {
+  std::string type;
+  std::set<std::set<std::string>> label_sets;
+};
+
+// Capture group 1 of every match of \p re in \p text.
+std::set<std::string> Captures(const std::string& text, const std::regex& re) {
+  std::set<std::string> out;
+  for (std::sregex_iterator it(text.begin(), text.end(), re), end;
+       it != end; ++it) {
+    out.insert((*it)[1]);
+  }
+  return out;
+}
+
+// The metrics catalog table in docs/server.md: each row under
+// "## 5. Metrics catalog" reads | `series` | type | `label`, ... | meaning |.
+std::map<std::string, MetricShape> DocumentedMetrics() {
+  static const std::regex kRow(R"(^\| `([^`]+)` \| (\w+) \|([^|]*)\|)");
+  static const std::regex kBackticked("`([^`]+)`");
   std::ifstream doc(std::string(SPECMINE_SOURCE_DIR) + "/docs/server.md");
-  std::set<std::string> names;
+  std::map<std::string, MetricShape> metrics;
   bool in_catalog = false;
+  std::smatch row;
   for (std::string line; std::getline(doc, line);) {
     if (line.rfind("## ", 0) == 0) {
       in_catalog = line.find("Metrics catalog") != std::string::npos;
-    } else if (in_catalog && line.rfind("| `", 0) == 0) {
-      names.insert(line.substr(3, line.find('`', 3) - 3));
+    } else if (in_catalog && std::regex_search(line, row, kRow)) {
+      metrics[row[1]] = {row[2], {Captures(row[3], kBackticked)}};
     }
   }
-  return names;
+  return metrics;
+}
+
+// The /metrics exposition per family: the "# TYPE" kind and the label
+// names of each sample. A histogram's _bucket/_sum/_count samples belong
+// to their family, and `le` on _bucket rows is the bucket bound, not a
+// label of the family.
+std::map<std::string, MetricShape> ScrapedMetrics(const std::string& body) {
+  static const std::regex kType(R"(^# TYPE (\S+) (\S+))");
+  // name="value" pairs; a value may hold braces, commas and escapes.
+  static const std::regex kLabel(R"re((\w+)="(?:[^"\\]|\\.)*")re");
+  std::map<std::string, MetricShape> metrics;
+  std::istringstream lines(body);
+  std::smatch type;
+  for (std::string line; std::getline(lines, line);) {
+    if (std::regex_search(line, type, kType)) {
+      metrics[type[1]].type = type[2];
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    const size_t name_end = line.find_first_of("{ ");
+    std::string family = line.substr(0, name_end);
+    std::set<std::string> labels;
+    if (name_end != std::string::npos && line[name_end] == '{') {
+      labels = Captures(line.substr(name_end), kLabel);
+    }
+    if (family.ends_with("_bucket")) labels.erase("le");
+    if (metrics.count(family) == 0) {
+      for (const std::string suffix : {"_bucket", "_sum", "_count"}) {
+        if (family.ends_with(suffix)) {
+          family.resize(family.size() - suffix.size());
+        }
+      }
+    }
+    metrics[family].label_sets.insert(labels);
+  }
+  return metrics;
 }
 
 class ServerTest : public ::testing::Test {
@@ -262,17 +321,22 @@ TEST_F(ServerTest, MetricsScrapeCarriesTheCatalog) {
         "specmined_corpora 1", "specmined_quarantined_shards 0"}) {
     EXPECT_NE(body.find(series), std::string::npos) << series;
   }
-  // Every series the scrape declares is documented in the catalog table
-  // of docs/server.md, and every documented series is declared.
-  std::set<std::string> scraped;
-  std::istringstream lines(body);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("# TYPE specmined_", 0) != 0) continue;
-    scraped.insert(line.substr(7, line.find(' ', 7) - 7));
-  }
-  const std::set<std::string> documented = DocumentedMetrics();
+  // The scrape and the catalog table of docs/server.md list the same
+  // series, and each with the same type and the same label names. The
+  // traffic above gives every labelled series at least one sample.
+  const std::map<std::string, MetricShape> scraped = ScrapedMetrics(body);
+  const std::map<std::string, MetricShape> documented = DocumentedMetrics();
   ASSERT_FALSE(documented.empty()) << "no catalog in docs/server.md";
-  EXPECT_EQ(scraped, documented);
+  std::set<std::string> scraped_names, documented_names;
+  for (const auto& [name, shape] : scraped) scraped_names.insert(name);
+  for (const auto& [name, shape] : documented) documented_names.insert(name);
+  EXPECT_EQ(scraped_names, documented_names);
+  for (const auto& [name, doc] : documented) {
+    const auto it = scraped.find(name);
+    if (it == scraped.end()) continue;
+    EXPECT_EQ(it->second.type, doc.type) << name;
+    EXPECT_EQ(it->second.label_sets, doc.label_sets) << name;
+  }
 }
 
 TEST_F(ServerTest, KeepAlivePipeliningServesBothRequests) {

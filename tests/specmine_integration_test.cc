@@ -1,4 +1,4 @@
-// End-to-end integration tests: the SpecMiner facade recovers the planted
+// End-to-end integration tests: an Engine session recovers the planted
 // Figure-4 pattern and Figure-5 rule from the simulated JBoss components,
 // and the trace-file workflow round-trips.
 
@@ -7,11 +7,11 @@
 #include <cstdio>
 #include <fstream>
 
+#include "src/engine/engine.h"
 #include "src/ltl/checker.h"
 #include "src/ltl/parser.h"
+#include "src/ltl/translate.h"
 #include "src/sim/test_suite.h"
-#include "src/specmine/spec_miner.h"
-#include "src/trace/trace_io.h"
 
 namespace specmine {
 namespace {
@@ -27,17 +27,46 @@ Pattern NamesToPattern(const SequenceDatabase& db,
   return p;
 }
 
-TEST(SpecMinerIntegrationTest, AbsoluteSupportConversion) {
-  SequenceDatabaseBuilder db;
-  for (int i = 0; i < 100; ++i) db.AddTraceFromString("a b");
-  SpecMiner miner(db.Build());
-  EXPECT_EQ(miner.AbsoluteSupport(0.5), 50u);
-  EXPECT_EQ(miner.AbsoluteSupport(0.001), 1u);   // Floors at 1.
-  EXPECT_EQ(miner.AbsoluteSupport(0.0), 1u);
-  EXPECT_EQ(miner.AbsoluteSupport(0.255), 26u);  // Ceil.
+// Closed patterns at a fraction-of-sequences threshold, support sorted.
+PatternSet MineClosed(const Engine& engine, double min_support_fraction,
+                      size_t max_length = 0) {
+  ClosedTask task;
+  task.options.min_support = engine.AbsoluteSupport(min_support_fraction);
+  task.options.max_length = max_length;
+  Result<PatternSet> mined = engine.CollectPatterns(task);
+  EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  if (!mined.ok()) return PatternSet{};
+  PatternSet out = mined.TakeValueOrDie();
+  out.SortBySupport();
+  return out;
 }
 
-TEST(SpecMinerIntegrationTest, RecoversFigure4LongestPattern) {
+// Recurrent rules at a fraction-of-sequences s-support threshold.
+RuleSet MineRules(const Engine& engine, double min_s_support_fraction,
+                  double min_confidence, bool non_redundant) {
+  RulesTask task;
+  task.options.min_s_support = engine.AbsoluteSupport(min_s_support_fraction);
+  task.options.min_confidence = min_confidence;
+  task.options.non_redundant = non_redundant;
+  Result<RuleSet> mined = engine.CollectRules(task);
+  EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  if (!mined.ok()) return RuleSet{};
+  RuleSet out = mined.TakeValueOrDie();
+  out.SortByQuality();
+  return out;
+}
+
+TEST(SpecmineIntegrationTest, AbsoluteSupportConversion) {
+  SequenceDatabaseBuilder db;
+  for (int i = 0; i < 100; ++i) db.AddTraceFromString("a b");
+  Engine engine(db.Build());
+  EXPECT_EQ(engine.AbsoluteSupport(0.5), 50u);
+  EXPECT_EQ(engine.AbsoluteSupport(0.001), 1u);   // Floors at 1.
+  EXPECT_EQ(engine.AbsoluteSupport(0.0), 1u);
+  EXPECT_EQ(engine.AbsoluteSupport(0.255), 26u);  // Ceil.
+}
+
+TEST(SpecmineIntegrationTest, RecoversFigure4LongestPattern) {
   // The paper's transaction case study: the longest closed iterative
   // pattern over commit-only traces is the full Figure-4 protocol run.
   sim::TestSuiteOptions suite;
@@ -52,19 +81,16 @@ TEST(SpecMinerIntegrationTest, RecoversFigure4LongestPattern) {
   SequenceDatabase db = sim::GenerateTransactionTraces(suite);
   Pattern fig4 = NamesToPattern(db, sim::Figure4Pattern());
 
-  SpecMiner miner(std::move(db));
-  PatternMiningConfig config;
-  config.min_support_fraction = 0.9;
-  config.closed = true;
-  PatternSet closed = miner.MinePatterns(config);
+  Engine engine(std::move(db));
+  PatternSet closed = MineClosed(engine, 0.9);
   ASSERT_FALSE(closed.empty());
   const MinedPattern& longest = closed.Longest();
   EXPECT_EQ(longest.pattern, fig4)
-      << "longest = " << longest.pattern.ToString(miner.database().dictionary());
+      << "longest = " << longest.pattern.ToString(engine.dictionary());
   EXPECT_TRUE(closed.Contains(fig4));
 }
 
-TEST(SpecMinerIntegrationTest, RollbackVariantAlsoMined) {
+TEST(SpecmineIntegrationTest, RollbackVariantAlsoMined) {
   sim::TestSuiteOptions suite;
   suite.num_traces = 80;
   suite.min_runs_per_trace = 2;
@@ -77,11 +103,8 @@ TEST(SpecMinerIntegrationTest, RollbackVariantAlsoMined) {
   ASSERT_NE(begin, kInvalidEvent);
   ASSERT_NE(rollback, kInvalidEvent);
 
-  SpecMiner miner(std::move(db));
-  PatternMiningConfig config;
-  config.min_support_fraction = 0.5;
-  config.closed = true;
-  PatternSet closed = miner.MinePatterns(config);
+  Engine engine(std::move(db));
+  PatternSet closed = MineClosed(engine, 0.5);
   // Some closed pattern embeds the JTA abort motif <begin, ..., rollback>.
   Pattern motif{begin, rollback};
   bool found = false;
@@ -91,7 +114,7 @@ TEST(SpecMinerIntegrationTest, RollbackVariantAlsoMined) {
   EXPECT_TRUE(found);
 }
 
-TEST(SpecMinerIntegrationTest, RecoversFigure5Rule) {
+TEST(SpecmineIntegrationTest, RecoversFigure5Rule) {
   sim::TestSuiteOptions suite;
   suite.num_traces = 60;
   suite.min_runs_per_trace = 1;
@@ -107,24 +130,20 @@ TEST(SpecMinerIntegrationTest, RecoversFigure5Rule) {
   Pattern premise = NamesToPattern(db, sim::Figure5Premise());
   Pattern consequent = NamesToPattern(db, sim::Figure5Consequent());
 
-  SpecMiner miner(std::move(db));
-  RuleMiningConfig config;
-  config.min_s_support_fraction = 0.8;
+  Engine engine(std::move(db));
   // Under subsequence semantics a direct AuthenInfo.getName read occurring
   // after an earlier config lookup in the same trace is also a temporal
   // point of the premise pair (and is not followed by a login), so the
   // rule's confidence sits below 1.0 — exactly the "imperfect traces"
   // regime the paper mines in.
-  config.min_confidence = 0.8;
-  config.non_redundant = true;
-  RuleSet rules = miner.MineRules(config);
+  RuleSet rules = MineRules(engine, 0.8, 0.8, /*non_redundant=*/true);
   const Rule* rule = rules.Find(premise, consequent);
-  ASSERT_NE(rule, nullptr) << rules.ToString(miner.database().dictionary());
+  ASSERT_NE(rule, nullptr) << rules.ToString(engine.dictionary());
   EXPECT_GE(rule->confidence(), 0.8);
   EXPECT_GE(rule->s_support, 48u);
 }
 
-TEST(SpecMinerIntegrationTest, LoginFailuresLowerConfidence) {
+TEST(SpecmineIntegrationTest, LoginFailuresLowerConfidence) {
   sim::TestSuiteOptions suite;
   suite.num_traces = 120;
   suite.min_runs_per_trace = 1;
@@ -134,49 +153,36 @@ TEST(SpecMinerIntegrationTest, LoginFailuresLowerConfidence) {
   SequenceDatabase db = sim::GenerateSecurityTraces(suite);
   Pattern premise = NamesToPattern(db, sim::Figure5Premise());
   Pattern consequent = NamesToPattern(db, sim::Figure5Consequent());
-  SpecMiner miner(std::move(db));
-  RuleMiningConfig config;
-  config.min_s_support_fraction = 0.5;
-  config.min_confidence = 0.5;
-  config.non_redundant = false;
-  RuleSet rules = miner.MineRules(config);
+  Engine engine(std::move(db));
+  RuleSet rules = MineRules(engine, 0.5, 0.5, /*non_redundant=*/false);
   const Rule* rule = rules.Find(premise, consequent);
   ASSERT_NE(rule, nullptr);
   EXPECT_LT(rule->confidence(), 1.0);
   EXPECT_GT(rule->confidence(), 0.5);
 }
 
-TEST(SpecMinerIntegrationTest, FullReportIncludesLtlForms) {
+TEST(SpecmineIntegrationTest, MinedRulesRoundTripThroughLtl) {
   sim::TestSuiteOptions suite;
   suite.num_traces = 30;
   suite.security.login_failure_probability = 0.0;
   SequenceDatabase db = sim::GenerateSecurityTraces(suite);
-  SpecMiner miner(std::move(db));
-  PatternMiningConfig pattern_config;
-  pattern_config.min_support_fraction = 0.9;
-  RuleMiningConfig rule_config;
-  rule_config.min_s_support_fraction = 0.9;
-  rule_config.min_confidence = 0.9;
-  SpecificationReport report = miner.Mine(pattern_config, rule_config);
-  EXPECT_GT(report.patterns.size(), 0u);
-  EXPECT_GT(report.rules.size(), 0u);
-  ASSERT_EQ(report.ltl.size(), report.rules.size());
-  // Every LTL string parses back and, for confidence-1 rules, holds on all
-  // traces.
-  for (size_t i = 0; i < report.rules.size(); ++i) {
-    Result<LtlPtr> parsed = ParseLtl(report.ltl[i]);
-    ASSERT_TRUE(parsed.ok()) << report.ltl[i];
-    if (report.rules[i].confidence() >= 1.0) {
-      EXPECT_TRUE(HoldsOnAll(*parsed, miner.database()));
+  Engine engine(std::move(db));
+  EXPECT_GT(MineClosed(engine, 0.9).size(), 0u);
+  RuleSet rules = MineRules(engine, 0.9, 0.9, /*non_redundant=*/true);
+  EXPECT_GT(rules.size(), 0u);
+  // Every rule's LTL rendering parses back and, for confidence-1 rules,
+  // holds on all traces.
+  for (const Rule& rule : rules.rules()) {
+    const std::string ltl = RuleToLtl(rule, engine.dictionary())->ToString();
+    Result<LtlPtr> parsed = ParseLtl(ltl);
+    ASSERT_TRUE(parsed.ok()) << ltl;
+    if (rule.confidence() >= 1.0) {
+      EXPECT_TRUE(HoldsOnAll(*parsed, engine.database())) << ltl;
     }
   }
-  std::string text = report.ToText(miner.database().dictionary());
-  EXPECT_NE(text.find("Iterative patterns"), std::string::npos);
-  EXPECT_NE(text.find("Recurrent rules"), std::string::npos);
-  EXPECT_NE(text.find("LTL:"), std::string::npos);
 }
 
-TEST(SpecMinerIntegrationTest, TraceFileWorkflow) {
+TEST(SpecmineIntegrationTest, TraceFileWorkflow) {
   const char* path = "specmine_itest_traces.txt";
   {
     std::ofstream out(path);
@@ -185,40 +191,35 @@ TEST(SpecMinerIntegrationTest, TraceFileWorkflow) {
     out << "lock unlock lock unlock\n";
     out << "lock x unlock\n";
   }
-  Result<SpecMiner> miner = SpecMiner::FromTraceFile(path);
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
-  EXPECT_EQ(miner->database().size(), 3u);
-  RuleMiningConfig config;
-  config.min_s_support_fraction = 1.0;
-  config.min_confidence = 1.0;
-  RuleSet rules = miner->MineRules(config);
-  EventId lock = miner->database().dictionary().Lookup("lock");
-  EventId unlock = miner->database().dictionary().Lookup("unlock");
+  Result<Engine> engine = Engine::FromTextTraceFile(path);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->num_sequences(), 3u);
+  RuleSet rules = MineRules(*engine, 1.0, 1.0, /*non_redundant=*/true);
+  EventId lock = engine->dictionary().Lookup("lock");
+  EventId unlock = engine->dictionary().Lookup("unlock");
   EXPECT_NE(rules.Find(Pattern{lock}, Pattern{unlock}), nullptr);
   std::remove(path);
 }
 
-TEST(SpecMinerIntegrationTest, MissingTraceFileIsError) {
-  Result<SpecMiner> miner = SpecMiner::FromTraceFile("/no/such/file");
-  EXPECT_FALSE(miner.ok());
+TEST(SpecmineIntegrationTest, MissingTraceFileIsError) {
+  Result<Engine> engine = Engine::FromTextTraceFile("/no/such/file");
+  EXPECT_FALSE(engine.ok());
 }
 
-TEST(SpecMinerIntegrationTest, FullVsClosedPatternCounts) {
+TEST(SpecmineIntegrationTest, FullVsClosedPatternCounts) {
   sim::TestSuiteOptions suite;
   suite.num_traces = 20;
   suite.transaction.rollback_probability = 0.0;
   SequenceDatabase db = sim::GenerateTransactionTraces(suite);
-  SpecMiner miner(std::move(db));
-  PatternMiningConfig closed_config;
-  closed_config.min_support_fraction = 0.9;
-  closed_config.closed = true;
-  PatternMiningConfig full_config = closed_config;
-  full_config.closed = false;
-  full_config.max_length = 6;  // Bound the explosion.
-  closed_config.max_length = 6;
-  size_t closed_count = miner.MinePatterns(closed_config).size();
-  size_t full_count = miner.MinePatterns(full_config).size();
-  EXPECT_LT(closed_count, full_count);
+  Engine engine(std::move(db));
+  // Both bounded at length 6 to bound the full set's explosion.
+  size_t closed_count = MineClosed(engine, 0.9, 6).size();
+  FullPatternsTask full;
+  full.options.min_support = engine.AbsoluteSupport(0.9);
+  full.options.max_length = 6;
+  Result<PatternSet> full_set = engine.CollectPatterns(full);
+  ASSERT_TRUE(full_set.ok()) << full_set.status().ToString();
+  EXPECT_LT(closed_count, full_set->size());
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/itermine/full_miner.h"
+#include "src/engine/engine.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/synth/planted_generator.h"
 #include "src/synth/quest_generator.h"
@@ -79,12 +79,13 @@ TEST(QuestGeneratorTest, PlantsRepeatedPatterns) {
   // exist at a support well above what independent noise would produce.
   Result<SequenceDatabase> db = GenerateQuest(SmallParams());
   ASSERT_TRUE(db.ok());
-  IterMinerOptions options;
-  options.min_support = 20;
-  options.max_length = 3;
-  PatternSet mined = MineFrequentIterative(*db, options);
+  FullPatternsTask task;
+  task.options.min_support = 20;
+  task.options.max_length = 3;
+  Result<PatternSet> mined = Engine(*db).CollectPatterns(task);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   bool found_multi = false;
-  for (const auto& it : mined.items()) {
+  for (const auto& it : mined->items()) {
     if (it.pattern.size() >= 2) found_multi = true;
   }
   EXPECT_TRUE(found_multi);
@@ -120,16 +121,17 @@ TEST(PlantedGeneratorTest, ExpectedSupportsMatchMiner) {
   EXPECT_EQ(planted->expected_sequences[0], 40u);
   EXPECT_EQ(planted->expected_sequences[1], 20u);
   // The production miner must reproduce the verifier-derived counts.
-  IterMinerOptions options;
-  options.min_support = 10;
-  options.max_length = 3;
-  PatternSet mined = MineFrequentIterative(db, options);
+  FullPatternsTask task;
+  task.options.min_support = 10;
+  task.options.max_length = 3;
+  Result<PatternSet> mined = Engine(db).CollectPatterns(task);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   Pattern lock_unlock{db.dictionary().Lookup("lock"),
                       db.dictionary().Lookup("unlock")};
-  EXPECT_EQ(mined.SupportOf(lock_unlock), planted->expected_instances[0]);
+  EXPECT_EQ(mined->SupportOf(lock_unlock), planted->expected_instances[0]);
   Pattern orc{db.dictionary().Lookup("open"), db.dictionary().Lookup("read"),
               db.dictionary().Lookup("close")};
-  EXPECT_EQ(mined.SupportOf(orc), planted->expected_instances[1]);
+  EXPECT_EQ(mined->SupportOf(orc), planted->expected_instances[1]);
 }
 
 TEST(PlantedGeneratorTest, FractionSelectsPrefixOfSequences) {
