@@ -89,7 +89,12 @@ RuleSet MineBackwardRules(const SequenceDatabase& db,
           SeqMinerOptions full_options;
           full_options.min_support = threshold;
           full_options.max_length = options.max_consequent_length;
-          posts = MineFrequentSequential(unit_db, full_options);
+          ScanFrequentSequential(unit_db, full_options,
+                                 [&posts](const Pattern& p, uint64_t support,
+                                          const std::vector<uint32_t>&) {
+                                   posts.Add(p, support);
+                                   return true;
+                                 });
         }
 
         for (const MinedPattern& post : posts.items()) {

@@ -40,7 +40,14 @@ PatternSet MineConsequents(const SequenceDatabase& db,
   full_options.min_support = threshold;
   full_options.max_length = options.max_length;
   full_options.max_patterns = options.max_consequents;
-  return MineFrequentSequential(unit_db, full_options);
+  PatternSet out;
+  ScanFrequentSequential(unit_db, full_options,
+                         [&out](const Pattern& p, uint64_t support,
+                                const std::vector<uint32_t>&) {
+                           out.Add(p, support);
+                           return true;
+                         });
+  return out;
 }
 
 }  // namespace specmine

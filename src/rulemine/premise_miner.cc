@@ -125,11 +125,22 @@ void ScanPremises(
   scan_options.min_support = options.min_s_support;
   scan_options.max_length = options.max_length;
   InsertionScratch scratch;
+  // One point set reused across premises. Only a premise's supporting
+  // sequences (unit index == SeqId for whole-sequence units) can hold
+  // points, so only those rows are computed; `filled` lists the rows the
+  // previous premise wrote, which are cleared before the next one.
+  TemporalPointSet points;
+  points.per_seq.resize(db.size());
+  std::vector<uint32_t> filled;
   ScanFrequentSequential(
       units, scan_options,
       [&](const Pattern& p, uint64_t /*support*/,
-          const std::vector<uint32_t>& /*supporting*/) {
-        TemporalPointSet points = ComputeTemporalPoints(p, db);
+          const std::vector<uint32_t>& supporting) {
+        for (uint32_t s : filled) points.per_seq[s].clear();
+        for (uint32_t s : supporting) {
+          points.per_seq[s] = OccurrencePoints(p, db[s]);
+        }
+        filled = supporting;
         if (options.maximality_pruning &&
             InsertionEquivalentExists(db, p, points, &scratch, backend)) {
           // A point-equivalent longer premise exists; its rules dominate

@@ -140,19 +140,4 @@ void ScanFrequentSequential(
   Grow(&ctx, &empty, root, /*at_root=*/true);
 }
 
-PatternSet MineFrequentSequential(const UnitDatabase& units,
-                                  const SeqMinerOptions& options,
-                                  SeqMinerStats* stats) {
-  PatternSet out;
-  ScanFrequentSequential(
-      units, options,
-      [&out](const Pattern& p, uint64_t support,
-             const std::vector<uint32_t>&) {
-        out.Add(p, support);
-        return true;
-      },
-      stats);
-  return out;
-}
-
 }  // namespace specmine

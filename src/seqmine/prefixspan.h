@@ -78,14 +78,11 @@ struct SeqMinerStats {
 /// \brief Mines the full set of frequent sequential patterns over \p units.
 ///
 /// Support of P = number of units whose suffix contains P as a subsequence.
-/// Patterns of length >= 1 are emitted.
-PatternSet MineFrequentSequential(const UnitDatabase& units,
-                                  const SeqMinerOptions& options,
-                                  SeqMinerStats* stats = nullptr);
-
-/// \brief Callback-based variant used by the rule miner: \p sink is invoked
-/// with (pattern, support, supporting-unit indexes). Return false from the
-/// sink to skip growing that pattern's subtree (confidence-style pruning).
+/// \p sink is invoked for every pattern of length >= 1, in DFS preorder
+/// with ascending event-id children, with (pattern, support,
+/// supporting-unit indexes). Return false from the sink to skip growing
+/// that pattern's subtree (confidence-style pruning); callers that want a
+/// PatternSet collect into one and return true.
 void ScanFrequentSequential(
     const UnitDatabase& units, const SeqMinerOptions& options,
     const std::function<bool(const Pattern&, uint64_t,

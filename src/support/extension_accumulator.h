@@ -14,6 +14,10 @@
 // heap allocation at all. The touched list is sorted before draining,
 // keeping iteration order byte-identical to the std::map implementation it
 // replaces.
+//
+// Users: the iterative miners' ProjectionWorkspace, PrefixSpan
+// (ScanFrequentSequential) and the BIDE-style closed sequential miner
+// (MineClosedSequential), each with one accumulator per run or thread.
 
 #ifndef SPECMINE_SUPPORT_EXTENSION_ACCUMULATOR_H_
 #define SPECMINE_SUPPORT_EXTENSION_ACCUMULATOR_H_

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -137,6 +138,34 @@ std::map<Pattern, uint64_t> ToMap(const PatternSet& set) {
   return out;
 }
 
+// Collects ScanFrequentSequential's emissions, in emission order.
+PatternSet CollectFrequent(const UnitDatabase& units,
+                           const SeqMinerOptions& options,
+                           SeqMinerStats* stats = nullptr) {
+  PatternSet out;
+  ScanFrequentSequential(
+      units, options,
+      [&out](const Pattern& p, uint64_t support,
+             const std::vector<uint32_t>&) {
+        out.Add(p, support);
+        return true;
+      },
+      stats);
+  return out;
+}
+
+// True iff the emitted patterns are strictly increasing in lexicographic
+// order of their event ids: DFS preorder with ascending-id children, and
+// no pattern emitted twice.
+bool StrictlyLexIncreasing(const PatternSet& set) {
+  for (size_t i = 1; i < set.size(); ++i) {
+    if (!(set[i - 1].pattern.events() < set[i].pattern.events())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 SequenceDatabase RandomDb(uint64_t seed, size_t num_seqs, size_t max_len,
                           size_t alphabet) {
   Rng rng(seed);
@@ -155,6 +184,52 @@ SequenceDatabase RandomDb(uint64_t seed, size_t num_seqs, size_t max_len,
   return db.Build();
 }
 
+// Units shaped like the forward rule miner's: one per random "temporal
+// point" j of each sequence, starting strictly after it. The start may be
+// the sequence length (an empty suffix).
+std::vector<Unit> RandomPointUnits(const SequenceDatabase& db,
+                                   uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Unit> units;
+  for (SeqId s = 0; s < db.size(); ++s) {
+    for (Pos j = 0; j < db[s].size(); ++j) {
+      if (rng.Uniform(2) == 0) units.push_back(Unit{s, j + 1});
+    }
+  }
+  return units;
+}
+
+// `db` with every sequence reversed, over the same dictionary.
+SequenceDatabase Reversed(const SequenceDatabase& db) {
+  SequenceDatabaseBuilder rev;
+  for (size_t i = 0; i < db.dictionary().size(); ++i) {
+    rev.mutable_dictionary()->Intern(
+        db.dictionary().Name(static_cast<EventId>(i)));
+  }
+  for (EventSpan seq : db) {
+    std::vector<EventId> events(std::make_reverse_iterator(seq.end()),
+                                std::make_reverse_iterator(seq.begin()));
+    rev.AddSequence(EventSpan(events));
+  }
+  return rev.Build();
+}
+
+// Units shaped like the backward rule miner's, into Reversed(db): the
+// strict prefix before point j of a length-L sequence is the reversal's
+// suffix from L - j (an empty suffix when j == 0).
+std::vector<Unit> ReversedPointUnits(const SequenceDatabase& db,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Unit> units;
+  for (SeqId s = 0; s < db.size(); ++s) {
+    const Pos len = static_cast<Pos>(db[s].size());
+    for (Pos j = 0; j < len; ++j) {
+      if (rng.Uniform(2) == 0) units.push_back(Unit{s, len - j});
+    }
+  }
+  return units;
+}
+
 // ---------------------------------------------------------------------------
 // PrefixSpan.
 
@@ -163,7 +238,7 @@ TEST(PrefixSpanTest, SimpleHandComputedExample) {
   UnitDatabase units = UnitDatabase::WholeSequences(db);
   SeqMinerOptions options;
   options.min_support = 2;
-  PatternSet out = MineFrequentSequential(units, options);
+  PatternSet out = CollectFrequent(units, options);
   auto m = ToMap(out);
   EXPECT_EQ(m.at(P(db, "a")), 2u);
   EXPECT_EQ(m.at(P(db, "b")), 2u);
@@ -179,7 +254,7 @@ TEST(PrefixSpanTest, SupportCountsUnitsNotOccurrences) {
   UnitDatabase units = UnitDatabase::WholeSequences(db);
   SeqMinerOptions options;
   options.min_support = 1;
-  auto m = ToMap(MineFrequentSequential(units, options));
+  auto m = ToMap(CollectFrequent(units, options));
   EXPECT_EQ(m.at(P(db, "a")), 1u);
   EXPECT_EQ(m.at(P(db, "a a")), 1u);
   EXPECT_EQ(m.at(P(db, "a a a")), 1u);
@@ -192,7 +267,7 @@ TEST(PrefixSpanTest, RespectsMaxLength) {
   SeqMinerOptions options;
   options.min_support = 1;
   options.max_length = 2;
-  PatternSet out = MineFrequentSequential(units, options);
+  PatternSet out = CollectFrequent(units, options);
   for (const auto& it : out.items()) {
     EXPECT_LE(it.pattern.size(), 2u);
   }
@@ -205,7 +280,7 @@ TEST(PrefixSpanTest, MaxPatternsTruncates) {
   options.min_support = 1;
   options.max_patterns = 5;
   SeqMinerStats stats;
-  PatternSet out = MineFrequentSequential(units, options, &stats);
+  PatternSet out = CollectFrequent(units, options, &stats);
   EXPECT_EQ(out.size(), 5u);
   EXPECT_TRUE(stats.truncated);
 }
@@ -216,7 +291,7 @@ TEST(PrefixSpanTest, UnitsWithOffsetsRestrictMatching) {
   UnitDatabase units(db, {Unit{0, 0}, Unit{0, 2}});
   SeqMinerOptions options;
   options.min_support = 2;
-  auto m = ToMap(MineFrequentSequential(units, options));
+  auto m = ToMap(CollectFrequent(units, options));
   EXPECT_EQ(m.at(P(db, "a b")), 2u);   // Embeds in both suffixes.
   EXPECT_EQ(m.count(P(db, "a b a")), 0u);  // Only in the first.
 }
@@ -228,9 +303,32 @@ TEST(PrefixSpanTest, MatchesOracleOnRandomDatabases) {
     for (uint64_t min_sup : {1u, 2u, 3u}) {
       SeqMinerOptions options;
       options.min_support = min_sup;
-      auto got = ToMap(MineFrequentSequential(units, options));
+      PatternSet got = CollectFrequent(units, options);
       auto want = OracleFrequent(units, min_sup);
-      EXPECT_EQ(got, want) << "seed=" << seed << " min_sup=" << min_sup;
+      EXPECT_EQ(ToMap(got), want) << "seed=" << seed << " min_sup=" << min_sup;
+      EXPECT_TRUE(StrictlyLexIncreasing(got))
+          << "seed=" << seed << " min_sup=" << min_sup;
+    }
+  }
+}
+
+TEST(PrefixSpanTest, MatchesOracleOnPointUnits) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SequenceDatabase db = RandomDb(seed + 500, 5, 8, 4);
+    SequenceDatabase rev = Reversed(db);
+    const std::vector<UnitDatabase> shapes = {
+        UnitDatabase(db, RandomPointUnits(db, seed)),
+        UnitDatabase(rev, ReversedPointUnits(db, seed))};
+    for (size_t shape = 0; shape < shapes.size(); ++shape) {
+      for (uint64_t min_sup : {1u, 2u, 4u}) {
+        SeqMinerOptions options;
+        options.min_support = min_sup;
+        PatternSet got = CollectFrequent(shapes[shape], options);
+        EXPECT_EQ(ToMap(got), OracleFrequent(shapes[shape], min_sup))
+            << "seed=" << seed << " shape=" << shape << " min_sup=" << min_sup;
+        EXPECT_TRUE(StrictlyLexIncreasing(got))
+            << "seed=" << seed << " shape=" << shape << " min_sup=" << min_sup;
+      }
     }
   }
 }
@@ -289,9 +387,41 @@ TEST(ClosedSequentialTest, MatchesOracleOnRandomDatabases) {
     for (uint64_t min_sup : {1u, 2u, 3u}) {
       ClosedSeqMinerOptions options;
       options.min_support = min_sup;
-      auto got = ToMap(MineClosedSequential(units, options));
+      PatternSet got = MineClosedSequential(units, options);
       auto want = OracleClosed(units, min_sup);
-      EXPECT_EQ(got, want) << "seed=" << seed << " min_sup=" << min_sup;
+      EXPECT_EQ(ToMap(got), want) << "seed=" << seed << " min_sup=" << min_sup;
+      EXPECT_TRUE(StrictlyLexIncreasing(got))
+          << "seed=" << seed << " min_sup=" << min_sup;
+    }
+  }
+}
+
+// The rule miners' unit databases: several units per sequence at non-zero
+// starts (forward consequents) and units into a reversed database
+// (backward consequents), each with BackScan on and off.
+TEST(ClosedSequentialTest, MatchesOracleOnPointUnits) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SequenceDatabase db = RandomDb(seed + 400, 5, 8, 4);
+    SequenceDatabase rev = Reversed(db);
+    const std::vector<UnitDatabase> shapes = {
+        UnitDatabase(db, RandomPointUnits(db, seed)),
+        UnitDatabase(rev, ReversedPointUnits(db, seed))};
+    for (size_t shape = 0; shape < shapes.size(); ++shape) {
+      for (uint64_t min_sup : {1u, 2u, 4u}) {
+        auto want = OracleClosed(shapes[shape], min_sup);
+        for (bool backscan : {true, false}) {
+          ClosedSeqMinerOptions options;
+          options.min_support = min_sup;
+          options.backscan_pruning = backscan;
+          PatternSet got = MineClosedSequential(shapes[shape], options);
+          EXPECT_EQ(ToMap(got), want)
+              << "seed=" << seed << " shape=" << shape
+              << " min_sup=" << min_sup << " backscan=" << backscan;
+          EXPECT_TRUE(StrictlyLexIncreasing(got))
+              << "seed=" << seed << " shape=" << shape
+              << " min_sup=" << min_sup << " backscan=" << backscan;
+        }
+      }
     }
   }
 }
