@@ -50,7 +50,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
     }
   }
 
-  ForwardExtensionMap forward = ctx->ws->AcquireMap();
+  ForwardExtensionMap forward = ctx->ws->forward.AcquireMap();
   ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &forward);
   bool forward_absorbed = false;
   for (const auto& [ev, ext_instances] : forward) {
@@ -69,7 +69,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
         HasUniformInfixAbsorber(*ctx->backend, pattern, instances, ctx->ws);
     if (infix_absorbed && ctx->options->infix_prune) {
       ++ctx->stats->subtrees_pruned;
-      ctx->ws->ReleaseMap(std::move(forward));
+      ctx->ws->forward.ReleaseMap(std::move(forward));
       return;  // P3: the subtree contains no closed pattern.
     }
     if (!ctx->options->infix_check) infix_absorbed = false;
@@ -88,7 +88,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
       Grow(ctx, pattern.Extend(ev), ext_instances);
     }
   }
-  ctx->ws->ReleaseMap(std::move(forward));
+  ctx->ws->forward.ReleaseMap(std::move(forward));
 }
 
 }  // namespace

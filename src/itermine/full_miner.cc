@@ -42,14 +42,14 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
       pattern.size() >= ctx->options->max_length) {
     return;
   }
-  ForwardExtensionMap extensions = ctx->ws->AcquireMap();
+  ForwardExtensionMap extensions = ctx->ws->forward.AcquireMap();
   ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &extensions);
   for (auto& [ev, ext_instances] : extensions) {
     if (ctx->stop) break;
     if (ext_instances.size() < ctx->options->min_support) continue;
     Grow(ctx, pattern.Extend(ev), ext_instances);
   }
-  ctx->ws->ReleaseMap(std::move(extensions));
+  ctx->ws->forward.ReleaseMap(std::move(extensions));
 }
 
 // --------------------------------------------------------------------------
@@ -94,14 +94,14 @@ struct SubtreeJob {
     if (options->max_length != 0 && pattern.size() >= options->max_length) {
       return;
     }
-    ForwardExtensionMap extensions = ws.AcquireMap();
+    ForwardExtensionMap extensions = ws.forward.AcquireMap();
     ForwardExtensions(*backend, pattern, instances, &ws, &extensions);
     for (auto& [ev, ext_instances] : extensions) {
       if (cancelled) break;
       if (ext_instances.size() < options->min_support) continue;
       Grow(pattern.Extend(ev), ext_instances);
     }
-    ws.ReleaseMap(std::move(extensions));
+    ws.forward.ReleaseMap(std::move(extensions));
   }
 };
 

@@ -140,7 +140,7 @@ void ForwardExtensionsMerged(const MergedCountingIndex& index,
         local.push_back(IterInstance{instances[t].seq - base,
                                      instances[t].start, instances[t].end});
       }
-      ForwardExtensionMap shard_map = cws.AcquireMap();
+      ForwardExtensionMap shard_map = cws.forward.AcquireMap();
       ForwardExtensions(index.shard_backend(shard), Pattern(local_pat),
                         local, &cws, &shard_map);
       const std::vector<EventId>& remap = index.shard_set().remap(shard);
@@ -151,7 +151,7 @@ void ForwardExtensionsMerged(const MergedCountingIndex& index,
               IterInstance{inst.seq + base, inst.start, inst.end});
         }
       }
-      cws.ReleaseMap(std::move(shard_map));
+      cws.forward.ReleaseMap(std::move(shard_map));
     }
     i = j;
   }

@@ -105,7 +105,7 @@ struct QreRecountScratch {
 struct ProjectionWorkspace {
   EventMarkSet alphabet;
   EventMarkSet seen;
-  ExtensionAccumulator<IterInstance> forward;
+  ExtensionAccumulator<IterInstance> forward;  // Buckets and map shells.
 
   // Scratch for the vertical backends' word-wise queries (unused by CSR).
   VerticalScratch vertical;
@@ -119,9 +119,6 @@ struct ProjectionWorkspace {
   ExtensionAccumulator<uint32_t> profiles;
   ExtensionAccumulator<uint32_t>::Map common;
 
-  // Free pool for ForwardExtensionMap shells (the entry vectors).
-  std::vector<ForwardExtensionMap> map_pool;
-
   // Child workspace for the merged backend's per-shard delegation: shard
   // queries run in shard-local event space, so they need their own mark
   // sets and buckets. Lazily created; unused by the other backends.
@@ -133,20 +130,6 @@ struct ProjectionWorkspace {
   ProjectionWorkspace& ShardWorkspace() {
     if (shard_ws == nullptr) shard_ws = std::make_unique<ProjectionWorkspace>();
     return *shard_ws;
-  }
-
-  /// \brief Takes a cleared ForwardExtensionMap, reusing pooled capacity.
-  ForwardExtensionMap AcquireMap() {
-    if (map_pool.empty()) return ForwardExtensionMap();
-    ForwardExtensionMap m = std::move(map_pool.back());
-    map_pool.pop_back();
-    return m;
-  }
-
-  /// \brief Recycles a consumed extension map (buckets and shell).
-  void ReleaseMap(ForwardExtensionMap&& m) {
-    forward.Recycle(std::move(m));
-    map_pool.push_back(std::move(m));
   }
 };
 

@@ -7,6 +7,7 @@
 #include "src/seqmine/closed_sequential_miner.h"
 #include "src/seqmine/occurrence_engine.h"
 #include "src/seqmine/prefixspan.h"
+#include "src/support/cancel.h"
 
 namespace specmine {
 
@@ -57,10 +58,17 @@ RuleSet MineBackwardRules(const SequenceDatabase& db,
   premise_options.maximality_pruning = false;
 
   RuleSet candidates;
+  // Consequent mining runs inside the premise scan's sink, so it keeps a
+  // workspace of its own, warm across premises.
+  SequentialWorkspace consequent_ws;
   ScanPremises(
       db, premise_options,
       [&](const Pattern& premise, const TemporalPointSet& points) {
         if (stats->truncated) return false;
+        if (options.cancel != nullptr && options.cancel->ShouldStopExact()) {
+          stats->stopped = options.cancel->stop_code();
+          return false;
+        }
         ++stats->premises_enumerated;
         const uint64_t total_points = points.TotalPoints();
         if (total_points == 0) return true;
@@ -84,7 +92,8 @@ RuleSet MineBackwardRules(const SequenceDatabase& db,
           ClosedSeqMinerOptions closed_options;
           closed_options.min_support = threshold;
           closed_options.max_length = options.max_consequent_length;
-          posts = MineClosedSequential(unit_db, closed_options);
+          posts = MineClosedSequential(unit_db, closed_options, nullptr,
+                                       &consequent_ws);
         } else {
           SeqMinerOptions full_options;
           full_options.min_support = threshold;
@@ -94,7 +103,8 @@ RuleSet MineBackwardRules(const SequenceDatabase& db,
                                           const std::vector<uint32_t>&) {
                                    posts.Add(p, support);
                                    return true;
-                                 });
+                                 },
+                                 nullptr, &consequent_ws);
         }
 
         for (const MinedPattern& post : posts.items()) {

@@ -31,7 +31,8 @@ namespace specmine {
 /// \brief Mines backward recurrent rules from \p db per \p options
 /// (the options' premise/consequent roles read as pre / past-post).
 /// Returned Rule objects carry `premise` = pre and `consequent` = post
-/// with the backward statistics above.
+/// with the backward statistics above. options.cancel is polled once per
+/// premise, as in MineRecurrentRules.
 RuleSet MineBackwardRules(const SequenceDatabase& db,
                           const RuleMinerOptions& options,
                           RuleMinerStats* stats = nullptr);

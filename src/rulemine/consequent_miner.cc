@@ -18,7 +18,8 @@ uint64_t ConfidenceSupportThreshold(double min_confidence,
 
 PatternSet MineConsequents(const SequenceDatabase& db,
                            const TemporalPointSet& points,
-                           const ConsequentMinerOptions& options) {
+                           const ConsequentMinerOptions& options,
+                           SequentialWorkspace* ws) {
   std::vector<Unit> units;
   for (SeqId s = 0; s < points.per_seq.size(); ++s) {
     for (Pos j : points.per_seq[s]) {
@@ -34,7 +35,7 @@ PatternSet MineConsequents(const SequenceDatabase& db,
     ClosedSeqMinerOptions closed_options;
     closed_options.min_support = threshold;
     closed_options.max_length = options.max_length;
-    return MineClosedSequential(unit_db, closed_options);
+    return MineClosedSequential(unit_db, closed_options, nullptr, ws);
   }
   SeqMinerOptions full_options;
   full_options.min_support = threshold;
@@ -46,7 +47,8 @@ PatternSet MineConsequents(const SequenceDatabase& db,
                                 const std::vector<uint32_t>&) {
                            out.Add(p, support);
                            return true;
-                         });
+                         },
+                         nullptr, ws);
   return out;
 }
 

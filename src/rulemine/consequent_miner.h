@@ -10,6 +10,7 @@
 
 #include "src/patterns/pattern_set.h"
 #include "src/rulemine/temporal_points.h"
+#include "src/seqmine/prefixspan.h"
 #include "src/trace/sequence_database.h"
 
 namespace specmine {
@@ -35,10 +36,13 @@ uint64_t ConfidenceSupportThreshold(double min_confidence,
                                     uint64_t total_points);
 
 /// \brief Mines consequents for a premise with temporal points \p points.
-/// Each returned pattern's support is its satisfied-point count.
+/// Each returned pattern's support is its satisfied-point count. \p ws is
+/// optional reusable scratch (null means a local workspace); a rule run
+/// keeps one for all its premises.
 PatternSet MineConsequents(const SequenceDatabase& db,
                            const TemporalPointSet& points,
-                           const ConsequentMinerOptions& options);
+                           const ConsequentMinerOptions& options,
+                           SequentialWorkspace* ws = nullptr);
 
 }  // namespace specmine
 

@@ -1,5 +1,7 @@
 #include "src/rulemine/rule_miner.h"
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -24,12 +26,14 @@ struct PremiseJob {
 
   void Mine(const SequenceDatabase& db,
             const ConsequentMinerOptions& consequent_options,
-            const CountingBackend* backend, const CancelToken* cancel) {
+            const CountingBackend* backend, const CancelToken* cancel,
+            SequentialWorkspace* ws) {
     // Per-premise granularity: a fired token skips the whole job.
     if (cancel != nullptr && cancel->ShouldStopExact()) return;
     const uint64_t total_points = points.TotalPoints();
     const uint64_t s_support = points.SupportingSequences();
-    PatternSet consequents = MineConsequents(db, points, consequent_options);
+    PatternSet consequents =
+        MineConsequents(db, points, consequent_options, ws);
     rules.reserve(consequents.size());
     for (const MinedPattern& post : consequents.items()) {
       Rule rule;
@@ -71,7 +75,9 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
   if (num_threads > 1 && options.max_rules == 0) {
     // Steps 1-2 stay sequential (the premise scan's maximality pruning is
     // interactive); the per-premise Steps 3-4 — the dominant cost — fan
-    // out across the pool and merge in premise order.
+    // out across the pool and merge in premise order. Each worker claims
+    // premises off a shared cursor and keeps one warm consequent
+    // workspace for all of them.
     std::vector<std::unique_ptr<PremiseJob>> jobs;
     ScanPremises(
         db, premise_options,
@@ -87,9 +93,14 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
           return true;
         },
         nullptr, backend);
+    std::atomic<size_t> next_job{0};
     stats->error = ThreadPool::ParallelForShared(
-        pool, num_threads, jobs.size(), [&](size_t i) {
-          jobs[i]->Mine(db, consequent_options, backend, options.cancel);
+        pool, num_threads, std::min(num_threads, jobs.size()), [&](size_t) {
+          SequentialWorkspace ws;
+          for (size_t i = next_job++; i < jobs.size(); i = next_job++) {
+            jobs[i]->Mine(db, consequent_options, backend, options.cancel,
+                          &ws);
+          }
         });
     if (options.cancel != nullptr && options.cancel->fired()) {
       stats->stopped = options.cancel->stop_code();
@@ -102,7 +113,9 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
     }
   } else {
     // Step 1: enumerate premises; Step 2: their temporal points arrive
-    // with each premise.
+    // with each premise. Consequent mining runs inside the premise scan's
+    // sink, so it keeps a workspace of its own, warm across premises.
+    SequentialWorkspace consequent_ws;
     ScanPremises(
         db, premise_options,
         [&](const Pattern& premise, const TemporalPointSet& points) {
@@ -121,7 +134,7 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
           // The i-support scan (the expensive part of Step 4's input) is
           // computed per rule so max_rules truncation stops it early.
           PatternSet consequents =
-              MineConsequents(db, points, consequent_options);
+              MineConsequents(db, points, consequent_options, &consequent_ws);
           for (const MinedPattern& post : consequents.items()) {
             Rule rule;
             rule.premise = premise;

@@ -38,9 +38,11 @@ struct ClosedSeqMinerOptions {
 };
 
 /// \brief Mines the closed frequent sequential patterns over \p units.
+/// \p ws is optional reusable scratch; null means a local workspace.
 PatternSet MineClosedSequential(const UnitDatabase& units,
                                 const ClosedSeqMinerOptions& options,
-                                SeqMinerStats* stats = nullptr);
+                                SeqMinerStats* stats = nullptr,
+                                SequentialWorkspace* ws = nullptr);
 
 }  // namespace specmine
 

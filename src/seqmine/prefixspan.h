@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "src/patterns/pattern_set.h"
+#include "src/support/event_marks.h"
+#include "src/support/extension_accumulator.h"
 #include "src/support/status.h"
 #include "src/trace/position_index.h"
 #include "src/trace/sequence_database.h"
@@ -75,6 +77,54 @@ struct SeqMinerStats {
   StatusCode stopped = StatusCode::kOk;
 };
 
+/// \brief One live unit of a sequential projection: the unit index and the
+/// absolute position of the pattern's last matched event in its sequence
+/// (unused at the root, where matching starts at the unit's start).
+struct SeqEntry {
+  uint32_t unit;
+  Pos last_match;
+};
+
+/// \brief The one-event extensions of a projection, ascending event id.
+using SeqExtensionMap = ExtensionAccumulator<SeqEntry>::Map;
+
+/// \brief Reusable scratch for the sequential miners (PrefixSpan and the
+/// BIDE-style closed miner): extension buckets and their map pool, the
+/// per-event count slots, the closed miner's embedding rows and the sink's
+/// supporting-unit buffer. Alphabet-sized after the first run and kept
+/// warm across runs, so a caller that mines many unit databases (the rule
+/// miners: one per premise) allocates nothing in steady state.
+///
+/// One run at a time: the sink's supporting-unit argument lives here, so
+/// mining nested inside a sink (the rule miners' consequents inside the
+/// premise scan) takes a second workspace.
+struct SequentialWorkspace {
+  /// Distinct-unit count of one event over a projection's suffixes.
+  struct Tally {
+    uint32_t last_entry;  ///< 1 + index of the last entry that counted.
+    uint32_t units;
+  };
+
+  ExtensionAccumulator<SeqEntry> acc;
+  EpochSlots<Tally> tally;              // Frequent-only collection.
+  EpochSlots<uint32_t> period_counts;   // Closed miner's period events.
+  std::vector<Pos> ee;                  // Earliest embeddings, n per unit.
+  std::vector<Pos> ls;                  // Latest embeddings, n per unit.
+  std::vector<SeqEntry> root;           // The root projection.
+  std::vector<uint32_t> supporting;     // Reused sink argument buffer.
+};
+
+/// \brief Groups, for every event e whose extension reaches
+/// \p min_support units, the projected entries of P++<e>: one entry per
+/// unit, at the first occurrence of e in the unit's remaining suffix.
+/// Infrequent extensions are counted (in \p ws->tally) but never
+/// materialized. \p out (from ws->acc.AcquireMap()) iterates in ascending
+/// event id.
+void CollectFrequentExtensions(const UnitDatabase& units,
+                               const std::vector<SeqEntry>& entries,
+                               bool at_root, uint64_t min_support,
+                               SequentialWorkspace* ws, SeqExtensionMap* out);
+
 /// \brief Mines the full set of frequent sequential patterns over \p units.
 ///
 /// Support of P = number of units whose suffix contains P as a subsequence.
@@ -83,11 +133,13 @@ struct SeqMinerStats {
 /// supporting-unit indexes). Return false from the sink to skip growing
 /// that pattern's subtree (confidence-style pruning); callers that want a
 /// PatternSet collect into one and return true.
+///
+/// \p ws is optional reusable scratch; null means a local workspace.
 void ScanFrequentSequential(
     const UnitDatabase& units, const SeqMinerOptions& options,
     const std::function<bool(const Pattern&, uint64_t,
                              const std::vector<uint32_t>&)>& sink,
-    SeqMinerStats* stats = nullptr);
+    SeqMinerStats* stats = nullptr, SequentialWorkspace* ws = nullptr);
 
 }  // namespace specmine
 

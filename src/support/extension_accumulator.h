@@ -5,9 +5,10 @@
 // Usage per pattern node:
 //   acc.Reset(num_events);
 //   ... acc.Bucket(ev).push_back(item) ...   // O(1), no hashing
+//   Map out = acc.AcquireMap();              // pooled shell
 //   acc.Drain(&out);                         // sorted by event id
 //   ... consume out (may outlive further Reset/Bucket cycles) ...
-//   acc.Recycle(std::move(out));             // return capacity to the pool
+//   acc.ReleaseMap(std::move(out));          // return buckets and shell
 //
 // Buckets are stamped with an epoch so Reset is O(1); drained vectors go
 // back into a free pool when recycled, so steady-state mining performs no
@@ -15,9 +16,12 @@
 // keeping iteration order byte-identical to the std::map implementation it
 // replaces.
 //
-// Users: the iterative miners' ProjectionWorkspace, PrefixSpan
-// (ScanFrequentSequential) and the BIDE-style closed sequential miner
-// (MineClosedSequential), each with one accumulator per run or thread.
+// Users: the iterative miners' ProjectionWorkspace (one per thread) and
+// the sequential miners' SequentialWorkspace, shared by PrefixSpan
+// (ScanFrequentSequential) and the BIDE-style closed miner
+// (MineClosedSequential). Those fill it through CollectFrequentExtensions,
+// which buckets only events that reach min_support, and a rule run keeps
+// one workspace for every premise (one per worker when parallel).
 
 #ifndef SPECMINE_SUPPORT_EXTENSION_ACCUMULATOR_H_
 #define SPECMINE_SUPPORT_EXTENSION_ACCUMULATOR_H_
@@ -111,12 +115,28 @@ class ExtensionAccumulator {
     m.clear();
   }
 
+  /// \brief Takes an empty map shell, reusing pooled capacity — one per
+  /// live DFS level, handed to Drain.
+  Map AcquireMap() {
+    if (map_pool_.empty()) return Map();
+    Map m = std::move(map_pool_.back());
+    map_pool_.pop_back();
+    return m;
+  }
+
+  /// \brief Recycles a consumed map: its buckets and its shell.
+  void ReleaseMap(Map&& m) {
+    Recycle(std::move(m));
+    map_pool_.push_back(std::move(m));
+  }
+
  private:
   std::vector<Bucket_t> buckets_;
   std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 1;
   std::vector<EventId> touched_;
   std::vector<Bucket_t> pool_;
+  std::vector<Map> map_pool_;
 };
 
 }  // namespace specmine

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/engine/engine.h"
+#include "src/rulemine/backward_rules.h"
 #include "src/support/cancel.h"
 #include "src/support/random.h"
 #include "src/trace/shard_set.h"
@@ -243,6 +244,46 @@ TEST(CancelTest, PreCancelledMaterializedTasksDeliverNothing) {
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(rule_sink.set().size(), 0u);
+}
+
+// Backward rules poll the token once per premise: a pre-cancelled run
+// enumerates no premise, and the Engine reports kCancelled with nothing
+// delivered. An armed but unfired token changes nothing.
+TEST(CancelTest, PreCancelledBackwardRulesEnumerateNoPremise) {
+  SequenceDatabase db = RandomDb(104, 30, 10, 5);
+  RuleMinerOptions options;
+  options.min_s_support = 2;
+  RuleMinerStats plain_stats;
+  const RuleSet plain = MineBackwardRules(db, options, &plain_stats);
+  ASSERT_GT(plain_stats.premises_enumerated, 0u);
+
+  CancelToken armed;
+  options.cancel = &armed;
+  RuleMinerStats armed_stats;
+  const RuleSet armed_rules = MineBackwardRules(db, options, &armed_stats);
+  EXPECT_EQ(armed_stats.premises_enumerated, plain_stats.premises_enumerated);
+  EXPECT_EQ(armed_stats.stopped, StatusCode::kOk);
+  EXPECT_EQ(armed_rules.rules(), plain.rules());
+
+  CancelToken token;
+  token.Cancel();
+  options.cancel = &token;
+  RuleMinerStats stats;
+  const RuleSet rules = MineBackwardRules(db, options, &stats);
+  EXPECT_EQ(stats.premises_enumerated, 0u);
+  EXPECT_EQ(stats.stopped, StatusCode::kCancelled);
+  EXPECT_EQ(rules.size(), 0u);
+
+  Result<Engine> engine = Engine::Create(std::move(db));
+  ASSERT_TRUE(engine.ok());
+  RulesTask task;
+  task.backward = true;
+  task.options = options;
+  CollectingRuleSink sink;
+  Result<RunReport> run = engine->Mine(task, sink);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(sink.set().size(), 0u);
 }
 
 // Cancellation reaches the sharded path: a token fired during phase 1

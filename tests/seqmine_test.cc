@@ -8,6 +8,7 @@
 #include <map>
 #include <vector>
 
+#include "src/rulemine/consequent_miner.h"
 #include "src/seqmine/closed_sequential_miner.h"
 #include "src/seqmine/generator_miner.h"
 #include "src/seqmine/occurrence_engine.h"
@@ -141,7 +142,8 @@ std::map<Pattern, uint64_t> ToMap(const PatternSet& set) {
 // Collects ScanFrequentSequential's emissions, in emission order.
 PatternSet CollectFrequent(const UnitDatabase& units,
                            const SeqMinerOptions& options,
-                           SeqMinerStats* stats = nullptr) {
+                           SeqMinerStats* stats = nullptr,
+                           SequentialWorkspace* ws = nullptr) {
   PatternSet out;
   ScanFrequentSequential(
       units, options,
@@ -150,7 +152,7 @@ PatternSet CollectFrequent(const UnitDatabase& units,
         out.Add(p, support);
         return true;
       },
-      stats);
+      stats, ws);
   return out;
 }
 
@@ -451,6 +453,105 @@ TEST(ClosedSequentialTest, BackScanPrunesNodes) {
   MineClosedSequential(units, with, &sw);
   MineClosedSequential(units, without, &swo);
   EXPECT_LT(sw.nodes_visited, swo.nodes_visited);
+}
+
+// ---------------------------------------------------------------------------
+// Workspace reuse: one SequentialWorkspace kept warm across many runs (as a
+// rule run keeps one across its premises) must leave no trace between them.
+
+bool SameStats(const SeqMinerStats& a, const SeqMinerStats& b) {
+  return a.nodes_visited == b.nodes_visited &&
+         a.patterns_emitted == b.patterns_emitted &&
+         a.truncated == b.truncated && a.stopped == b.stopped;
+}
+
+// A large alphabet, then a small one, then large again (the workspace's
+// slot tables shrink in use but not in size), over whole-sequence and
+// point units at several thresholds.
+TEST(SequentialWorkspaceTest, ReuseAcrossDatabasesMatchesFreshAndOracle) {
+  SequentialWorkspace ws;
+  const size_t alphabets[] = {12, 3, 12, 3, 12};
+  for (size_t round = 0; round < std::size(alphabets); ++round) {
+    const uint64_t seed = 900 + round;
+    SequenceDatabase db = RandomDb(seed, 6, 8, alphabets[round]);
+    const std::vector<UnitDatabase> shapes = {
+        UnitDatabase::WholeSequences(db),
+        UnitDatabase(db, RandomPointUnits(db, seed))};
+    for (size_t shape = 0; shape < shapes.size(); ++shape) {
+      const UnitDatabase& units = shapes[shape];
+      for (uint64_t min_sup : {1u, 2u, 3u}) {
+        SCOPED_TRACE("round=" + std::to_string(round) +
+                     " shape=" + std::to_string(shape) +
+                     " min_sup=" + std::to_string(min_sup));
+        SeqMinerOptions options;
+        options.min_support = min_sup;
+        SeqMinerStats warm_stats, fresh_stats;
+        PatternSet warm = CollectFrequent(units, options, &warm_stats, &ws);
+        PatternSet fresh = CollectFrequent(units, options, &fresh_stats);
+        EXPECT_EQ(warm.items(), fresh.items());
+        EXPECT_TRUE(SameStats(warm_stats, fresh_stats));
+        EXPECT_EQ(ToMap(warm), OracleFrequent(units, min_sup));
+
+        const auto want_closed = OracleClosed(units, min_sup);
+        for (bool backscan : {true, false}) {
+          ClosedSeqMinerOptions closed;
+          closed.min_support = min_sup;
+          closed.backscan_pruning = backscan;
+          PatternSet warm_closed =
+              MineClosedSequential(units, closed, &warm_stats, &ws);
+          PatternSet fresh_closed =
+              MineClosedSequential(units, closed, &fresh_stats);
+          EXPECT_EQ(warm_closed.items(), fresh_closed.items())
+              << "backscan=" << backscan;
+          EXPECT_TRUE(SameStats(warm_stats, fresh_stats))
+              << "backscan=" << backscan;
+          EXPECT_EQ(ToMap(warm_closed), want_closed)
+              << "backscan=" << backscan;
+        }
+      }
+    }
+  }
+}
+
+// The rule miners' nesting: consequents are mined inside the premise
+// scan's sink, with a second workspace. Closed and full consequents must
+// match the same premises' consequents mined one at a time afterwards.
+TEST(SequentialWorkspaceTest, NestedConsequentMiningMatchesUnnested) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SequenceDatabase db = RandomDb(seed + 950, 8, 9, 4);
+    UnitDatabase units = UnitDatabase::WholeSequences(db);
+    SeqMinerOptions premise_options;
+    premise_options.min_support = 3;
+    for (bool closed : {true, false}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " closed=" + std::to_string(closed));
+      ConsequentMinerOptions options;
+      options.min_confidence = 0.5;
+      options.closed_pruning = closed;
+      SequentialWorkspace premise_ws, consequent_ws;
+      std::vector<Pattern> premises;
+      std::vector<TemporalPointSet> points;
+      std::vector<PatternSet> nested;
+      ScanFrequentSequential(
+          units, premise_options,
+          [&](const Pattern& p, uint64_t, const std::vector<uint32_t>&) {
+            premises.push_back(p);
+            points.push_back(ComputeTemporalPoints(p, db));
+            nested.push_back(
+                MineConsequents(db, points.back(), options, &consequent_ws));
+            return true;
+          },
+          nullptr, &premise_ws);
+      ASSERT_FALSE(premises.empty());
+      EXPECT_EQ(ToMap(CollectFrequent(units, premise_options)).size(),
+                premises.size());
+      for (size_t i = 0; i < premises.size(); ++i) {
+        EXPECT_EQ(nested[i].items(),
+                  MineConsequents(db, points[i], options).items())
+            << "premise " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
