@@ -126,12 +126,12 @@ Result<Engine> Engine::FromShardSet(const std::string& path,
                                     const SetOpenOptions& options) {
   Result<ShardedDatabase> set = ShardedDatabase::Open(path, options);
   if (!set.ok()) return set.status();
-  // Every shard must be indexable on its own (MineSharded, and the lazy
-  // merged backend delegates into per-shard indexes) and so must the
-  // concatenation; both are rejected up front so the cached-index
-  // accessors cannot fail later. The concatenation bound needs no merged
-  // arena: total events come from the manifest, and per-sequence lengths
-  // are unchanged by merging (each shard's own check covers them).
+  // Every shard must be indexable on its own (MineSharded builds
+  // per-shard indexes) and so must the concatenation; both are rejected
+  // up front so the cached-index accessors cannot fail later. The
+  // concatenation bound needs no merged arena: total events come from the
+  // manifest, and per-sequence lengths are unchanged by merging (each
+  // shard's own check covers them).
   for (size_t i = 0; i < set->num_shards(); ++i) {
     SPECMINE_RETURN_NOT_OK(CheckIndexable(set->shard(i)));
   }
@@ -141,9 +141,8 @@ Result<Engine> Engine::FromShardSet(const std::string& path,
         " events merged, beyond the 2^32-2 the index's uint32 offsets can "
         "address");
   }
-  // The merged arena itself stays unmaterialized: regular tasks under the
-  // auto backend run on the lazy merged backend, and MaterializeLocked()
-  // builds the arena on first use by the tasks that genuinely need it.
+  // The merged arena is not built here: MineSharded never needs it, and
+  // MaterializeLocked() builds it once, on first use by any other task.
   Engine engine;
   engine.shard_set_ =
       std::make_unique<ShardedDatabase>(set.TakeValueOrDie());
@@ -207,23 +206,8 @@ const PositionIndex& Engine::index() const {
 Result<CountingBackend> Engine::EnsureBackend(BackendChoice choice,
                                               double* build_seconds) const {
   *build_seconds = 0.0;
-  // Lazy merged path: a sharded session under the default/auto choice
-  // answers every regular task through the per-shard indexes — the merged
-  // arena is never materialized. Explicit csr/bitmap/hybrid choices fall
-  // through to the materialized arms below (the documented escape hatch).
-  if (shard_set_ != nullptr && choice == BackendChoice::kAuto) {
-    std::vector<CountingBackend> backends;
-    SPECMINE_RETURN_NOT_OK(EnsureShardBackends(
-        BackendChoice::kAuto, &backends, build_seconds, nullptr, 1));
-    std::lock_guard<std::mutex> lock(sync_->cache_mu);
-    if (merged_index_ == nullptr) {
-      Stopwatch sw;
-      merged_index_ = std::make_unique<MergedCountingIndex>(
-          *shard_set_, std::move(backends));
-      *build_seconds += sw.ElapsedSeconds();
-    }
-    return CountingBackend(*merged_index_);
-  }
+  // A sharded session resolves over its materialized merged arena, so it
+  // holds the same one index per representation as a single-file session.
   {
     std::lock_guard<std::mutex> lock(sync_->cache_mu);
     MaterializeLocked();
@@ -588,7 +572,7 @@ Result<RunReport> Engine::MineSharded(const FullPatternsTask& task,
 Result<RunReport> Engine::Mine(const RulesTask& task, RuleSink& sink) const {
   SPECMINE_RETURN_NOT_OK(Begin(task));
   // The rule miners scan the arena directly (and the backward miner needs
-  // the reversed view), so a lazy sharded session materializes here.
+  // the reversed view), so a sharded session materializes here.
   const SequenceDatabase& db = database();
   double build_seconds = 0.0;
   RunReport report;

@@ -44,7 +44,6 @@
 #include "src/engine/sinks.h"
 #include "src/engine/tasks.h"
 #include "src/itermine/counting_backend.h"
-#include "src/itermine/merged_index.h"
 #include "src/seqmine/prefixspan.h"
 #include "src/support/status.h"
 #include "src/support/thread_pool.h"
@@ -91,26 +90,22 @@ class Engine {
   /// \brief Opens a sharded corpus from its .smdbset manifest (see
   /// shard_set.h): every shard is mmap'ed and validated, and the shard
   /// structure is kept for MineSharded. The merged (remapped,
-  /// concatenated) arena is NOT materialized: regular tasks under the
-  /// default/auto backend run on the lazy merged backend
-  /// (MergedCountingIndex, merged_index.h), which answers merged-view
-  /// queries straight over the per-shard indexes. Contract table:
+  /// concatenated) arena is materialized once, on first use by a task
+  /// that needs it; from then on the session behaves like one over the
+  /// equivalent single .smdb — the backend is resolved over that arena
+  /// (ChooseBackendKind under auto) and its one index is cached.
+  /// Contract table:
   ///
-  ///   task / accessor            | merged arena materialized?
-  ///   ---------------------------|----------------------------------------
-  ///   Mine (auto backend)        | never — lazy merged backend
-  ///   MineSharded                | never — per-shard execution
-  ///   dictionary(), counts       | never — manifest metadata
-  ///   Mine (explicit csr/bitmap/ | yes, on first use (the documented
-  ///     hybrid), rules, seq-     | escape hatch: these need a physical
-  ///     uential, episodes, two-  | index or arena over the merged view)
-  ///     event, database(), Save- |
-  ///     Binary                   |
+  ///   task / accessor              | merged arena materialized?
+  ///   -----------------------------|--------------------------------------
+  ///   MineSharded                  | never — per-shard execution
+  ///   dictionary(), counts         | never — manifest metadata
+  ///   Mine (any backend, any task),| yes, once, on first use; one index
+  ///     database(), SaveBinary     | per representation over it
   ///
-  /// Either way every task mines byte-identically to the equivalent
-  /// single .smdb — the lazy-merged-vs-eager arm of
-  /// tests/backend_equivalence_test.cc pins this, quarantined sets
-  /// included.
+  /// Every task mines byte-identically to the equivalent single .smdb —
+  /// the sharded arms of tests/backend_equivalence_test.cc and
+  /// tests/shard_engine_test.cc pin this, quarantined sets included.
   static Result<Engine> FromShardSet(const std::string& path);
 
   /// \brief Same, with an explicit integrity mode and shard failure
@@ -124,7 +119,7 @@ class Engine {
                                      const SetOpenOptions& options);
 
   /// \brief Writes the session's database as a .smdb file at \p path
-  /// (materializes the merged arena on a lazy sharded session).
+  /// (materializes the merged arena on a sharded session).
   Status SaveBinary(const std::string& path) const {
     return WriteBinaryDatabaseFile(database(), path);
   }
@@ -140,7 +135,7 @@ class Engine {
   /// \brief The open shard set; only valid when sharded().
   const ShardedDatabase& shard_set() const { return *shard_set_; }
 
-  /// \brief The wrapped database (immutable once published). On a lazy
+  /// \brief The wrapped database (immutable once published). On a
   /// sharded session this materializes the merged arena on first call —
   /// prefer dictionary() / num_sequences() / total_events() when the
   /// metadata is all that is needed.
@@ -230,9 +225,9 @@ class Engine {
   const PositionIndex& index() const;
 
   /// \brief The session's counting backend for \p choice, building the
-  /// physical index on first use (kAuto resolves via ChooseBackendKind;
-  /// on a lazy sharded session kAuto yields the lazy merged backend over
-  /// the per-shard indexes). Representations cache independently, so a
+  /// physical index on first use (kAuto resolves via ChooseBackendKind,
+  /// over the materialized merged arena on a sharded session).
+  /// Representations cache independently, so a
   /// session mixing explicit csr, bitmap and hybrid tasks builds each at
   /// most once. Like index(), this accessor aborts if the build fails —
   /// which for kAuto / kCsr the checked factories make unreachable, but
@@ -271,8 +266,8 @@ class Engine {
     const Engine* session_;
     std::unique_ptr<ThreadPool> pool_;
   };
-  // Lazy sharded sessions only: the private default state (db_ null until
-  // a task needs the materialized merged arena).
+  // Sharded sessions only: the private default state (db_ null until a
+  // task needs the materialized merged arena).
   Engine() = default;
 
   // Materializes the merged arena from the shard set if not yet present.
@@ -333,8 +328,8 @@ class Engine {
   // is the materialized merged database.
   std::unique_ptr<MappedDatabase> mapping_;
   std::unique_ptr<ShardedDatabase> shard_set_;
-  // mutable: lazy sharded sessions publish the merged arena on first use
-  // by a task that needs it (MaterializeLocked, under cache_mu).
+  // mutable: sharded sessions publish the merged arena on first use by a
+  // task that needs it (MaterializeLocked, under cache_mu).
   mutable std::unique_ptr<SequenceDatabase> db_;
   // The mutexes and the build counter live behind one heap allocation
   // because an Engine must stay movable (the factories return by value);
@@ -353,15 +348,12 @@ class Engine {
   // "hybrid" one at its tuned cutoff; each caches independently.
   mutable std::unique_ptr<HybridIndex> bitmap_index_;
   mutable std::unique_ptr<HybridIndex> hybrid_index_;
-  // Per-shard physical indexes; a slot is filled lazily when a sharded
-  // task resolves that shard to the corresponding kind.
+  // Per-shard physical indexes (MineSharded only); a slot is filled
+  // lazily when a sharded task resolves that shard to the corresponding
+  // kind.
   mutable std::vector<std::unique_ptr<PositionIndex>> shard_indexes_;
   mutable std::vector<std::unique_ptr<HybridIndex>> shard_bitmap_indexes_;
   mutable std::vector<std::unique_ptr<HybridIndex>> shard_hybrid_indexes_;
-  // The lazy merged backend (kAuto on a sharded session): answers
-  // merged-view queries over the cached per-shard indexes, so regular
-  // tasks never pay for Merge().
-  mutable std::unique_ptr<MergedCountingIndex> merged_index_;
   mutable std::unique_ptr<UnitDatabase> units_;
   // Memoized per-shard content digests (built under cache_mu on the first
   // cache-enabled MineSharded; the shard files are immutable for the

@@ -32,9 +32,11 @@ struct RunReport {
   bool truncated = false;          ///< A cap or the sink stopped the run.
 
   /// The physical counting representation the run used: "csr", "bitmap",
-  /// "hybrid", "lazy-merged", "mixed" (sharded runs whose shards resolved
+  /// "hybrid", "mixed" (MineSharded runs whose shards resolved
   /// differently), or empty for tasks that use no counting index
-  /// (sequential, episodes, two-event, backward rules).
+  /// (sequential, episodes, two-event, backward rules). A sharded
+  /// session's Mine reports the backend resolved over its merged arena,
+  /// the same as the equivalent single .smdb.
   std::string backend;
 
   /// Physical index (CSR or vertical) construction time spent by *this*

@@ -30,8 +30,6 @@ const char* BackendKindName(BackendKind kind) {
       return "bitmap";
     case BackendKind::kHybrid:
       return "hybrid";
-    case BackendKind::kMerged:
-      return "lazy-merged";
     case BackendKind::kCsr:
       break;
   }

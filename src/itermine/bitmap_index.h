@@ -36,22 +36,19 @@ inline constexpr size_t kNoBit = ~size_t{0};
 
 /// \brief Which physical counting representation backs a miner run.
 /// kBitmap and kHybrid are both a HybridIndex (at kBitmapDenseCutoff and at
-/// the tuned cutoff respectively). kMerged is the lazy merged view over
-/// per-shard indexes (never chosen directly; the Engine selects it for
-/// sharded sessions — see merged_index.h).
-enum class BackendKind { kCsr, kBitmap, kHybrid, kMerged };
+/// the tuned cutoff respectively).
+enum class BackendKind { kCsr, kBitmap, kHybrid };
 
 /// \brief Backend selection in miner options: an explicit representation
-/// or the adaptive per-database chooser. (kMerged has no explicit choice:
-/// it is an Engine-internal representation of the same logical corpus.)
+/// or the adaptive per-database chooser.
 enum class BackendChoice { kAuto, kCsr, kBitmap, kHybrid };
 
 /// \brief The HybridIndex dense cutoff of the "bitmap" backend: every event
 /// with at least one occurrence is stored as a bitmap row.
 inline constexpr uint64_t kBitmapDenseCutoff = 1;
 
-/// \brief Short lowercase name ("csr" / "bitmap" / "hybrid" /
-/// "lazy-merged") for reports and flags.
+/// \brief Short lowercase name ("csr" / "bitmap" / "hybrid") for reports
+/// and flags.
 const char* BackendKindName(BackendKind kind);
 
 /// \brief Parses a backend name as accepted by `--backend` and the server's

@@ -65,8 +65,8 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
       (ctx->options->infix_prune ||
        (ctx->options->infix_check && !backward_absorbed &&
         !forward_absorbed))) {
-    infix_absorbed =
-        HasUniformInfixAbsorber(*ctx->backend, pattern, instances, ctx->ws);
+    infix_absorbed = HasUniformInfixAbsorber(ctx->backend->db(), pattern,
+                                             instances, ctx->ws);
     if (infix_absorbed && ctx->options->infix_prune) {
       ++ctx->stats->subtrees_pruned;
       ctx->ws->forward.ReleaseMap(std::move(forward));

@@ -2,19 +2,14 @@
 // and their counting structure. One handle wraps the horizontal CSR
 // PositionIndex, the vertical HybridIndex (the "bitmap" backend is a
 // HybridIndex at kBitmapDenseCutoff, the "hybrid" backend one at its tuned
-// cutoff), or the lazy MergedCountingIndex over per-shard indexes; the
-// projection engine, the QRE recount, and the occurrence counters dispatch
-// on kind() once per query (never per position), so the CSR paths compile
-// to exactly the pre-seam code and stay byte-identical.
+// cutoff); the projection engine, the QRE recount, and the occurrence
+// counters dispatch on kind() once per query (never per position), so the
+// CSR paths compile to exactly the pre-seam code and stay byte-identical.
 //
 // A CountingBackend is a tagged pointer — copy it by value. The wrapped
-// index (and its database) must outlive every copy.
-//
-// The merged backend answers every counting and projection query without
-// a materialized merged database, so db() is the one member it does NOT
-// support (asserted); the only db() consumers are the CSR oracle
-// fallbacks and the absorber check, which dispatch away from kMerged
-// first (see HasUniformInfixAbsorber(backend, ...) in projection.h).
+// index (and its database) must outlive every copy. A sharded session
+// wraps the index over its materialized merged arena, so every handle has
+// a database behind it.
 
 #ifndef SPECMINE_ITERMINE_COUNTING_BACKEND_H_
 #define SPECMINE_ITERMINE_COUNTING_BACKEND_H_
@@ -28,18 +23,6 @@
 
 namespace specmine {
 
-class MergedCountingIndex;
-
-// Out-of-line accessors for the merged backend (defined in
-// merged_index.cc; merged_index.h needs CountingBackend for its per-shard
-// handles, so the full type cannot be included here).
-uint64_t MergedIndexTotalCount(const MergedCountingIndex& merged, EventId ev);
-size_t MergedIndexSequenceCount(const MergedCountingIndex& merged,
-                                EventId ev);
-size_t MergedIndexNumEvents(const MergedCountingIndex& merged);
-bool MergedIndexAnyInRange(const MergedCountingIndex& merged, EventId ev,
-                           SeqId seq, Pos lo, Pos hi);
-
 /// \brief A borrowed handle to one physical counting representation.
 class CountingBackend {
  public:
@@ -52,15 +35,11 @@ class CountingBackend {
   explicit CountingBackend(const HybridIndex& hybrid)
       : kind_(BackendKind::kHybrid), hybrid_(&hybrid) {}
 
-  /// \brief Wraps the lazy merged view over per-shard indexes.
-  explicit CountingBackend(const MergedCountingIndex& merged)
-      : kind_(BackendKind::kMerged), merged_(&merged) {}
-
   /// \brief Which index type this handle wraps: the dispatch tag.
   BackendKind kind() const { return kind_; }
 
-  /// \brief Short name for reports ("csr" / "bitmap" / "hybrid" /
-  /// "lazy-merged"); a HybridIndex at kBitmapDenseCutoff reports "bitmap".
+  /// \brief Short name for reports ("csr" / "bitmap" / "hybrid"); a
+  /// HybridIndex at kBitmapDenseCutoff reports "bitmap".
   const char* name() const {
     if (kind_ == BackendKind::kHybrid &&
         hybrid_->dense_cutoff() == kBitmapDenseCutoff) {
@@ -81,16 +60,8 @@ class CountingBackend {
     return *hybrid_;
   }
 
-  /// \brief The wrapped merged index; kind() must be kMerged.
-  const MergedCountingIndex& merged() const {
-    assert(merged_ != nullptr);
-    return *merged_;
-  }
-
-  /// \brief The indexed database. Not supported by the merged backend —
-  /// its whole point is that no merged database exists.
+  /// \brief The indexed database.
   const SequenceDatabase& db() const {
-    assert(kind_ != BackendKind::kMerged);
     return kind_ == BackendKind::kHybrid ? hybrid_->db() : csr_->db();
   }
 
@@ -99,8 +70,6 @@ class CountingBackend {
     switch (kind_) {
       case BackendKind::kHybrid:
         return hybrid_->num_events();
-      case BackendKind::kMerged:
-        return MergedIndexNumEvents(*merged_);
       default:
         return csr_->num_events();
     }
@@ -111,8 +80,6 @@ class CountingBackend {
     switch (kind_) {
       case BackendKind::kHybrid:
         return hybrid_->TotalCount(ev);
-      case BackendKind::kMerged:
-        return MergedIndexTotalCount(*merged_, ev);
       default:
         return csr_->TotalCount(ev);
     }
@@ -123,8 +90,6 @@ class CountingBackend {
     switch (kind_) {
       case BackendKind::kHybrid:
         return hybrid_->SequenceCount(ev);
-      case BackendKind::kMerged:
-        return MergedIndexSequenceCount(*merged_, ev);
       default:
         return csr_->SequenceCount(ev);
     }
@@ -144,8 +109,6 @@ class CountingBackend {
         if (limit > offsets[seq + 1]) limit = offsets[seq + 1];
         return hybrid_->AnyOfEventInRange(ev, base + lo, limit);
       }
-      case BackendKind::kMerged:
-        return MergedIndexAnyInRange(*merged_, ev, seq, lo, hi);
       default:
         return csr_->CountInRange(ev, seq, lo, hi) > 0;
     }
@@ -155,7 +118,6 @@ class CountingBackend {
   BackendKind kind_;
   const PositionIndex* csr_ = nullptr;
   const HybridIndex* hybrid_ = nullptr;
-  const MergedCountingIndex* merged_ = nullptr;
 };
 
 }  // namespace specmine

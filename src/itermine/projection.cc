@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/itermine/merged_index.h"
 #include "src/itermine/vertical_projection_impl.h"
 
 namespace specmine {
@@ -182,8 +181,6 @@ InstanceList SingleEventInstances(const CountingBackend& backend,
   switch (backend.kind()) {
     case BackendKind::kHybrid:
       return internal::SingleEventInstancesVertical(backend.hybrid(), ev);
-    case BackendKind::kMerged:
-      return SingleEventInstancesMerged(backend.merged(), ev);
     default:
       return SingleEventInstances(backend.csr(), ev);
   }
@@ -206,9 +203,6 @@ void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
       internal::ForwardExtensionsVertical(backend.hybrid(), pattern,
                                           instances, ws, out);
       return;
-    case BackendKind::kMerged:
-      ForwardExtensionsMerged(backend.merged(), pattern, instances, ws, out);
-      return;
     default:
       ForwardExtensions(backend.csr(), pattern, instances, ws, out);
       return;
@@ -223,23 +217,9 @@ const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
     case BackendKind::kHybrid:
       return internal::BackwardExtensionsVertical(backend.hybrid(), pattern,
                                                   instances, ws);
-    case BackendKind::kMerged:
-      return BackwardExtensionsMerged(backend.merged(), pattern, instances,
-                                      ws);
     default:
       return BackwardExtensions(backend.csr(), pattern, instances, ws);
   }
-}
-
-bool HasUniformInfixAbsorber(const CountingBackend& backend,
-                             const Pattern& pattern,
-                             const InstanceList& instances,
-                             ProjectionWorkspace* ws) {
-  if (backend.kind() == BackendKind::kMerged) {
-    return HasUniformInfixAbsorberMerged(backend.merged(), pattern, instances,
-                                         ws);
-  }
-  return HasUniformInfixAbsorber(backend.db(), pattern, instances, ws);
 }
 
 ForwardExtensionMap ForwardExtensions(const PositionIndex& index,

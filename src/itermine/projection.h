@@ -32,7 +32,6 @@
 #define SPECMINE_ITERMINE_PROJECTION_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/itermine/counting_backend.h"
@@ -118,19 +117,6 @@ struct ProjectionWorkspace {
   // Infix-absorber profiles: per-event per-gap occurrence counts.
   ExtensionAccumulator<uint32_t> profiles;
   ExtensionAccumulator<uint32_t>::Map common;
-
-  // Child workspace for the merged backend's per-shard delegation: shard
-  // queries run in shard-local event space, so they need their own mark
-  // sets and buckets. Lazily created; unused by the other backends.
-  std::unique_ptr<ProjectionWorkspace> shard_ws;
-  // Reused shard-local instance buffer for the same delegation.
-  InstanceList shard_instances;
-
-  /// \brief The lazily-created child workspace for shard-local queries.
-  ProjectionWorkspace& ShardWorkspace() {
-    if (shard_ws == nullptr) shard_ws = std::make_unique<ProjectionWorkspace>();
-    return *shard_ws;
-  }
 };
 
 /// \brief Instances of the single-event pattern <ev>: every occurrence.
@@ -203,15 +189,6 @@ const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
                                                ProjectionWorkspace* ws);
-
-/// \brief HasUniformInfixAbsorber on any backend. The materialized
-/// backends run the db-level check above on backend.db(); the merged
-/// backend walks the shard-local arenas through the remap tables instead,
-/// so the closed miner needs no merged database either.
-bool HasUniformInfixAbsorber(const CountingBackend& backend,
-                             const Pattern& pattern,
-                             const InstanceList& instances,
-                             ProjectionWorkspace* ws);
 
 }  // namespace specmine
 

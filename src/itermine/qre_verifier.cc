@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "src/itermine/merged_index.h"
 #include "src/itermine/vertical_projection_impl.h"
 
 namespace specmine {
@@ -84,8 +83,6 @@ uint64_t CountInstances(const CountingBackend& backend, const Pattern& pattern,
     case BackendKind::kHybrid:
       return internal::CountInstancesVertical(backend.hybrid(), pattern,
                                               scratch);
-    case BackendKind::kMerged:
-      return CountInstancesMerged(backend.merged(), pattern, scratch);
     default:
       return CountInstances(pattern, backend.db());
   }

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "src/itermine/merged_index.h"
 #include "src/itermine/vertical_projection_impl.h"
 
 namespace specmine {
@@ -69,8 +68,6 @@ size_t CountOccurrences(const CountingBackend& backend,
   switch (backend.kind()) {
     case BackendKind::kHybrid:
       return internal::CountOccurrencesVertical(backend.hybrid(), pattern);
-    case BackendKind::kMerged:
-      return CountOccurrencesMerged(backend.merged(), pattern);
     default:
       return CountOccurrences(pattern, backend.db());
   }

@@ -97,11 +97,11 @@ exceeded, 1 anything else.
 --backend selects the physical counting representation: csr (horizontal
 position lists), bitmap (vertical word-packed occurrence rows), hybrid
 (bitmap rows for dense events, sorted ID-lists for rare ones), or auto
-(default; per-database density heuristic — on a sharded corpus auto
-mines through the lazy merged backend over the per-shard indexes, never
-materializing the merged arena). Outputs are byte-identical across
-backends. Accepted by every mine-* command; mine-seq, mine-episodes and
-mine-pairs use no counting index, so there it only validates.
+(default; per-database density heuristic — a sharded corpus resolves
+over its merged arena, exactly like the equivalent single .smdb). Outputs
+are byte-identical across backends. Accepted by every mine-* command;
+mine-seq, mine-episodes and mine-pairs use no counting index, so there it
+only validates.
 )";
 
 // Minimal flag parser: positional arguments plus --flag [value] pairs.

@@ -3,9 +3,9 @@
 // bitmap (a HybridIndex at kBitmapDenseCutoff), and the hybrid counting
 // backends, across randomized databases, thresholds, thread counts, and
 // the plain / sharded execution paths —
-// and the lazy merged backend a sharded session answers merged-view
-// queries through reproduces the eager-merge output exactly, including
-// in quarantined-shard degraded mode. Plus the bitrow word primitives
+// and a sharded session's auto backend, resolved over its merged arena,
+// reproduces the eager-merge output exactly, including in
+// quarantined-shard degraded mode. Plus the bitrow word primitives
 // against a per-bit reference (word-boundary grids, degenerate and random
 // rows, the union's untouched-words contract), the word-mask edge cases
 // (sequence lengths straddling the 64-bit word boundary), the adaptive
@@ -511,31 +511,33 @@ TEST_P(BackendEquivalenceTest, ShardedMiningAgreesAcrossBackends) {
   }
 }
 
-// Lazy merged view: a sharded session answers regular (non-sharded)
-// tasks through a merged *view* over the per-shard indexes — the report
-// says so ("lazy-merged"), and the emission is byte-identical to eagerly
-// merging the shards into one arena and mining it, across every miner
-// family and thread count.
-TEST_P(BackendEquivalenceTest, LazyMergedViewMatchesEagerMerge) {
+// Sharded auto: a sharded session answers regular (non-sharded) tasks
+// over its merged arena with the backend auto resolves there, and the
+// emission is byte-identical to eagerly merging the shards into one arena
+// and mining it with csr, across every miner family and thread count.
+TEST_P(BackendEquivalenceTest, ShardedAutoMatchesEagerCsr) {
   const EquivParams p = GetParam();
   SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
   const std::string smdbset =
-      TempPath("lazy_merged_" + std::to_string(p.seed) + ".smdbset");
+      TempPath("sharded_auto_" + std::to_string(p.seed) + ".smdbset");
   ShardWriterOptions shard_options;
   // Tiny shards: even the smallest corpus in the matrix splits, so the
-  // merged view always has real seq-base offsets and remap tables.
+  // merge always has real seq-base offsets and remap tables.
   shard_options.shard_bytes = 200;
   ASSERT_TRUE(WriteShardedDatabase(db, smdbset, shard_options).ok());
 
   Result<Engine> eager = Engine::Create(SequenceDatabase(db));
   ASSERT_TRUE(eager.ok());
-  Result<Engine> lazy = Engine::FromShardSet(smdbset);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-  ASSERT_GT(lazy->shard_set().num_shards(), 1u);
+  Result<Engine> sharded = Engine::FromShardSet(smdbset);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_GT(sharded->shard_set().num_shards(), 1u);
   // Session metadata flows from the shard manifest, not the merged arena.
-  ASSERT_EQ(lazy->num_sequences(), db.size());
-  ASSERT_EQ(lazy->total_events(), db.TotalEvents());
-  ASSERT_EQ(lazy->dictionary().size(), db.dictionary().size());
+  ASSERT_EQ(sharded->num_sequences(), db.size());
+  ASSERT_EQ(sharded->total_events(), db.TotalEvents());
+  ASSERT_EQ(sharded->dictionary().size(), db.dictionary().size());
+  // Auto resolves over the merged arena, as on the equivalent single file.
+  const std::string auto_name =
+      BackendKindName(ChooseBackendKind(sharded->database()));
 
   for (size_t threads : {1u, 4u}) {
     {
@@ -547,11 +549,11 @@ TEST_P(BackendEquivalenceTest, LazyMergedViewMatchesEagerMerge) {
       ASSERT_TRUE(eager->Mine(task, want).ok());
       task.options.backend = BackendChoice::kAuto;
       CollectingPatternSink got;
-      Result<RunReport> run = lazy->Mine(task, got);
+      Result<RunReport> run = sharded->Mine(task, got);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(run->backend, "lazy-merged");
+      EXPECT_EQ(run->backend, auto_name);
       EXPECT_EQ(Render(want.set(), db.dictionary()),
-                Render(got.set(), lazy->dictionary()))
+                Render(got.set(), sharded->dictionary()))
           << "full threads=" << threads;
     }
     {
@@ -563,11 +565,11 @@ TEST_P(BackendEquivalenceTest, LazyMergedViewMatchesEagerMerge) {
       ASSERT_TRUE(eager->Mine(task, want).ok());
       task.options.backend = BackendChoice::kAuto;
       CollectingPatternSink got;
-      Result<RunReport> run = lazy->Mine(task, got);
+      Result<RunReport> run = sharded->Mine(task, got);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(run->backend, "lazy-merged");
+      EXPECT_EQ(run->backend, auto_name);
       EXPECT_EQ(Render(want.set(), db.dictionary()),
-                Render(got.set(), lazy->dictionary()))
+                Render(got.set(), sharded->dictionary()))
           << "closed threads=" << threads;
     }
     {
@@ -579,18 +581,17 @@ TEST_P(BackendEquivalenceTest, LazyMergedViewMatchesEagerMerge) {
       ASSERT_TRUE(eager->Mine(task, want).ok());
       task.options.backend = BackendChoice::kAuto;
       CollectingPatternSink got;
-      Result<RunReport> run = lazy->Mine(task, got);
+      Result<RunReport> run = sharded->Mine(task, got);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(run->backend, "lazy-merged");
+      EXPECT_EQ(run->backend, auto_name);
       EXPECT_EQ(Render(want.set(), db.dictionary()),
-                Render(got.set(), lazy->dictionary()))
+                Render(got.set(), sharded->dictionary()))
           << "generators threads=" << threads;
     }
   }
 
-  // Explicit materialized backends stay available on the sharded session
-  // (the documented escape hatch): forcing one merges the arena on first
-  // use, stamps the report with that backend, and agrees byte for byte.
+  // An explicit backend on the sharded session stamps the report with
+  // that backend and agrees byte for byte.
   FullPatternsTask task;
   task.options.min_support = 3;
   task.options.backend = BackendChoice::kCsr;
@@ -598,11 +599,11 @@ TEST_P(BackendEquivalenceTest, LazyMergedViewMatchesEagerMerge) {
   ASSERT_TRUE(eager->Mine(task, want).ok());
   task.options.backend = BackendChoice::kBitmap;
   CollectingPatternSink via_bitmap;
-  Result<RunReport> run = lazy->Mine(task, via_bitmap);
+  Result<RunReport> run = sharded->Mine(task, via_bitmap);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->backend, "bitmap");
   EXPECT_EQ(Render(want.set(), db.dictionary()),
-            Render(via_bitmap.set(), lazy->dictionary()));
+            Render(via_bitmap.set(), sharded->dictionary()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -611,12 +612,12 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivParams{29, 30, 20, 10}, EquivParams{71, 8, 64, 3},
                       EquivParams{97, 25, 40, 24}));
 
-// Degraded mode: with a quarantined shard, the lazy merged view spans
-// exactly the healthy shards — its output equals eagerly merging the
-// surviving subset, and the report still says "lazy-merged".
-TEST(LazyMergedEngineTest, QuarantinedShardsStayLazyAndMatchHealthySubset) {
+// Degraded mode: with a quarantined shard, the session's merged arena
+// spans exactly the healthy shards — its output equals eagerly merging the
+// surviving subset, and auto resolves the same backend there.
+TEST(ShardedEngineTest, QuarantinedShardsMatchHealthySubset) {
   SequenceDatabase db = RandomDb(83, 40, 12, 6);
-  const std::string smdbset = TempPath("lazy_quarantine.smdbset");
+  const std::string smdbset = TempPath("sharded_quarantine.smdbset");
   ShardWriterOptions options;
   options.shard_bytes = 400;
   ASSERT_TRUE(WriteShardedDatabase(db, smdbset, options).ok());
@@ -631,12 +632,12 @@ TEST(LazyMergedEngineTest, QuarantinedShardsStayLazyAndMatchHealthySubset) {
 
   SetOpenOptions open_options;
   open_options.policy = ShardFailurePolicy::kQuarantine;
-  Result<Engine> lazy = Engine::FromShardSet(smdbset, open_options);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-  ASSERT_EQ(lazy->shard_set().open_report().quarantined.size(), 1u);
+  Result<Engine> sharded = Engine::FromShardSet(smdbset, open_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded->shard_set().open_report().quarantined.size(), 1u);
 
   // The eager reference mines the healthy subset merged into one arena.
-  Result<Engine> healthy = Engine::Create(lazy->shard_set().Merge());
+  Result<Engine> healthy = Engine::Create(sharded->shard_set().Merge());
   ASSERT_TRUE(healthy.ok());
 
   for (size_t threads : {1u, 4u}) {
@@ -647,12 +648,15 @@ TEST(LazyMergedEngineTest, QuarantinedShardsStayLazyAndMatchHealthySubset) {
     CollectingPatternSink want;
     ASSERT_TRUE(healthy->Mine(task, want).ok());
     task.options.backend = BackendChoice::kAuto;
+    CollectingPatternSink healthy_auto;
+    Result<RunReport> healthy_run = healthy->Mine(task, healthy_auto);
+    ASSERT_TRUE(healthy_run.ok()) << healthy_run.status().ToString();
     CollectingPatternSink got;
-    Result<RunReport> run = lazy->Mine(task, got);
+    Result<RunReport> run = sharded->Mine(task, got);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run->backend, "lazy-merged");
+    EXPECT_EQ(run->backend, healthy_run->backend);
     EXPECT_EQ(Render(want.set(), healthy->dictionary()),
-              Render(got.set(), lazy->dictionary()))
+              Render(got.set(), sharded->dictionary()))
         << "threads=" << threads;
   }
 }

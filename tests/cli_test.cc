@@ -142,6 +142,36 @@ TEST_F(CliTest, PackShardedThenMineMatchesSmdbOutput) {
   std::remove(sharded.c_str());
 }
 
+// stats' "auto backend:" line and mine-patterns' timing line name the
+// same backend on a shard set: both resolve auto over the merged arena.
+TEST_F(CliTest, StatsAutoBackendMatchesMineOnShardSet) {
+  const std::string text = ::testing::TempDir() + "cli_test_dense.txt";
+  const std::string sharded = ::testing::TempDir() + "cli_test_dense.smdbset";
+  {
+    // Dense enough (three events, many occurrences each) that auto picks
+    // a vertical layout rather than the tiny-corpus csr fallback.
+    std::ofstream out(text);
+    for (int i = 0; i < 24; ++i) {
+      out << "lock use unlock lock unlock use lock use unlock\n";
+    }
+  }
+  ASSERT_EQ(Run({"pack", text, sharded, "--shard-bytes", "200"}), 0);
+
+  auto backend_after = [](const std::string& s, const std::string& key) {
+    const size_t pos = s.find(key);
+    if (pos == std::string::npos) return std::string("<missing>");
+    const size_t begin = pos + key.size();
+    return s.substr(begin, s.find_first_of(",\n", begin) - begin);
+  };
+  ASSERT_EQ(Run({"stats", sharded}), 0);
+  const std::string stats_backend = backend_after(out_.str(), "auto backend: ");
+  EXPECT_EQ(stats_backend, "bitmap");
+  ASSERT_EQ(Run({"mine-patterns", sharded, "--min-sup", "0.5"}), 0);
+  EXPECT_EQ(backend_after(out_.str(), "timing: backend "), stats_backend);
+  std::remove(text.c_str());
+  std::remove(sharded.c_str());
+}
+
 TEST_F(CliTest, PackShardBytesRequiresSmdbSetOutput) {
   const std::string packed = ::testing::TempDir() + "cli_test_req.smdb";
   EXPECT_EQ(Run({"pack", path_, packed, "--shard-bytes", "200"}), 2);

@@ -77,20 +77,30 @@ TEST(ShardEngineTest, MergedTasksAreByteIdenticalToSingleFile) {
   const EventDictionary& dict_s = pair.single.database().dictionary();
   const EventDictionary& dict_m = pair.sharded.database().dictionary();
 
+  // Each task also resolves the same backend as the single file, and the
+  // two sessions pay for the same index builds: one arena index, shared
+  // by the pattern and rule tasks.
   ClosedTask closed;
   closed.options.min_support = 3;
-  Result<PatternSet> c_single = pair.single.CollectPatterns(closed);
-  Result<PatternSet> c_sharded = pair.sharded.CollectPatterns(closed);
+  RunReport c_single_run, c_sharded_run;
+  Result<PatternSet> c_single =
+      pair.single.CollectPatterns(closed, &c_single_run);
+  Result<PatternSet> c_sharded =
+      pair.sharded.CollectPatterns(closed, &c_sharded_run);
   ASSERT_TRUE(c_single.ok());
   ASSERT_TRUE(c_sharded.ok());
   EXPECT_GT(c_single->size(), 0u);
   EXPECT_EQ(c_single->ToString(dict_s), c_sharded->ToString(dict_m));
+  EXPECT_EQ(c_single_run.backend, c_sharded_run.backend);
+  EXPECT_EQ(pair.single.index_builds(), pair.sharded.index_builds());
 
   RulesTask rules;
   rules.options.min_s_support = 3;
   rules.options.min_confidence = 0.7;
-  Result<RuleSet> r_single = pair.single.CollectRules(rules);
-  Result<RuleSet> r_sharded = pair.sharded.CollectRules(rules);
+  RunReport r_single_run, r_sharded_run;
+  Result<RuleSet> r_single = pair.single.CollectRules(rules, &r_single_run);
+  Result<RuleSet> r_sharded =
+      pair.sharded.CollectRules(rules, &r_sharded_run);
   ASSERT_TRUE(r_single.ok());
   ASSERT_TRUE(r_sharded.ok());
   ASSERT_EQ(r_single->size(), r_sharded->size());
@@ -98,6 +108,8 @@ TEST(ShardEngineTest, MergedTasksAreByteIdenticalToSingleFile) {
     EXPECT_EQ((*r_single)[i].ToString(dict_s),
               (*r_sharded)[i].ToString(dict_m));
   }
+  EXPECT_EQ(r_single_run.backend, r_sharded_run.backend);
+  EXPECT_EQ(pair.single.index_builds(), pair.sharded.index_builds());
 }
 
 // The core property: MineSharded == the single-pass full miner — same

@@ -30,10 +30,6 @@ REQUIRED = [
     "SparseForwardExtensionsCsr",
     "SparseForwardExtensionsBitmap",
     "HybridSparseForwardExtensions",
-    "LazyMergedQueryForwardExtensions",
-    "LazyMergedQueryCountInstances",
-    "EagerMergePeakRssKb",
-    "LazyMergePeakRssKb",
     "DbLoadSmdbMmap",
     "DbShardParallel",
     "IncrementalRemine",
