@@ -537,6 +537,10 @@ Result<RunReport> Engine::MineSharded(const FullPatternsTask& task,
   report.nodes_visited = stats.nodes_visited;
   report.shards_scanned = stats.shards_scanned;
   report.shards_cached = stats.shards_cached;
+  report.shard_local_patterns = stats.local_patterns;
+  report.shard_candidates = stats.candidates;
+  report.shard_bound_skips = stats.bound_skips;
+  report.shard_recounts = stats.recounts;
   report.shard_phase1_nodes.reserve(stats.shard_scans.size());
   for (const ShardScanStat& scan : stats.shard_scans) {
     report.shard_phase1_nodes.push_back(scan.nodes_visited);

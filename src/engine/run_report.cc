@@ -23,6 +23,12 @@ std::string RunReport::ToString() const {
     if (shards_cached != 0) {
       os << " scanned=" << shards_scanned << " cached=" << shards_cached;
     }
+    if (shard_local_patterns != 0) {
+      os << " local_patterns=" << shard_local_patterns
+         << " shard_candidates=" << shard_candidates
+         << " recounts=" << shard_recounts
+         << " bound_skips=" << shard_bound_skips;
+    }
   }
   os << " index=" << index_build_seconds << "s mine=" << mine_seconds << "s";
   return os.str();

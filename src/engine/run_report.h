@@ -67,6 +67,18 @@ struct RunReport {
   size_t shards_cached = 0;
   std::vector<size_t> shard_phase1_nodes;
 
+  /// Sharded full-pattern runs only: the candidate counters
+  /// (shard_exec.h). shard_local_patterns sums every shard's phase-1
+  /// emissions (replayed entries included); shard_candidates counts the
+  /// distinct patterns among them. Phase 2 drops shard_bound_skips
+  /// candidates on the occurrence-cap bound alone and runs
+  /// shard_recounts exact (candidate, shard) oracle recounts; shards with
+  /// disjoint alphabets need none.
+  size_t shard_local_patterns = 0;
+  size_t shard_candidates = 0;
+  size_t shard_bound_skips = 0;
+  size_t shard_recounts = 0;
+
   /// \brief One-line "task=... patterns=... index=...s mine=...s" summary.
   std::string ToString() const;
 };

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,11 +32,10 @@ uint64_t LocalThreshold(uint64_t global_support, uint64_t shard_weight,
 }
 
 // Phase-1 output of one shard: the candidate patterns in *merged* ids with
-// their exact local counts, plus a lookup map for phase 2 and the prune
-// margins that make the scan reusable across appends.
+// their exact local counts, plus the prune margins that make the scan
+// reusable across appends.
 struct ShardResult {
   std::vector<MinedPattern> patterns;  // Merged ids, local supports.
-  std::unordered_map<Pattern, uint64_t, PatternHash> support;
   // For each merged event in any pruned subtree root, the minimum over
   // those roots of (global S - upper bound). Empty = the scan never
   // pruned and is complete at its local threshold.
@@ -123,15 +122,21 @@ void MineOneShard(const ShardedDatabase& set, const CountingBackend& backend,
           }
           return false;
         }
-        Pattern merged(merged_ids);
-        out->support.emplace(merged, support);
-        out->patterns.push_back(MinedPattern{std::move(merged), support});
+        out->patterns.push_back(MinedPattern{Pattern(merged_ids), support});
         return true;
       },
       &stats);
   out->nodes_visited = stats.nodes_visited;
   out->stopped = stats.stopped;
 }
+
+// One shard's report of a phase-1 candidate: the pattern (in that shard's
+// ShardResult::patterns) with its exact local count.
+struct ShardReport {
+  const Pattern* pattern;
+  size_t shard;
+  uint64_t count;
+};
 
 }  // namespace
 
@@ -284,10 +289,6 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
   auto mine_shard = [&](size_t i) {
     if (hits[i] != nullptr) {
       results[i].patterns = hits[i]->patterns;
-      results[i].support.reserve(results[i].patterns.size());
-      for (const MinedPattern& item : results[i].patterns) {
-        results[i].support.emplace(item.pattern, item.support);
-      }
       return;
     }
     MineOneShard(set, backends[i], i, options, thresholds[i], occ,
@@ -343,73 +344,104 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
                                        : results[i].margins.empty());
   }
 
-  // Candidate union, deterministically ordered: lexicographic merged-id
+  // Candidate table: every shard's reports in one array ordered by
+  // (merged ids, shard), so the reports of one distinct pattern form one
+  // run — a candidate — that ascends by shard. Lexicographic merged-id
   // order is exactly the DFS preorder the single-pass miner emits in
   // (children ascend by event id, prefixes precede extensions).
-  std::unordered_set<Pattern, PatternHash> seen;
-  std::vector<const Pattern*> candidates;
   for (const ShardResult& result : results) {
     stats->nodes_visited += result.nodes_visited;
     stats->local_patterns += result.patterns.size();
-    for (const MinedPattern& item : result.patterns) {
-      if (seen.insert(item.pattern).second) {
-        candidates.push_back(&item.pattern);
-      }
+  }
+  std::vector<ShardReport> reports;
+  reports.reserve(stats->local_patterns);
+  for (size_t i = 0; i < num_shards; ++i) {
+    for (const MinedPattern& item : results[i].patterns) {
+      reports.push_back(ShardReport{&item.pattern, i, item.support});
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Pattern* a, const Pattern* b) { return *a < *b; });
-  stats->candidates = candidates.size();
+  auto report_order = [](const ShardReport& a, const ShardReport& b) {
+    return std::tie(*a.pattern, a.shard) < std::tie(*b.pattern, b.shard);
+  };
+  std::sort(reports.begin(), reports.end(), report_order);
+  // Candidate c's reports are reports[run_begin[c], run_begin[c + 1]).
+  std::vector<size_t> run_begin;
+  for (size_t r = 0; r < reports.size(); ++r) {
+    if (r == 0 || *reports[r].pattern != *reports[r - 1].pattern) {
+      run_begin.push_back(r);
+    }
+  }
+  const size_t num_candidates = run_begin.size();
+  run_begin.push_back(reports.size());
+  stats->candidates = num_candidates;
 
-  // Phase 2: exact global supports. Local-miner counts are exact where
-  // present; a missing (candidate, shard) pair is first bounded by the
-  // occurrence cap — zero bound (some candidate event absent from the
+  // Per-event shard postings from the occurrence table: postings[ev]
+  // lists, ascending, the shards where merged event ev occurs. A shard
+  // missing from any of a candidate's lists has occurrence cap 0 there —
+  // it adds nothing to the bound and is never recounted — so phase 2
+  // walks only the shortest.
+  const size_t num_events = set.dictionary().size();
+  std::vector<std::vector<size_t>> postings(num_events);
+  for (size_t j = 0; j < num_shards; ++j) {
+    for (EventId ev : set.remap(j)) {
+      if (occ[j][ev] > 0) postings[ev].push_back(j);
+    }
+  }
+
+  // Phase 2: exact global supports. Reported counts are exact; every other
+  // shard on the candidate's shortest posting list is first bounded by the
+  // occurrence cap — a zero cap (some candidate event absent from the
   // shard) costs nothing, and a candidate whose exact-plus-bounded total
   // cannot reach the threshold is dropped without any oracle scan. Only
   // the remaining pairs are recounted exactly with the QRE oracle.
   std::vector<std::vector<EventId>> to_local(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    to_local[i].assign(set.dictionary().size(), kInvalidEvent);
+    to_local[i].assign(num_events, kInvalidEvent);
     const std::vector<EventId>& remap = set.remap(i);
     for (size_t local_ev = 0; local_ev < remap.size(); ++local_ev) {
       to_local[i][remap[local_ev]] = static_cast<EventId>(local_ev);
     }
   }
-  std::vector<uint64_t> totals(candidates.size(), 0);
+  std::vector<uint64_t> totals(num_candidates, 0);
   std::atomic<size_t> recounts{0};
   std::atomic<size_t> bound_skips{0};
-  constexpr uint64_t kNeedsRecount = ~uint64_t{0};
   auto count_candidate = [&](size_t c) {
     // A fired token skips the remaining recounts; the run then returns the
     // empty prefix below rather than a support-incomplete subset.
     if (options.cancel != nullptr && options.cancel->ShouldStop()) return;
-    const Pattern& pattern = *candidates[c];
-    // Workers run candidates concurrently, so the recount scratch (the
-    // alphabet-union row) is per thread, not per candidate — recounts
-    // stay allocation-free after each worker's first.
+    const size_t run_end = run_begin[c + 1];
+    const Pattern& pattern = *reports[run_begin[c]].pattern;
+    // Workers run candidates concurrently, so the scratch is per thread,
+    // not per candidate: once a worker's buffers have grown, only an
+    // oracle recount allocates (its Pattern).
     thread_local QreRecountScratch recount;
-    // One pass over the shards: exact counts where phase 1 reported the
-    // pattern, the occurrence cap elsewhere (cached so the recount loop
-    // repeats no lookups).
-    uint64_t known = 0, bounded = 0;
-    std::vector<uint64_t> exact(num_shards, kNeedsRecount);
-    std::vector<uint64_t> bound(num_shards, 0);
-    for (size_t i = 0; i < num_shards; ++i) {
-      auto it = results[i].support.find(pattern);
-      if (it != results[i].support.end()) {
-        exact[i] = it->second;
-        known += it->second;
-      } else {
-        bound[i] = ShardInstanceBound(occ[i], pattern.events());
-        if (scan_complete[i]) {
-          // This shard's scan (or replayed entry) was complete at
-          // thresholds[i], so absence from its output proves
-          // count_i <= thresholds[i] - 1 — often 0, which skips the
-          // oracle recount outright.
-          bound[i] = std::min(bound[i], thresholds[i] - 1);
-        }
-        bounded += bound[i];
+    thread_local std::vector<size_t> recount_shards;
+    thread_local std::vector<EventId> local_ids;
+    uint64_t known = 0;
+    for (size_t r = run_begin[c]; r < run_end; ++r) known += reports[r].count;
+    EventId rarest = pattern.first();
+    for (EventId ev : pattern) {
+      if (postings[ev].size() < postings[rarest].size()) rarest = ev;
+    }
+    // Both the posting list and the candidate's reports ascend by shard,
+    // so one merged walk skips the shards whose count is already exact.
+    uint64_t bounded = 0;
+    recount_shards.clear();
+    size_t r = run_begin[c];
+    for (size_t i : postings[rarest]) {
+      while (r < run_end && reports[r].shard < i) ++r;
+      if (r < run_end && reports[r].shard == i) continue;
+      uint64_t bound = ShardInstanceBound(occ[i], pattern.events());
+      if (scan_complete[i]) {
+        // This shard's scan (or replayed entry) was complete at
+        // thresholds[i], so absence from its output proves
+        // count_i <= thresholds[i] - 1 — often 0, which skips the oracle
+        // recount outright.
+        bound = std::min(bound, thresholds[i] - 1);
       }
+      if (bound == 0) continue;
+      bounded += bound;
+      recount_shards.push_back(i);
     }
     if (known + bounded < options.min_support) {
       bound_skips.fetch_add(1, std::memory_order_relaxed);
@@ -417,11 +449,10 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
       return;
     }
     uint64_t total = known;
-    std::vector<EventId> local_ids(pattern.size());
-    for (size_t i = 0; i < num_shards; ++i) {
-      // bound > 0 implies every candidate event occurs in (so is interned
-      // by) shard i's dictionary — the remap below cannot miss.
-      if (exact[i] != kNeedsRecount || bound[i] == 0) continue;
+    local_ids.resize(pattern.size());
+    for (size_t i : recount_shards) {
+      // A nonzero cap implies every candidate event occurs in (so is
+      // interned by) shard i's dictionary — the remap below cannot miss.
       for (size_t k = 0; k < pattern.size(); ++k) {
         local_ids[k] = to_local[i][pattern[k]];
       }
@@ -430,15 +461,15 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
     }
     totals[c] = total;
   };
-  if (num_threads > 1 && candidates.size() > 1) {
+  if (num_threads > 1 && num_candidates > 1) {
     stats->error = ThreadPool::ParallelForShared(
-        pool, num_threads, candidates.size(), count_candidate);
+        pool, num_threads, num_candidates, count_candidate);
     if (!stats->error.ok()) {
       stats->mine_seconds = sw.ElapsedSeconds();
       return out;
     }
   } else {
-    for (size_t c = 0; c < candidates.size(); ++c) count_candidate(c);
+    for (size_t c = 0; c < num_candidates; ++c) count_candidate(c);
   }
   stats->bound_skips = bound_skips.load();
   stats->recounts = recounts.load();
@@ -451,13 +482,13 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
   // Phase 3: the global filter, in the already-canonical order. Every
   // total is exact here, so stopping mid-loop yields a true prefix of the
   // single-pass emission order.
-  for (size_t c = 0; c < candidates.size(); ++c) {
+  for (size_t c = 0; c < num_candidates; ++c) {
     if (options.cancel != nullptr && options.cancel->ShouldStop()) {
       stats->stopped = options.cancel->stop_code();
       break;
     }
     if (totals[c] >= options.min_support) {
-      out.Add(*candidates[c], totals[c]);
+      out.Add(*reports[run_begin[c]].pattern, totals[c]);
     }
   }
 
@@ -465,7 +496,7 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
   // shards, hits and fresh scans alike. Only a clean, unstopped run is
   // persistable: a cancelled scan's candidate set is incomplete and must
   // never be reused. (Moving results[i].patterns is safe here: phase 3 is
-  // done with the candidate pointers into them.)
+  // done with the candidate table, whose patterns point into them.)
   if (caching && cache->updated != nullptr &&
       stats->stopped == StatusCode::kOk) {
     cache->updated->entries.clear();

@@ -21,14 +21,19 @@
 // corpora with (near-)disjoint shard alphabets the cross term is ~0 and
 // each shard effectively mines at the full global threshold.
 //
-// Phase 2 completes the support counts: for every (candidate, shard)
-// pair the local miner did not report, the occurrence cap is consulted
-// first (zero — some candidate event absent from the shard — costs
-// nothing, and a candidate provably below S is dropped unscanned); only
-// the remaining pairs are recounted exactly with the QRE oracle. Phase 3
-// filters by the global threshold and sorts lexicographically by merged
-// EventIds, which *is* the single-pass DFS preorder — so emission order,
-// content and supports all match the unsharded miner exactly
+// Phase 2 completes the support counts over one candidate table: every
+// shard's phase-1 reports (pointers to its patterns, with exact local
+// counts) sorted once by (merged EventIds, shard), so each distinct
+// pattern is one run of reports. Any other shard that could hold an
+// instance lies on the candidate's shortest per-event shard posting list
+// (a shard where some candidate event never occurs has occurrence cap
+// zero and costs nothing), so only that list is walked. For each
+// unreported shard on it the occurrence cap is consulted first — a
+// candidate provably below S is dropped unscanned — and only the
+// remaining pairs are recounted exactly with the QRE oracle. Phase 3
+// filters by the global threshold in the table's order, lexicographic by
+// merged EventIds, which *is* the single-pass DFS preorder — so emission
+// order, content and supports all match the unsharded miner exactly
 // (property-tested in tests/shard_engine_test.cc).
 
 #ifndef SPECMINE_ENGINE_SHARD_EXEC_H_
@@ -41,7 +46,6 @@
 #include "src/engine/phase1_cache.h"
 #include "src/itermine/full_miner.h"
 #include "src/patterns/pattern_set.h"
-#include "src/trace/position_index.h"
 #include "src/trace/shard_set.h"
 
 namespace specmine {

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/engine/engine.h"
+#include "src/engine/phase1_cache.h"
 #include "src/support/random.h"
+#include "src/synth/quest_generator.h"
+#include "src/trace/append_session.h"
 #include "src/trace/shard_set.h"
 
 namespace specmine {
@@ -182,6 +186,108 @@ TEST(ShardEngineTest, MaxPatternsTruncatesAtTheSamePattern) {
   EXPECT_EQ(
       single_sink.set().ToString(pair.single.database().dictionary()),
       sharded_sink.set().ToString(pair.sharded.database().dictionary()));
+}
+
+// Mines \p smdbset with MineSharded at \p threads (phase-1 cache on) and
+// expects the single pass over \p db, rendered the same way; returns the
+// run's report.
+RunReport ExpectShardedMatchesSinglePass(const SequenceDatabase& db,
+                                         const std::string& smdbset,
+                                         uint64_t min_support,
+                                         size_t threads) {
+  FullPatternsTask task;
+  task.options.min_support = min_support;
+  task.options.num_threads = threads;
+  Result<Engine> single = Engine::Create(db);
+  Result<Engine> sharded = Engine::FromShardSet(smdbset);
+  EXPECT_TRUE(single.ok() && sharded.ok());
+  if (!single.ok() || !sharded.ok()) return RunReport{};
+  CollectingPatternSink single_sink, sharded_sink;
+  EXPECT_TRUE(single->Mine(task, single_sink).ok());
+  Result<RunReport> run = sharded->MineSharded(task, sharded_sink);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return RunReport{};
+  EXPECT_GT(single_sink.set().size(), 0u);  // Not vacuously identical.
+  EXPECT_EQ(single_sink.set().ToString(single->database().dictionary()),
+            sharded_sink.set().ToString(sharded->database().dictionary()));
+  return *run;
+}
+
+// Phase-2 coverage. On a shared alphabet cut into tiny shards, candidates
+// are reported by some shards but not others, so phase 2 both drops
+// candidates on the occurrence-cap bound and recounts (candidate, shard)
+// pairs with the oracle. Modules with disjoint alphabets, one per shard,
+// leave every candidate's events in its one shard: nothing to recount.
+// Either way the output equals the single pass at every thread count,
+// with the phase-1 cache cold and warm.
+TEST(ShardEngineTest, PhaseTwoBoundsAndRecountsMatchSinglePass) {
+  QuestParams params;
+  params.d_sequences_thousands = 0.06;
+  params.c_avg_sequence_length = 8.0;
+  params.n_events_thousands = 0.012;
+  params.s_avg_pattern_length = 4.0;
+  params.num_seed_patterns = 8;
+  params.seed = 19;
+  Result<SequenceDatabase> quest = GenerateQuest(params);
+  ASSERT_TRUE(quest.ok()) << quest.status().ToString();
+  const std::string shared = TempPath("phase2_shared.smdbset");
+  ShardWriterOptions writer;
+  writer.shard_bytes = 300;
+  ASSERT_TRUE(WriteShardedDatabase(*quest, shared, writer).ok());
+
+  // Each module draws from an alphabet of its own and lands in a shard
+  // of its own: packed, then appended one module per commit.
+  const std::string modular = TempPath("phase2_modular.smdbset");
+  SequenceDatabaseBuilder all_modules;
+  Rng rng(90);
+  writer.shard_bytes = 1 << 20;
+  for (int module = 0; module < 4; ++module) {
+    std::vector<std::string> lines(15);
+    for (std::string& line : lines) {
+      for (size_t k = 0, len = 2 + rng.Uniform(7); k < len; ++k) {
+        line += "m" + std::to_string(module) + "_ev" +
+                std::to_string(rng.Uniform(4)) + " ";
+      }
+      all_modules.AddTraceFromString(line);
+    }
+    if (module == 0) {
+      SequenceDatabaseBuilder builder;
+      for (const std::string& line : lines) builder.AddTraceFromString(line);
+      ASSERT_TRUE(
+          WriteShardedDatabase(builder.Build(), modular, writer).ok());
+      continue;
+    }
+    Result<AppendSession> opened = AppendSession::Open(modular);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    AppendSession session = opened.TakeValueOrDie();
+    for (const std::string& line : lines) {
+      ASSERT_TRUE(session.AddTraceFromString(line).ok());
+    }
+    ASSERT_TRUE(session.Commit().ok());
+  }
+  const SequenceDatabase modules = all_modules.Build();
+
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::remove(Phase1CachePath(shared).c_str());
+    std::remove(Phase1CachePath(modular).c_str());
+    for (bool warm : {false, true}) {
+      SCOPED_TRACE(warm ? "warm" : "cold");
+      RunReport run =
+          ExpectShardedMatchesSinglePass(*quest, shared, 6, threads);
+      EXPECT_GT(run.shards_total, 2u);
+      EXPECT_EQ(run.shards_cached, warm ? run.shards_total : 0u);
+      EXPECT_GT(run.shard_recounts, 0u);
+      EXPECT_GT(run.shard_bound_skips, 0u);
+      EXPECT_LT(run.shard_candidates, run.shard_local_patterns);
+      RunReport disjoint =
+          ExpectShardedMatchesSinglePass(modules, modular, 3, threads);
+      EXPECT_EQ(disjoint.shards_total, 4u);
+      EXPECT_EQ(disjoint.shards_cached, warm ? 4u : 0u);
+      EXPECT_GT(disjoint.shard_candidates, 0u);
+      EXPECT_EQ(disjoint.shard_recounts, 0u);
+    }
+  }
 }
 
 TEST(ShardEngineTest, ShardIndexesAreCachedAcrossCalls) {
