@@ -426,12 +426,8 @@ Status Engine::EnsureShardBackends(BackendChoice choice,
             std::make_unique<HybridIndex>(shard, DenseCutoffFor(kinds[i]));
       }
     };
-    if (num_threads > 1 && missing.size() > 1) {
-      ThreadPool::ParallelForShared(pool, num_threads, missing.size(),
-                                    build_one);
-    } else {
-      for (size_t m = 0; m < missing.size(); ++m) build_one(m);
-    }
+    SPECMINE_RETURN_NOT_OK(ThreadPool::ParallelForShared(
+        pool, num_threads, missing.size(), build_one));
     *build_seconds = sw.ElapsedSeconds();
   }
   backends->reserve(num_shards);

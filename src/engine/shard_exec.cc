@@ -294,16 +294,11 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
     MineOneShard(set, backends[i], i, options, thresholds[i], occ,
                  &results[i]);
   };
-  if (num_threads > 1 && num_shards > 1) {
-    stats->error =
-        ThreadPool::ParallelForShared(pool, num_threads, num_shards,
-                                      mine_shard);
-    if (!stats->error.ok()) {
-      stats->mine_seconds = sw.ElapsedSeconds();
-      return out;
-    }
-  } else {
-    for (size_t i = 0; i < num_shards; ++i) mine_shard(i);
+  stats->error =
+      ThreadPool::ParallelForShared(pool, num_threads, num_shards, mine_shard);
+  if (!stats->error.ok()) {
+    stats->mine_seconds = sw.ElapsedSeconds();
+    return out;
   }
   // A token that fired during phase 1 leaves some shard's candidate set
   // incomplete; the only output that is still a prefix of the canonical
@@ -461,15 +456,11 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
     }
     totals[c] = total;
   };
-  if (num_threads > 1 && num_candidates > 1) {
-    stats->error = ThreadPool::ParallelForShared(
-        pool, num_threads, num_candidates, count_candidate);
-    if (!stats->error.ok()) {
-      stats->mine_seconds = sw.ElapsedSeconds();
-      return out;
-    }
-  } else {
-    for (size_t c = 0; c < num_candidates; ++c) count_candidate(c);
+  stats->error = ThreadPool::ParallelForShared(pool, num_threads,
+                                               num_candidates, count_candidate);
+  if (!stats->error.ok()) {
+    stats->mine_seconds = sw.ElapsedSeconds();
+    return out;
   }
   stats->bound_skips = bound_skips.load();
   stats->recounts = recounts.load();

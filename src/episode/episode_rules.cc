@@ -1,6 +1,7 @@
 #include "src/episode/episode_rules.h"
 
 #include <sstream>
+#include <unordered_map>
 
 namespace specmine {
 
@@ -18,6 +19,12 @@ std::vector<EpisodeRule> MineEpisodeRules(const SequenceDatabase& db,
   episode_options.min_window_count = options.min_window_count;
   episode_options.max_length = options.max_length;
   PatternSet episodes = MineWinepi(db, episode_options);
+  // Window counts by episode, for the prefix lookups below.
+  std::unordered_map<Pattern, uint64_t, PatternHash> windows_of;
+  windows_of.reserve(episodes.size());
+  for (const MinedPattern& e : episodes.items()) {
+    windows_of[e.pattern] = e.support;
+  }
 
   std::vector<EpisodeRule> rules;
   for (const MinedPattern& beta : episodes.items()) {
@@ -27,7 +34,8 @@ std::vector<EpisodeRule> MineEpisodeRules(const SequenceDatabase& db,
     for (size_t k = 1; k < beta.pattern.size(); ++k) {
       Pattern alpha(std::vector<EventId>(beta.pattern.events().begin(),
                                          beta.pattern.events().begin() + k));
-      uint64_t alpha_windows = episodes.SupportOf(alpha);
+      const auto found = windows_of.find(alpha);
+      uint64_t alpha_windows = found == windows_of.end() ? 0 : found->second;
       if (alpha_windows == 0) {
         // Defensive: recompute (possible only if alpha was capped away).
         alpha_windows =

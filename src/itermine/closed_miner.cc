@@ -1,7 +1,5 @@
 #include "src/itermine/closed_miner.h"
 
-#include <memory>
-
 #include "src/itermine/projection.h"
 #include "src/support/cancel.h"
 #include "src/support/stopwatch.h"
@@ -101,52 +99,44 @@ PatternSet MineClosedIterative(const CountingBackend& backend,
   *stats = IterMinerStats{};
   PatternSet out;
   Stopwatch sw;
-  const size_t num_threads = ThreadPool::ResolveThreads(options.num_threads);
-  if (num_threads > 1) {
-    // One job per frequent root; each worker owns a PatternSet, stats and
-    // workspace. Merging in root order reproduces the sequential DFS
-    // emission order (and stats) exactly — the closed miner has no
-    // truncation or external pruning callback.
-    const std::vector<EventId> roots =
-        FrequentRoots(backend, options.min_support);
-    struct Job {
-      PatternSet out;
-      IterMinerStats stats;
-      ProjectionWorkspace ws;
-    };
-    std::vector<std::unique_ptr<Job>> jobs(roots.size());
-    for (size_t i = 0; i < roots.size(); ++i) {
-      jobs[i] = std::make_unique<Job>();
-    }
-    stats->error = ThreadPool::ParallelForShared(
-        pool, num_threads, roots.size(), [&](size_t i) {
-          Job& job = *jobs[i];
-          Ctx ctx{&backend, &options, &job.out, &job.stats, &job.ws};
-          Pattern p{roots[i]};
-          Grow(&ctx, p, SingleEventInstances(backend, roots[i]));
-        });
-    for (const auto& job : jobs) {
-      stats->nodes_visited += job->stats.nodes_visited;
-      stats->patterns_emitted += job->stats.patterns_emitted;
-      stats->subtrees_pruned += job->stats.subtrees_pruned;
-      if (job->stats.stopped != StatusCode::kOk) {
-        stats->stopped = job->stats.stopped;
-      }
-      for (const MinedPattern& item : job->out.items()) {
-        out.Add(item.pattern, item.support);
-      }
-    }
-    stats->mine_seconds = sw.ElapsedSeconds();
-    return out;
-  }
-  ProjectionWorkspace ws;
-  Ctx ctx{&backend, &options, &out, stats, &ws};
+  // One job per frequent root. Inline (one thread) a job grows straight
+  // into the run's output; a worker grows into a buffer of its own, and
+  // replaying the buffers in root order reproduces the one-thread output
+  // and stats exactly — the closed miner has no truncation or external
+  // pruning callback. A cancelled job is the last one replayed.
+  struct RootBuffer {
+    PatternSet out;
+    IterMinerStats stats;
+  };
+  OrderedFanOut<ProjectionWorkspace, RootBuffer, EventId> fan(
+      pool, ThreadPool::ResolveThreads(options.num_threads),
+      [&](ProjectionWorkspace& ws, RootBuffer* buffer, EventId root) {
+        Ctx ctx{&backend, &options, buffer == nullptr ? &out : &buffer->out,
+                buffer == nullptr ? stats : &buffer->stats, &ws};
+        Grow(&ctx, Pattern{root}, SingleEventInstances(backend, root));
+        // A worker's workspace grows to the largest subtree it projected;
+        // dropping it after each root keeps memory at the subtrees in
+        // flight rather than that peak once per worker.
+        if (buffer != nullptr) ws = ProjectionWorkspace{};
+        return !ctx.stop;
+      },
+      [&](RootBuffer& buffer) {
+        stats->nodes_visited += buffer.stats.nodes_visited;
+        stats->patterns_emitted += buffer.stats.patterns_emitted;
+        stats->subtrees_pruned += buffer.stats.subtrees_pruned;
+        if (buffer.stats.stopped != StatusCode::kOk) {
+          stats->stopped = buffer.stats.stopped;
+        }
+        for (const MinedPattern& item : buffer.out.items()) {
+          out.Add(item.pattern, item.support);
+        }
+        return true;
+      });
   for (EventId ev = 0; ev < backend.num_events(); ++ev) {
-    if (ctx.stop) break;
     if (backend.TotalCount(ev) < options.min_support) continue;
-    Pattern p{ev};
-    Grow(&ctx, p, SingleEventInstances(backend, ev));
+    if (!fan.Push(ev)) break;
   }
+  stats->error = fan.Finish();
   stats->mine_seconds = sw.ElapsedSeconds();
   return out;
 }

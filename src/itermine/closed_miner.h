@@ -64,7 +64,7 @@ struct ClosedIterMinerOptions {
   bool infix_prune = true;
   /// Worker threads for first-level subtree parallelism; 0 = hardware
   /// concurrency, 1 = sequential. Output and stats are identical at every
-  /// setting (per-worker results merge deterministically in root order).
+  /// setting (per-root results are replayed in root order).
   size_t num_threads = 0;
   /// Optional cooperative stop signal, polled at subtree granularity; a
   /// stopped run returns whatever was mined so far and reports the reason

@@ -1,7 +1,5 @@
 #include "src/itermine/full_miner.h"
 
-#include <memory>
-
 #include "src/itermine/projection.h"
 #include "src/support/cancel.h"
 #include "src/support/stopwatch.h"
@@ -11,11 +9,23 @@ namespace specmine {
 
 namespace {
 
+// One root's subtree as a worker mined it, for the replay step.
+struct SubtreeBuffer {
+  std::vector<MinedPattern> emitted;  // DFS preorder.
+  IterMinerStats stats;               // nodes_visited and stopped.
+};
+
+// The DFS over one root's subtree. Inline (one thread) it emits straight
+// to the sink, so sink-driven subtree skips and max_patterns truncation
+// act while growing. In a worker it emits into a SubtreeBuffer that the
+// calling thread replays in root order, applying the same skips and
+// truncation there.
 struct Ctx {
   const CountingBackend* backend;
   const IterMinerOptions* options;
   const std::function<bool(const Pattern&, uint64_t)>* sink;
-  IterMinerStats* stats;
+  SubtreeBuffer* buffer;  // Null inline.
+  IterMinerStats* stats;  // The run's inline, the buffer's in a worker.
   ProjectionWorkspace* ws;
   bool stop = false;
 };
@@ -24,18 +34,33 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
   if (ctx->stop) return;
   const CancelToken* cancel = ctx->options->cancel;
   if (cancel != nullptr && cancel->ShouldStop()) {
+    // A buffer stopped here holds a prefix of its subtree's preorder; the
+    // replay stops the delivered sequence after it, keeping the output a
+    // prefix of the deterministic order.
     ctx->stats->stopped = cancel->stop_code();
     ctx->stop = true;
     return;
   }
-  ++ctx->stats->nodes_visited;
-  ++ctx->stats->patterns_emitted;
-  bool grow_subtree = (*ctx->sink)(pattern, instances.size());
-  if (ctx->options->max_patterns != 0 &&
-      ctx->stats->patterns_emitted >= ctx->options->max_patterns) {
-    ctx->stats->truncated = true;
-    ctx->stop = true;
-    return;
+  const size_t max_patterns = ctx->options->max_patterns;
+  bool grow_subtree = true;
+  if (ctx->buffer == nullptr) {
+    ++ctx->stats->nodes_visited;
+    ++ctx->stats->patterns_emitted;
+    grow_subtree = (*ctx->sink)(pattern, instances.size());
+    if (max_patterns != 0 && ctx->stats->patterns_emitted >= max_patterns) {
+      ctx->stats->truncated = true;
+      ctx->stop = true;
+      return;
+    }
+  } else {
+    // No single subtree can contribute more emissions than the global
+    // cap, so stop buffering there — this bounds memory exactly like
+    // inline truncation does for the non-pruning sinks that set the cap.
+    if (max_patterns != 0 && ctx->buffer->emitted.size() >= max_patterns) {
+      return;
+    }
+    ++ctx->stats->nodes_visited;
+    ctx->buffer->emitted.push_back(MinedPattern{pattern, instances.size()});
   }
   if (!grow_subtree) return;
   if (ctx->options->max_length != 0 &&
@@ -52,117 +77,6 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
   ctx->ws->forward.ReleaseMap(std::move(extensions));
 }
 
-// --------------------------------------------------------------------------
-// Parallel path: one job per frequent root event. Workers mine whole
-// subtrees into private buffers; the sink then replays the buffers on the
-// calling thread in root order, reproducing the sequential emission
-// sequence exactly (including sink-driven subtree skips and max_patterns
-// truncation), so user callbacks need no synchronization and the output
-// is identical at every thread count.
-
-struct Emission {
-  Pattern pattern;
-  uint64_t support;
-};
-
-struct SubtreeJob {
-  const CountingBackend* backend;
-  const IterMinerOptions* options;
-  ProjectionWorkspace ws;
-  std::vector<Emission> emitted;  // DFS preorder.
-  size_t nodes_visited = 0;
-  bool cancelled = false;  // Buffer is a prefix of this subtree's preorder.
-
-  void Grow(const Pattern& pattern, const InstanceList& instances) {
-    if (cancelled) return;
-    if (options->cancel != nullptr && options->cancel->ShouldStop()) {
-      // The buffered emissions so far are a prefix of this subtree's DFS
-      // preorder; the replay loop stops the global sequence here, keeping
-      // the whole delivered output a prefix of the deterministic order.
-      cancelled = true;
-      return;
-    }
-    // No single job can contribute more emissions than the global cap, so
-    // stop buffering there — this bounds memory exactly like sequential
-    // truncation does for the non-pruning sinks that use max_patterns.
-    if (options->max_patterns != 0 &&
-        emitted.size() >= options->max_patterns) {
-      return;
-    }
-    ++nodes_visited;
-    emitted.push_back(Emission{pattern, instances.size()});
-    if (options->max_length != 0 && pattern.size() >= options->max_length) {
-      return;
-    }
-    ForwardExtensionMap extensions = ws.forward.AcquireMap();
-    ForwardExtensions(*backend, pattern, instances, &ws, &extensions);
-    for (auto& [ev, ext_instances] : extensions) {
-      if (cancelled) break;
-      if (ext_instances.size() < options->min_support) continue;
-      Grow(pattern.Extend(ev), ext_instances);
-    }
-    ws.forward.ReleaseMap(std::move(extensions));
-  }
-};
-
-void ScanParallel(const CountingBackend& backend,
-                  const IterMinerOptions& options, size_t num_threads,
-                  ThreadPool* pool,
-                  const std::function<bool(const Pattern&, uint64_t)>& sink,
-                  IterMinerStats* stats) {
-  const std::vector<EventId> roots =
-      FrequentRoots(backend, options.min_support);
-  std::vector<std::unique_ptr<SubtreeJob>> jobs(roots.size());
-  for (size_t i = 0; i < roots.size(); ++i) {
-    jobs[i] = std::make_unique<SubtreeJob>();
-    jobs[i]->backend = &backend;
-    jobs[i]->options = &options;
-  }
-  stats->error = ThreadPool::ParallelForShared(
-      pool, num_threads, roots.size(), [&](size_t i) {
-        jobs[i]->Grow(Pattern{roots[i]},
-                      SingleEventInstances(backend, roots[i]));
-      });
-  if (!stats->error.ok()) return;  // A worker task threw: deliver nothing.
-  // Replay: a sink returning false skips every deeper emission that
-  // follows (its subtree — preorder depth equals pattern length). Each
-  // job's buffer is freed as soon as it is replayed, so peak memory is
-  // the not-yet-replayed buffers, not the whole run's emissions.
-  size_t skip_below = 0;  // 0 = not skipping.
-  for (auto& job : jobs) {
-    stats->nodes_visited += job->nodes_visited;
-    for (const Emission& e : job->emitted) {
-      // A fired token ends the delivered sequence here — everything
-      // already replayed (complete earlier jobs + this job's prefix) is a
-      // prefix of the deterministic global order.
-      if (options.cancel != nullptr && options.cancel->ShouldStop()) {
-        stats->stopped = options.cancel->stop_code();
-        return;
-      }
-      if (skip_below != 0) {
-        if (e.pattern.size() > skip_below) continue;
-        skip_below = 0;
-      }
-      ++stats->patterns_emitted;
-      bool grow_subtree = sink(e.pattern, e.support);
-      if (options.max_patterns != 0 &&
-          stats->patterns_emitted >= options.max_patterns) {
-        stats->truncated = true;
-        return;
-      }
-      if (!grow_subtree) skip_below = e.pattern.size();
-    }
-    const bool job_cancelled = job->cancelled;
-    job.reset();
-    if (job_cancelled) {
-      stats->stopped = options.cancel != nullptr
-                           ? options.cancel->stop_code()
-                           : StatusCode::kCancelled;
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 void ScanFrequentIterative(
@@ -173,20 +87,54 @@ void ScanFrequentIterative(
   if (stats == nullptr) stats = &local_stats;
   *stats = IterMinerStats{};
   Stopwatch sw;
-  const size_t num_threads = ThreadPool::ResolveThreads(options.num_threads);
-  if (num_threads > 1) {
-    ScanParallel(backend, options, num_threads, pool, sink, stats);
-    stats->mine_seconds = sw.ElapsedSeconds();
-    return;
-  }
-  ProjectionWorkspace ws;
-  Ctx ctx{&backend, &options, &sink, stats, &ws};
+  // Replay: a sink returning false skips every deeper emission that
+  // follows (its subtree — preorder depth equals pattern length).
+  size_t skip_below = 0;  // 0 = not skipping.
+  const auto replay = [&](SubtreeBuffer& buffer) {
+    stats->nodes_visited += buffer.stats.nodes_visited;
+    for (const MinedPattern& e : buffer.emitted) {
+      // A fired token ends the delivered sequence here — everything
+      // already replayed is a prefix of the deterministic order.
+      if (options.cancel != nullptr && options.cancel->ShouldStop()) {
+        stats->stopped = options.cancel->stop_code();
+        return false;
+      }
+      if (skip_below != 0) {
+        if (e.pattern.size() > skip_below) continue;
+        skip_below = 0;
+      }
+      ++stats->patterns_emitted;
+      const bool grow_subtree = sink(e.pattern, e.support);
+      if (options.max_patterns != 0 &&
+          stats->patterns_emitted >= options.max_patterns) {
+        stats->truncated = true;
+        return false;
+      }
+      if (!grow_subtree) skip_below = e.pattern.size();
+    }
+    if (buffer.stats.stopped != StatusCode::kOk) {
+      stats->stopped = buffer.stats.stopped;
+    }
+    return true;
+  };
+  OrderedFanOut<ProjectionWorkspace, SubtreeBuffer, EventId> fan(
+      pool, ThreadPool::ResolveThreads(options.num_threads),
+      [&](ProjectionWorkspace& ws, SubtreeBuffer* buffer, EventId root) {
+        Ctx ctx{&backend, &options, &sink, buffer,
+                buffer == nullptr ? stats : &buffer->stats, &ws};
+        Grow(&ctx, Pattern{root}, SingleEventInstances(backend, root));
+        // A worker's workspace grows to the largest subtree it projected;
+        // dropping it after each root keeps memory at the subtrees in
+        // flight rather than that peak once per worker.
+        if (buffer != nullptr) ws = ProjectionWorkspace{};
+        return !ctx.stop;
+      },
+      replay);
   for (EventId ev = 0; ev < backend.num_events(); ++ev) {
-    if (ctx.stop) break;
     if (backend.TotalCount(ev) < options.min_support) continue;
-    Pattern p{ev};
-    Grow(&ctx, p, SingleEventInstances(backend, ev));
+    if (!fan.Push(ev)) break;
   }
+  stats->error = fan.Finish();
   stats->mine_seconds = sw.ElapsedSeconds();
 }
 

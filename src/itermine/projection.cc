@@ -19,15 +19,6 @@ InstanceList SingleEventInstances(const PositionIndex& index, EventId ev) {
   return out;
 }
 
-std::vector<EventId> FrequentRoots(const PositionIndex& index,
-                                   uint64_t min_support) {
-  std::vector<EventId> roots;
-  for (EventId ev = 0; ev < index.num_events(); ++ev) {
-    if (index.TotalCount(ev) >= min_support) roots.push_back(ev);
-  }
-  return roots;
-}
-
 namespace {
 
 // True iff `ev` (not in the pattern alphabet) occurs strictly inside the
@@ -184,15 +175,6 @@ InstanceList SingleEventInstances(const CountingBackend& backend,
     default:
       return SingleEventInstances(backend.csr(), ev);
   }
-}
-
-std::vector<EventId> FrequentRoots(const CountingBackend& backend,
-                                   uint64_t min_support) {
-  std::vector<EventId> roots;
-  for (EventId ev = 0; ev < backend.num_events(); ++ev) {
-    if (backend.TotalCount(ev) >= min_support) roots.push_back(ev);
-  }
-  return roots;
 }
 
 void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,

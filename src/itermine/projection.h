@@ -122,11 +122,6 @@ struct ProjectionWorkspace {
 /// \brief Instances of the single-event pattern <ev>: every occurrence.
 InstanceList SingleEventInstances(const PositionIndex& index, EventId ev);
 
-/// \brief The events frequent enough to root a pattern subtree, ascending
-/// — the job list of the miners' first-level parallelism.
-std::vector<EventId> FrequentRoots(const PositionIndex& index,
-                                   uint64_t min_support);
-
 /// \brief Instances of every one-event forward extension P++<e>, written
 /// into \p out (cleared first). Events with no valid extension are absent;
 /// iteration order is ascending event id, so it is deterministic.
@@ -173,10 +168,6 @@ bool HasUniformInfixAbsorber(const SequenceDatabase& db,
 
 /// \brief Instances of the single-event pattern <ev> on either backend.
 InstanceList SingleEventInstances(const CountingBackend& backend, EventId ev);
-
-/// \brief Frequent subtree roots on either backend (identical lists).
-std::vector<EventId> FrequentRoots(const CountingBackend& backend,
-                                   uint64_t min_support);
 
 /// \brief ForwardExtensions on either backend.
 void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,

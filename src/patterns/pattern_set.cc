@@ -7,7 +7,6 @@
 namespace specmine {
 
 void PatternSet::Add(Pattern p, uint64_t support) {
-  index_[p] = support;
   items_.push_back(MinedPattern{std::move(p), support});
 }
 
@@ -27,12 +26,14 @@ void PatternSet::SortLexicographic() {
 }
 
 uint64_t PatternSet::SupportOf(const Pattern& p) const {
-  auto it = index_.find(p);
-  return it == index_.end() ? 0 : it->second;
+  auto it = std::find_if(items_.rbegin(), items_.rend(),
+                         [&](const MinedPattern& m) { return m.pattern == p; });
+  return it == items_.rend() ? 0 : it->support;
 }
 
 bool PatternSet::Contains(const Pattern& p) const {
-  return index_.count(p) > 0;
+  return std::any_of(items_.begin(), items_.end(),
+                     [&](const MinedPattern& it) { return it.pattern == p; });
 }
 
 const MinedPattern& PatternSet::Longest() const {

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/patterns/pattern.h"
@@ -49,10 +48,11 @@ class PatternSet {
   /// set comparisons in tests.
   void SortLexicographic();
 
-  /// \brief Returns the support of \p p, or 0 if absent.
+  /// \brief Returns the support of \p p (its last one, if added twice),
+  /// or 0 if absent. A linear scan, for tests and reports.
   uint64_t SupportOf(const Pattern& p) const;
 
-  /// \brief True iff \p p is present.
+  /// \brief True iff \p p is present. A linear scan.
   bool Contains(const Pattern& p) const;
 
   /// \brief Longest pattern (first one of maximal length); set must be
@@ -64,7 +64,6 @@ class PatternSet {
 
  private:
   std::vector<MinedPattern> items_;
-  std::unordered_map<Pattern, uint64_t, PatternHash> index_;
 };
 
 }  // namespace specmine

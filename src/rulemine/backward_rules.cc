@@ -4,7 +4,6 @@
 
 #include "src/rulemine/consequent_miner.h"
 #include "src/rulemine/premise_miner.h"
-#include "src/seqmine/closed_sequential_miner.h"
 #include "src/seqmine/occurrence_engine.h"
 #include "src/seqmine/prefixspan.h"
 #include "src/support/cancel.h"
@@ -57,6 +56,11 @@ RuleSet MineBackwardRules(const SequenceDatabase& db,
   // is left to the final sweep.
   premise_options.maximality_pruning = false;
 
+  ConsequentMinerOptions consequent_options;
+  consequent_options.min_confidence = options.min_confidence;
+  consequent_options.max_length = options.max_consequent_length;
+  consequent_options.closed_pruning = options.non_redundant;
+
   RuleSet candidates;
   // Consequent mining runs inside the premise scan's sink, so it keeps a
   // workspace of its own, warm across premises.
@@ -77,35 +81,17 @@ RuleSet MineBackwardRules(const SequenceDatabase& db,
         // strict prefix before point j of a length-L sequence is the
         // suffix of the reversal starting at L - j.
         std::vector<Unit> units;
-        for (SeqId s = 0; s < points.per_seq.size(); ++s) {
+        units.reserve(total_points);
+        for (size_t i = 0; i < points.SupportingSequences(); ++i) {
+          const SeqId s = points.seq(i);
           const Pos len = static_cast<Pos>(db[s].size());
-          for (Pos j : points.per_seq[s]) {
+          for (Pos j : points.points(i)) {
             units.push_back(Unit{s, static_cast<Pos>(len - j)});
           }
         }
-        UnitDatabase unit_db(rev, std::move(units));
-        const uint64_t threshold =
-            ConfidenceSupportThreshold(options.min_confidence, total_points);
-
-        PatternSet posts;
-        if (options.non_redundant) {
-          ClosedSeqMinerOptions closed_options;
-          closed_options.min_support = threshold;
-          closed_options.max_length = options.max_consequent_length;
-          posts = MineClosedSequential(unit_db, closed_options, nullptr,
-                                       &consequent_ws);
-        } else {
-          SeqMinerOptions full_options;
-          full_options.min_support = threshold;
-          full_options.max_length = options.max_consequent_length;
-          ScanFrequentSequential(unit_db, full_options,
-                                 [&posts](const Pattern& p, uint64_t support,
-                                          const std::vector<uint32_t>&) {
-                                   posts.Add(p, support);
-                                   return true;
-                                 },
-                                 nullptr, &consequent_ws);
-        }
+        const PatternSet posts = MineConsequents(
+            UnitDatabase(rev, std::move(units)), consequent_options,
+            &consequent_ws);
 
         for (const MinedPattern& post : posts.items()) {
           Rule rule;

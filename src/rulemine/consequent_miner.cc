@@ -21,28 +21,33 @@ PatternSet MineConsequents(const SequenceDatabase& db,
                            const ConsequentMinerOptions& options,
                            SequentialWorkspace* ws) {
   std::vector<Unit> units;
-  for (SeqId s = 0; s < points.per_seq.size(); ++s) {
-    for (Pos j : points.per_seq[s]) {
+  units.reserve(points.TotalPoints());
+  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
+    for (Pos j : points.points(i)) {
       // The consequent must occur strictly after the temporal point.
-      units.push_back(Unit{s, j + 1});
+      units.push_back(Unit{points.seq(i), j + 1});
     }
   }
-  UnitDatabase unit_db(db, std::move(units));
-  const uint64_t threshold = ConfidenceSupportThreshold(
-      options.min_confidence, points.TotalPoints());
+  return MineConsequents(UnitDatabase(db, std::move(units)), options, ws);
+}
 
+PatternSet MineConsequents(const UnitDatabase& units,
+                           const ConsequentMinerOptions& options,
+                           SequentialWorkspace* ws) {
+  const uint64_t threshold =
+      ConfidenceSupportThreshold(options.min_confidence, units.size());
   if (options.closed_pruning) {
     ClosedSeqMinerOptions closed_options;
     closed_options.min_support = threshold;
     closed_options.max_length = options.max_length;
-    return MineClosedSequential(unit_db, closed_options, nullptr, ws);
+    return MineClosedSequential(units, closed_options, nullptr, ws);
   }
   SeqMinerOptions full_options;
   full_options.min_support = threshold;
   full_options.max_length = options.max_length;
   full_options.max_patterns = options.max_consequents;
   PatternSet out;
-  ScanFrequentSequential(unit_db, full_options,
+  ScanFrequentSequential(units, full_options,
                          [&out](const Pattern& p, uint64_t support,
                                 const std::vector<uint32_t>&) {
                            out.Add(p, support);

@@ -44,6 +44,14 @@ PatternSet MineConsequents(const SequenceDatabase& db,
                            const ConsequentMinerOptions& options,
                            SequentialWorkspace* ws = nullptr);
 
+/// \brief Mines consequents over \p units, one unit per temporal point
+/// (the suffix a consequent must occur in); the confidence threshold is
+/// taken over units.size() points. The backward rule miner passes units
+/// into the reversed database.
+PatternSet MineConsequents(const UnitDatabase& units,
+                           const ConsequentMinerOptions& options,
+                           SequentialWorkspace* ws = nullptr);
+
 }  // namespace specmine
 
 #endif  // SPECMINE_RULEMINE_CONSEQUENT_MINER_H_

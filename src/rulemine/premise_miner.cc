@@ -28,8 +28,9 @@ bool InsertionPreservesPoints(const SequenceDatabase& db,
                               const Pattern& stem, const Pattern& stem_ins,
                               EventId last, const TemporalPointSet& points,
                               const CountingBackend* backend) {
-  for (SeqId s = 0; s < db.size(); ++s) {
-    if (points.per_seq[s].empty()) continue;  // occ subset of empty: fine.
+  // Sequences without points impose nothing (occ subset of empty).
+  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
+    const SeqId s = points.seq(i);
     const EventSpan seq = db[s];
     Pos t = kNoPos;
     if (!StemEnd(stem, seq, &t)) return false;  // Defensive.
@@ -76,11 +77,9 @@ bool InsertionEquivalentExists(const SequenceDatabase& db,
 
   // The first sequence with points bounds the candidate events: the
   // modified stem must fully embed before that sequence's first point.
-  SeqId probe = 0;
-  while (probe < db.size() && points.per_seq[probe].empty()) ++probe;
-  if (probe == db.size()) return false;
-  const EventSpan probe_seq = db[probe];
-  const Pos first_point = points.per_seq[probe].front();
+  if (points.SupportingSequences() == 0) return false;
+  const EventSpan probe_seq = db[points.seq(0)];
+  const Pos first_point = points.points(0).front();
 
   for (size_t slot = 0; slot < n; ++slot) {
     // Candidates: events of the probe sequence strictly before its first
@@ -126,21 +125,17 @@ void ScanPremises(
   scan_options.max_length = options.max_length;
   InsertionScratch scratch;
   // One point set reused across premises. Only a premise's supporting
-  // sequences (unit index == SeqId for whole-sequence units) can hold
-  // points, so only those rows are computed; `filled` lists the rows the
-  // previous premise wrote, which are cleared before the next one.
+  // sequences (unit index == SeqId for whole-sequence units, ascending)
+  // can hold points, so only those are computed.
   TemporalPointSet points;
-  points.per_seq.resize(db.size());
-  std::vector<uint32_t> filled;
   ScanFrequentSequential(
       units, scan_options,
       [&](const Pattern& p, uint64_t /*support*/,
           const std::vector<uint32_t>& supporting) {
-        for (uint32_t s : filled) points.per_seq[s].clear();
+        points.Clear();
         for (uint32_t s : supporting) {
-          points.per_seq[s] = OccurrencePoints(p, db[s]);
+          points.AddSequence(s, OccurrencePoints(p, db[s]));
         }
-        filled = supporting;
         if (options.maximality_pruning &&
             InsertionEquivalentExists(db, p, points, &scratch, backend)) {
           // A point-equivalent longer premise exists; its rules dominate

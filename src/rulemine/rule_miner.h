@@ -41,10 +41,10 @@ struct RuleMinerOptions {
   /// passes its cached backend down; MineRecurrentRules uses whatever
   /// backend it is handed and runs scalar scans without one.
   BackendChoice backend = BackendChoice::kAuto;
-  /// Worker threads for per-premise consequent mining; 0 = hardware
-  /// concurrency, 1 = sequential. Rule sets are identical at every
-  /// setting; the parallel path is used only when max_rules == 0 (the
-  /// truncating path stays sequential to preserve its early stop).
+  /// Worker threads for Steps 3-4; 0 = hardware concurrency. The premise
+  /// scan runs on the calling thread and hands each premise to a worker
+  /// as it is enumerated; rules and stats are identical at every setting.
+  /// A run with max_rules != 0 uses one worker, to stop where one does.
   size_t num_threads = 0;
   /// Optional cooperative stop signal, polled per premise (the rule
   /// miner's subtree granularity). A stopped run reports the reason in

@@ -4,26 +4,11 @@
 
 namespace specmine {
 
-size_t TemporalPointSet::TotalPoints() const {
-  size_t n = 0;
-  for (const auto& pts : per_seq) n += pts.size();
-  return n;
-}
-
-size_t TemporalPointSet::SupportingSequences() const {
-  size_t n = 0;
-  for (const auto& pts : per_seq) {
-    if (!pts.empty()) ++n;
-  }
-  return n;
-}
-
 TemporalPointSet ComputeTemporalPoints(const Pattern& pattern,
                                        const SequenceDatabase& db) {
   TemporalPointSet out;
-  out.per_seq.resize(db.size());
   for (SeqId s = 0; s < db.size(); ++s) {
-    out.per_seq[s] = OccurrencePoints(pattern, db[s]);
+    out.AddSequence(s, OccurrencePoints(pattern, db[s]));
   }
   return out;
 }

@@ -9,16 +9,19 @@
 
 namespace specmine {
 
-size_t ThreadPool::HardwareThreads() {
-  return std::max<size_t>(1, std::thread::hardware_concurrency());
+size_t ThreadPool::ResolveThreads(size_t requested) {
+  constexpr size_t kMaxThreads = 1024;
+  if (requested == 0) {
+    return std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  return std::min(requested, kMaxThreads);
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t n = std::max<size_t>(1, num_threads);
-  queues_.resize(n);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -35,62 +38,25 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back(std::move(task));
     ++pending_;
   }
   work_cv_.notify_one();
 }
 
-bool ThreadPool::TryPop(size_t worker, std::function<void()>* task) {
-  // Callers hold mu_. Own queue first (front), then steal (back).
-  if (!queues_[worker].empty()) {
-    *task = std::move(queues_[worker].front());
-    queues_[worker].pop_front();
-    return true;
-  }
-  for (size_t k = 1; k < queues_.size(); ++k) {
-    auto& victim = queues_[(worker + k) % queues_.size()];
-    if (!victim.empty()) {
-      *task = std::move(victim.back());
-      victim.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t worker) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return TryPop(worker, &task) || shutdown_; });
-      if (!task) return;  // Shutdown with nothing left to run.
+      work_cv_.wait(lock, [&] { return !queue_.empty() || shutdown_; });
+      if (queue_.empty()) return;  // Shutdown with nothing left to run.
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    // An exception escaping a task body (a throwing user sink, a bad
-    // allocation deep in a miner subtree) must not std::terminate the
-    // process: record the first one as a kInternal Status for the owner
-    // of the fan-out to pick up via TakeError().
-    Status failed = Status::OK();
-    try {
-      Status injected = CheckFault("thread_pool.task");
-      if (!injected.ok()) {
-        failed = injected;
-      } else {
-        task();
-      }
-    } catch (const std::exception& e) {
-      failed = Status::Internal(
-          std::string("exception escaped a worker task: ") + e.what());
-    } catch (...) {
-      failed = Status::Internal(
-          "non-standard exception escaped a worker task");
-    }
+    task();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!failed.ok() && error_.ok()) error_ = failed;
       if (--pending_ == 0) idle_cv_.notify_all();
     }
   }
@@ -101,11 +67,17 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [&] { return pending_ == 0; });
 }
 
-Status ThreadPool::TakeError() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Status out = std::move(error_);
-  error_ = Status::OK();
-  return out;
+Status RunGuarded(const std::function<void()>& job) {
+  try {
+    SPECMINE_RETURN_NOT_OK(CheckFault("thread_pool.task"));
+    job();
+    return Status::OK();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("exception escaped a worker task: ") +
+                            e.what());
+  } catch (...) {
+    return Status::Internal("non-standard exception escaped a worker task");
+  }
 }
 
 }  // namespace specmine

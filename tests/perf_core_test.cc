@@ -3,9 +3,10 @@
 //  (a) every PositionIndex query (both the dense O(1) layout and the
 //      compact fallback) matches a naive per-query scan of the raw
 //      sequences, on seeded random databases;
-//  (b) mining with num_threads = 4 produces output identical to
+//  (b) mining with num_threads = 2, 3 and 4 produces output identical to
 //      num_threads = 1 — patterns, supports and rules — across seeded
-//      random inputs, for the full, closed and rule miners.
+//      random inputs, for the full (also under a pruning sink), closed
+//      and rule miners.
 
 #include <gtest/gtest.h>
 
@@ -132,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomDbParams{106, 12, 12, 12}));
 
 // ---------------------------------------------------------------------------
-// (b) num_threads = 4 output is identical to num_threads = 1.
+// (b) num_threads > 1 output is identical to num_threads = 1.
 
 class ParallelEquivalenceTest
     : public ::testing::TestWithParam<RandomDbParams> {};
@@ -169,24 +170,67 @@ TEST_P(ParallelEquivalenceTest, FullMinerTruncationIdentical) {
   EXPECT_EQ(report_seq.patterns_emitted, report_par.patterns_emitted);
 }
 
+// A sink that prunes (returns false on every k-th pattern) skips those
+// subtrees inline at one thread and in the replay step at more; the
+// delivered patterns must not tell the two apart.
+TEST_P(ParallelEquivalenceTest, FullMinerPruningSinkIdentical) {
+  Engine engine(RandomDb(GetParam()));
+  class PruneEveryKth : public PatternSink {
+   public:
+    explicit PruneEveryKth(size_t k) : k_(k) {}
+    bool Consume(const Pattern& pattern, uint64_t support) override {
+      set.Add(pattern, support);
+      return set.size() % k_ != 0;
+    }
+    PatternSet set;
+
+   private:
+    size_t k_;
+  };
+  for (size_t k : {size_t{2}, size_t{3}, size_t{7}}) {
+    std::vector<MinedPattern> reference;
+    for (size_t threads : {1, 2, 3, 4}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " threads=" + std::to_string(threads));
+      FullPatternsTask task;
+      task.options.min_support = 1;
+      task.options.num_threads = threads;
+      PruneEveryKth sink(k);
+      Result<RunReport> run = engine.Mine(task, sink);
+      ASSERT_TRUE(run.ok());
+      EXPECT_EQ(run->patterns_emitted, sink.set.size());
+      if (threads == 1) {
+        reference = sink.set.items();
+      } else {
+        EXPECT_EQ(sink.set.items(), reference);
+      }
+    }
+  }
+}
+
 TEST_P(ParallelEquivalenceTest, ClosedMinerIdenticalAcrossThreadCounts) {
   Engine engine(RandomDb(GetParam()));
   for (uint64_t min_sup : {1u, 2u}) {
     ClosedTask seq;
     seq.options.min_support = min_sup;
     seq.options.num_threads = 1;
-    ClosedTask par = seq;
-    par.options.num_threads = 4;
-    RunReport report_seq, report_par;
+    RunReport report_seq;
     Result<PatternSet> a = engine.CollectPatterns(seq, &report_seq);
-    Result<PatternSet> b = engine.CollectPatterns(par, &report_par);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->items(), b->items()) << "min_sup=" << min_sup;
-    // The closed miner has no truncation, so even the search stats merge
-    // to the sequential values.
-    EXPECT_EQ(report_seq.nodes_visited, report_par.nodes_visited);
-    EXPECT_EQ(report_seq.patterns_emitted, report_par.patterns_emitted);
-    EXPECT_EQ(report_seq.subtrees_pruned, report_par.subtrees_pruned);
+    ASSERT_TRUE(a.ok());
+    for (size_t threads : {2, 3, 4}) {
+      ClosedTask par = seq;
+      par.options.num_threads = threads;
+      RunReport report_par;
+      Result<PatternSet> b = engine.CollectPatterns(par, &report_par);
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a->items(), b->items())
+          << "min_sup=" << min_sup << " threads=" << threads;
+      // The closed miner has no truncation, so even the search stats
+      // merge to the sequential values.
+      EXPECT_EQ(report_seq.nodes_visited, report_par.nodes_visited);
+      EXPECT_EQ(report_seq.patterns_emitted, report_par.patterns_emitted);
+      EXPECT_EQ(report_seq.subtrees_pruned, report_par.subtrees_pruned);
+    }
   }
 }
 
@@ -200,15 +244,20 @@ TEST_P(ParallelEquivalenceTest, RuleMinerIdenticalAcrossThreadCounts) {
     seq.max_premise_length = 3;
     seq.max_consequent_length = 3;
     seq.num_threads = 1;
-    RuleMinerOptions par = seq;
-    par.num_threads = 4;
-    RuleMinerStats stats_seq, stats_par;
+    RuleMinerStats stats_seq;
     RuleSet a = MineRecurrentRules(db, seq, &stats_seq);
-    RuleSet b = MineRecurrentRules(db, par, &stats_par);
-    EXPECT_EQ(a.rules(), b.rules()) << "nr=" << non_redundant;
-    EXPECT_EQ(stats_seq.premises_enumerated, stats_par.premises_enumerated);
-    EXPECT_EQ(stats_seq.candidate_rules, stats_par.candidate_rules);
-    EXPECT_EQ(stats_seq.rules_emitted, stats_par.rules_emitted);
+    for (size_t threads : {2, 3, 4}) {
+      RuleMinerOptions par = seq;
+      par.num_threads = threads;
+      RuleMinerStats stats_par;
+      RuleSet b = MineRecurrentRules(db, par, &stats_par);
+      EXPECT_EQ(a.rules(), b.rules())
+          << "nr=" << non_redundant << " threads=" << threads;
+      EXPECT_EQ(stats_seq.premises_enumerated,
+                stats_par.premises_enumerated);
+      EXPECT_EQ(stats_seq.candidate_rules, stats_par.candidate_rules);
+      EXPECT_EQ(stats_seq.rules_emitted, stats_par.rules_emitted);
+    }
   }
 }
 
@@ -220,8 +269,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomDbParams{204, 10, 9, 6},
                       RandomDbParams{205, 12, 15, 4}));
 
-// The pool itself: tasks all run, stealing drains skewed queues, Wait is
-// re-usable.
+// The pool itself: tasks all run, Wait is re-usable.
 TEST(ThreadPoolTest, RunsEveryTaskAndWaits) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};

@@ -33,13 +33,25 @@ Pattern P(const SequenceDatabase& db, const std::string& names) {
 // ---------------------------------------------------------------------------
 // Temporal points.
 
+// The points of sequence s, read through the CSR accessors (empty when s
+// is not a supporting sequence).
+std::vector<Pos> PointsOf(const TemporalPointSet& pts, SeqId s) {
+  for (size_t i = 0; i < pts.SupportingSequences(); ++i) {
+    if (pts.seq(i) == s) {
+      return std::vector<Pos>(pts.points(i).begin(), pts.points(i).end());
+    }
+  }
+  return {};
+}
+
 TEST(TemporalPointsTest, MatchesDefinition51) {
   SequenceDatabase db = MakeDb({"a b a b", "b a", "x"});
   TemporalPointSet pts = ComputeTemporalPoints(P(db, "a b"), db);
-  ASSERT_EQ(pts.per_seq.size(), 3u);
-  EXPECT_EQ(pts.per_seq[0], (std::vector<Pos>{1, 3}));
-  EXPECT_TRUE(pts.per_seq[1].empty());  // No a before the b.
-  EXPECT_TRUE(pts.per_seq[2].empty());
+  ASSERT_EQ(pts.SupportingSequences(), 1u);
+  EXPECT_EQ(pts.seq(0), 0u);
+  EXPECT_EQ(PointsOf(pts, 0), (std::vector<Pos>{1, 3}));
+  EXPECT_TRUE(PointsOf(pts, 1).empty());  // No a before the b.
+  EXPECT_TRUE(PointsOf(pts, 2).empty());
   EXPECT_EQ(pts.TotalPoints(), 2u);
   EXPECT_EQ(pts.SupportingSequences(), 1u);
 }
@@ -47,8 +59,8 @@ TEST(TemporalPointsTest, MatchesDefinition51) {
 TEST(TemporalPointsTest, SingleEventPremise) {
   SequenceDatabase db = MakeDb({"lock x lock y", "z lock"});
   TemporalPointSet pts = ComputeTemporalPoints(P(db, "lock"), db);
-  EXPECT_EQ(pts.per_seq[0], (std::vector<Pos>{0, 2}));
-  EXPECT_EQ(pts.per_seq[1], (std::vector<Pos>{1}));
+  EXPECT_EQ(PointsOf(pts, 0), (std::vector<Pos>{0, 2}));
+  EXPECT_EQ(PointsOf(pts, 1), (std::vector<Pos>{1}));
   EXPECT_EQ(pts.TotalPoints(), 3u);
   EXPECT_EQ(pts.SupportingSequences(), 2u);
 }
@@ -70,6 +82,27 @@ TEST(PremiseMinerTest, EnumeratesFrequentPremisesWithPoints) {
                });
   ASSERT_EQ(premises.size(), 1u);
   EXPECT_EQ(premises[0], P(db, "a"));
+}
+
+// The premise scan fills one reused point set incrementally (only the
+// supporting sequences, cleared between premises); every premise must
+// still see exactly the reference computation's points.
+TEST(PremiseMinerTest, ReusedPointSetMatchesTheReference) {
+  SequenceDatabase db =
+      MakeDb({"a b a c b", "c a b", "b b a", "a c a c", "x y", "a b c a b"});
+  for (bool pruning : {false, true}) {
+    PremiseMinerOptions options;
+    options.min_s_support = 2;
+    options.maximality_pruning = pruning;
+    size_t premises = 0;
+    ScanPremises(db, options,
+                 [&](const Pattern& p, const TemporalPointSet& pts) {
+                   ++premises;
+                   EXPECT_EQ(pts, ComputeTemporalPoints(p, db));
+                   return true;
+                 });
+    EXPECT_GT(premises, 5u);
+  }
 }
 
 TEST(PremiseMinerTest, MaximalityPruningDropsEquivalentShorterPremises) {

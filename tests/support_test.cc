@@ -1,13 +1,17 @@
 // Unit tests for src/support: Status/Result, RNG & samplers, strings,
-// stopwatch, thread pool error capture, fault injection.
+// stopwatch, thread pool error capture, the ordered fan-out, fault
+// injection.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/support/fault_injection.h"
@@ -280,13 +284,13 @@ TEST(ThreadPoolTest, TaskExceptionBecomesInternalStatus) {
   EXPECT_NE(s.message().find("sink blew up"), std::string::npos);
 }
 
-TEST(ThreadPoolTest, TakeErrorClearsAfterReporting) {
+TEST(ThreadPoolTest, ErrorDoesNotLeakIntoTheNextFanOut) {
   ThreadPool pool(2);
-  Status first = pool.ParallelFor(4, [](size_t i) {
+  Status first = ThreadPool::ParallelForShared(&pool, 2, 4, [](size_t i) {
     if (i == 0) throw std::runtime_error("once");
   });
   EXPECT_EQ(first.code(), StatusCode::kInternal);
-  Status second = pool.ParallelFor(4, [](size_t) {});
+  Status second = ThreadPool::ParallelForShared(&pool, 2, 4, [](size_t) {});
   EXPECT_TRUE(second.ok());  // The earlier error does not leak forward.
 }
 
@@ -296,6 +300,198 @@ TEST(ThreadPoolTest, NonExceptionThrowIsStillCaught) {
   });
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
+}
+
+// ---------------------------------------------------------------------------
+// OrderedFanOut: jobs take a job number, buffer it as their output, and
+// the replay step records the order it sees.
+
+using JobFanOut = OrderedFanOut<int, size_t, size_t>;
+
+std::vector<size_t> Iota(size_t n) {
+  std::vector<size_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = i;
+  return out;
+}
+
+TEST(OrderedFanOutTest, ReplaysInJobOrderWhenLaterJobsFinishFirst) {
+  constexpr size_t kJobs = 200;
+  std::atomic<size_t> finished{0};
+  std::atomic<bool> overtaken{false};
+  std::vector<size_t> replayed;
+  JobFanOut fan(
+      nullptr, 4,
+      [&](int&, size_t* out, const size_t& job) {
+        if (job == 0) {
+          // Hold the head until three later jobs have completed.
+          for (int spins = 0; finished.load() < 3 && spins < 10000; ++spins) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          overtaken = finished.load() >= 3;
+        }
+        *out = job;
+        ++finished;
+        return true;
+      },
+      [&](size_t& out) {
+        replayed.push_back(out);
+        return true;
+      });
+  for (size_t i = 0; i < kJobs; ++i) ASSERT_TRUE(fan.Push(i));
+  ASSERT_TRUE(fan.Finish().ok());
+  EXPECT_TRUE(overtaken.load());
+  EXPECT_EQ(replayed, Iota(kJobs));
+}
+
+TEST(OrderedFanOutTest, NeverExceedsItsWindow) {
+  constexpr size_t kThreads = 3;
+  constexpr size_t kWindow = JobFanOut::kWindowPerWorker * kThreads;
+  std::atomic<size_t> replayed{0};
+  std::atomic<size_t> running{0};
+  std::atomic<size_t> max_running{0};
+  std::atomic<size_t> max_seen_by_jobs{0};
+  JobFanOut fan(
+      nullptr, kThreads,
+      [&](int&, size_t*, const size_t& job) {
+        const size_t now = ++running;
+        size_t seen = max_running.load();
+        while (now > seen && !max_running.compare_exchange_weak(seen, now)) {
+        }
+        // Job `job` is pushed, so at least job + 1 - replayed jobs are.
+        const size_t outstanding = job + 1 - replayed.load();
+        seen = max_seen_by_jobs.load();
+        while (outstanding > seen &&
+               !max_seen_by_jobs.compare_exchange_weak(seen, outstanding)) {
+        }
+        // A slow head lets the producer run into the window's bound.
+        if (job % 500 == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        --running;
+        return true;
+      },
+      [&](size_t&) {
+        ++replayed;
+        return true;
+      });
+  size_t max_outstanding = 0;
+  for (size_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(fan.Push(i));
+    max_outstanding = std::max(max_outstanding, i + 1 - replayed.load());
+  }
+  ASSERT_TRUE(fan.Finish().ok());
+  EXPECT_EQ(replayed.load(), 2000u);
+  EXPECT_EQ(max_outstanding, kWindow);  // Reached, never passed.
+  EXPECT_LE(max_seen_by_jobs.load(), kWindow);
+  EXPECT_LE(max_running.load(), kThreads);
+}
+
+TEST(OrderedFanOutTest, StoppedReplayStopsTheProducer) {
+  std::vector<size_t> replayed;
+  JobFanOut fan(
+      nullptr, 4,
+      [](int&, size_t* out, const size_t& job) {
+        *out = job;
+        return true;
+      },
+      [&](size_t& out) {
+        replayed.push_back(out);
+        return out != 5;
+      });
+  size_t pushed = 0;
+  while (pushed < 100000 && fan.Push(pushed)) ++pushed;
+  EXPECT_TRUE(fan.Finish().ok());
+  EXPECT_EQ(replayed, Iota(6));
+  EXPECT_LE(pushed, 6 + JobFanOut::kWindowPerWorker * 4);
+}
+
+TEST(OrderedFanOutTest, JobReturningFalseIsTheLastReplayed) {
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<size_t> delivered;
+    JobFanOut fan(
+        nullptr, threads,
+        [&](int&, size_t* out, const size_t& job) {
+          if (out == nullptr) {
+            delivered.push_back(job);  // Inline: the job delivers itself.
+          } else {
+            *out = job;
+          }
+          return job != 9;
+        },
+        [&](size_t& out) {
+          delivered.push_back(out);
+          return true;
+        });
+    size_t pushed = 0;
+    while (pushed < 100000 && fan.Push(pushed)) ++pushed;
+    EXPECT_TRUE(fan.Finish().ok());
+    EXPECT_EQ(delivered, Iota(10));
+  }
+}
+
+TEST(OrderedFanOutTest, ThrowingJobReplaysOnlyTheCompletedPrefix) {
+  std::vector<size_t> replayed;
+  JobFanOut fan(
+      nullptr, 4,
+      [](int&, size_t* out, const size_t& job) {
+        if (job == 7) throw std::runtime_error("job 7 blew up");
+        *out = job;
+        return true;
+      },
+      [&](size_t& out) {
+        replayed.push_back(out);
+        return true;
+      });
+  for (size_t i = 0; i < 1000; ++i) {
+    if (!fan.Push(i)) break;
+  }
+  Status s = fan.Finish();
+  ASSERT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_NE(s.message().find("job 7 blew up"), std::string::npos);
+  EXPECT_EQ(replayed, Iota(7));
+}
+
+TEST(OrderedFanOutTest, ArmedTaskFaultReplaysNothing) {
+  FaultInjector::Instance().ArmThrow("thread_pool.task", 0);
+  std::vector<size_t> replayed;
+  JobFanOut fan(
+      nullptr, 2, [](int&, size_t*, const size_t&) { return true; },
+      [&](size_t& out) {
+        replayed.push_back(out);
+        return true;
+      });
+  for (size_t i = 0; i < 100; ++i) {
+    if (!fan.Push(i)) break;
+  }
+  Status s = fan.Finish();
+  FaultInjector::Instance().DisarmAll();
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_TRUE(replayed.empty());
+}
+
+TEST(OrderedFanOutTest, OneThreadRunsEveryJobInlineUnbuffered) {
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t ran = 0;
+  bool inline_only = true;
+  size_t replays = 0;
+  JobFanOut fan(
+      nullptr, 1,
+      [&](int&, size_t* out, const size_t&) {
+        inline_only = inline_only && out == nullptr &&
+                      std::this_thread::get_id() == caller;
+        ++ran;
+        return true;
+      },
+      [&](size_t&) {
+        ++replays;
+        return true;
+      });
+  for (size_t i = 0; i < 50; ++i) ASSERT_TRUE(fan.Push(i));
+  EXPECT_TRUE(fan.Finish().ok());
+  EXPECT_EQ(ran, 50u);
+  EXPECT_TRUE(inline_only);
+  EXPECT_EQ(replays, 0u);
 }
 
 TEST(FaultInjectionTest, UnarmedSiteIsFree) {
