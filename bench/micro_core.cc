@@ -113,7 +113,8 @@ int Run() {
   RunMicroBenchmark(
       "ForwardExtensionsReuse",
       [&] {
-        ForwardExtensions(index, hot, hot_instances, &ws, &forward_out);
+        ForwardExtensions(index, hot, hot_instances, /*min_count=*/1, &ws,
+                          &forward_out);
         DoNotOptimize(forward_out.size());
         ws.forward.Recycle(std::move(forward_out));
       },
@@ -123,7 +124,8 @@ int Run() {
       "BackwardExtensionsReuse",
       [&] {
         DoNotOptimize(
-            BackwardExtensions(index, hot, hot_instances, &ws).size());
+            BackwardExtensions(index, hot, hot_instances, /*min_count=*/1, &ws)
+                .size());
       },
       &report);
 
@@ -173,7 +175,8 @@ int Run() {
       [&] {
         ProjectionWorkspace cold;
         ForwardExtensionMap out;
-        ForwardExtensions(bitmap_backend, hot, hot_instances, &cold, &out);
+        ForwardExtensions(bitmap_backend, hot, hot_instances, /*min_count=*/1,
+                          &cold, &out);
         DoNotOptimize(out.size());
       },
       &report);
@@ -183,8 +186,8 @@ int Run() {
   RunMicroBenchmark(
       "BitmapForwardExtensionsReuse",
       [&] {
-        ForwardExtensions(bitmap_backend, hot, hot_instances, &bitmap_ws,
-                          &bitmap_forward_out);
+        ForwardExtensions(bitmap_backend, hot, hot_instances, /*min_count=*/1,
+                          &bitmap_ws, &bitmap_forward_out);
         DoNotOptimize(bitmap_forward_out.size());
         bitmap_ws.forward.Recycle(std::move(bitmap_forward_out));
       },
@@ -194,7 +197,8 @@ int Run() {
       "BitmapBackwardExtensionsReuse",
       [&] {
         DoNotOptimize(
-            BackwardExtensions(bitmap_backend, hot, hot_instances, &bitmap_ws)
+            BackwardExtensions(bitmap_backend, hot, hot_instances,
+                               /*min_count=*/1, &bitmap_ws)
                 .size());
       },
       &report);
@@ -275,7 +279,8 @@ int Run() {
     size_t buckets = 0;
     for (EventId ev : sparse_roots) {
       const InstanceList instances = SingleEventInstances(backend, ev);
-      ForwardExtensions(backend, Pattern{ev}, instances, ws, out);
+      ForwardExtensions(backend, Pattern{ev}, instances, /*min_count=*/1, ws,
+                        out);
       buckets += out->size();
       ws->forward.Recycle(std::move(*out));
     }

@@ -36,6 +36,13 @@ void WriteRunReport(JsonWriter& writer, const RunReport& report) {
   writer.Key("shard_errors").BeginArray();
   for (const std::string& error : report.shard_errors) writer.String(error);
   writer.EndArray();
+  writer.Field("shard_local_patterns",
+               static_cast<uint64_t>(report.shard_local_patterns));
+  writer.Field("shard_candidates",
+               static_cast<uint64_t>(report.shard_candidates));
+  writer.Field("shard_bound_skips",
+               static_cast<uint64_t>(report.shard_bound_skips));
+  writer.Field("shard_recounts", static_cast<uint64_t>(report.shard_recounts));
   writer.EndObject();
 }
 

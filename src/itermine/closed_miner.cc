@@ -31,13 +31,14 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
 
   // Backward extensions first: they both decide backward absorption and
   // drive the subtree prunes, letting us skip the (costlier) forward
-  // projection for pruned subtrees. The result buffer lives in the
-  // workspace and is fully consumed before any recursive call.
-  const BackwardExtensionMap& backward =
-      BackwardExtensions(*ctx->backend, pattern, instances, ctx->ws);
+  // projection for pruned subtrees. Both read only extensions of equal
+  // support, and no extension exceeds it, so the query runs at the
+  // pattern's own support. The result buffer lives in the workspace and
+  // is fully consumed before any recursive call.
+  const BackwardExtensionMap& backward = BackwardExtensions(
+      *ctx->backend, pattern, instances, support, ctx->ws);
   bool backward_absorbed = false;
   for (const auto& [ev, ext] : backward) {
-    if (ext.support != support) continue;
     backward_absorbed = true;
     if (!ext.all_adjacent) continue;
     const bool in_alphabet = pattern.Contains(ev);
@@ -49,7 +50,8 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
   }
 
   ForwardExtensionMap forward = ctx->ws->forward.AcquireMap();
-  ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &forward);
+  ForwardExtensions(*ctx->backend, pattern, instances,
+                    ctx->options->min_support, ctx->ws, &forward);
   bool forward_absorbed = false;
   for (const auto& [ev, ext_instances] : forward) {
     if (ext_instances.size() == support) {
@@ -82,7 +84,6 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
       pattern.size() < ctx->options->max_length) {
     for (auto& [ev, ext_instances] : forward) {
       if (ctx->stop) break;
-      if (ext_instances.size() < ctx->options->min_support) continue;
       Grow(ctx, pattern.Extend(ev), ext_instances);
     }
   }

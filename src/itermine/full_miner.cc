@@ -68,10 +68,10 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
     return;
   }
   ForwardExtensionMap extensions = ctx->ws->forward.AcquireMap();
-  ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &extensions);
+  ForwardExtensions(*ctx->backend, pattern, instances,
+                    ctx->options->min_support, ctx->ws, &extensions);
   for (auto& [ev, ext_instances] : extensions) {
     if (ctx->stop) break;
-    if (ext_instances.size() < ctx->options->min_support) continue;
     Grow(ctx, pattern.Extend(ev), ext_instances);
   }
   ctx->ws->forward.ReleaseMap(std::move(extensions));

@@ -14,6 +14,16 @@
 // super-sequence chains, so the one-event check is the tractable
 // single-step reading of the equivalence-class definition; the property
 // suite compares it against a brute-force variant on random databases.
+//
+// Where the deletion supports come from: the miner runs the frequent scan
+// (ScanFrequentIterative) once, keeping every frequent pattern and its
+// support in a table until the filter has run, then keeps, in emission
+// order, each pattern with no one-event deletion in the table at equal
+// support. The scan is complete, so a deletion absent from the table has
+// support below min_support <= sup(P) and cannot absorb P; no deletion is
+// recounted over the database. Only a scan cut short by the cancel token
+// recounts its misses (the QRE recount on the mined backend), keeping a
+// cancelled run's output a prefix of the complete one.
 
 #ifndef SPECMINE_ITERMINE_GENERATORS_H_
 #define SPECMINE_ITERMINE_GENERATORS_H_
@@ -27,8 +37,8 @@ struct IterGeneratorMinerOptions {
   /// Minimum number of instances (absolute).
   uint64_t min_support = 1;
   /// Physical counting representation. Read by the Engine only; the miner
-  /// mines whatever backend it is handed, and runs the deletion recounts
-  /// on that same backend.
+  /// mines whatever backend it is handed (and runs a cancelled scan's
+  /// deletion recounts on that same backend).
   BackendChoice backend = BackendChoice::kAuto;
   /// Maximum pattern length; 0 means unbounded.
   size_t max_length = 0;
@@ -40,7 +50,8 @@ struct IterGeneratorMinerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// \brief Mines the frequent iterative generators over \p backend. \p pool,
+/// \brief Mines the frequent iterative generators over \p backend, in the
+/// frequent scan's emission order; \p stats are the scan's. \p pool,
 /// when non-null and matching the resolved thread count, runs the fan-out.
 PatternSet MineIterativeGenerators(const CountingBackend& backend,
                                    const IterGeneratorMinerOptions& options,
@@ -48,7 +59,8 @@ PatternSet MineIterativeGenerators(const CountingBackend& backend,
                                    ThreadPool* pool = nullptr);
 
 /// \brief True iff the one-event deletion check declares \p pattern a
-/// generator, with the recounts on \p backend (exposed for tests).
+/// generator, recounting every deletion on \p backend — the reference
+/// the miner's table lookup must agree with (exposed for tests).
 bool IsIterativeGenerator(const CountingBackend& backend,
                           const Pattern& pattern, uint64_t support);
 

@@ -42,7 +42,7 @@ void PrepareAlphabet(const Pattern& pattern, size_t num_events,
 }  // namespace
 
 void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
-                       const InstanceList& instances,
+                       const InstanceList& instances, uint64_t min_count,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out) {
   const SequenceDatabase& db = index.db();
   const size_t num_events = index.num_events();
@@ -54,24 +54,30 @@ void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
     for (Pos p = inst.end + 1; p < seq.size(); ++p) {
       EventId ev = seq[p];
       if (ev >= num_events) continue;  // Defensive; ids come from dict.
+      const bool can_qualify = index.TotalCount(ev) >= min_count;
       if (ws->alphabet.Test(ev)) {
         // First alphabet event after the instance: `ev` itself is a valid
         // extension (its exclusion set is exactly the alphabet and the
         // scanned segment contains none of it); nothing beyond it can be.
-        ws->forward.Bucket(ev).push_back(IterInstance{inst.seq, inst.start, p});
+        if (can_qualify) {
+          ws->forward.Bucket(ev).push_back(
+              IterInstance{inst.seq, inst.start, p});
+        }
         break;
       }
+      if (!can_qualify) continue;  // Count bound: see projection.h.
       if (!ws->seen.TestAndSet(ev)) continue;  // Only the first occurrence.
       if (OccursInGaps(index, ev, inst)) continue;
       ws->forward.Bucket(ev).push_back(IterInstance{inst.seq, inst.start, p});
     }
   }
-  ws->forward.Drain(out);
+  ws->forward.Drain(out, min_count);
 }
 
 const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
+                                               uint64_t min_count,
                                                ProjectionWorkspace* ws) {
   const SequenceDatabase& db = index.db();
   const size_t num_events = index.num_events();
@@ -83,27 +89,19 @@ const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
     for (Pos p = inst.start; p-- > 0;) {
       EventId ev = seq[p];
       if (ev >= num_events) continue;  // Defensive; ids come from dict.
-      bool adjacent = (p + 1 == inst.start);
+      const bool can_qualify = index.TotalCount(ev) >= min_count;
+      const bool adjacent = (p + 1 == inst.start);
       if (ws->alphabet.Test(ev)) {
-        BackwardExtension& ext = ws->back.Slot(ev);
-        ++ext.support;
-        ext.all_adjacent = ext.all_adjacent && adjacent;
+        if (can_qualify) internal::TallyBackward(ev, adjacent, ws);
         break;
       }
+      if (!can_qualify) continue;  // Count bound: see projection.h.
       if (!ws->seen.TestAndSet(ev)) continue;
       if (OccursInGaps(index, ev, inst)) continue;
-      BackwardExtension& ext = ws->back.Slot(ev);
-      ++ext.support;
-      ext.all_adjacent = ext.all_adjacent && adjacent;
+      internal::TallyBackward(ev, adjacent, ws);
     }
   }
-  std::vector<EventId>& touched = ws->back.touched();
-  std::sort(touched.begin(), touched.end());
-  ws->back_result.clear();
-  for (EventId ev : touched) {
-    ws->back_result.emplace_back(ev, ws->back.At(ev));
-  }
-  return ws->back_result;
+  return internal::DrainBackward(min_count, ws);
 }
 
 bool HasUniformInfixAbsorber(const SequenceDatabase& db,
@@ -178,15 +176,16 @@ InstanceList SingleEventInstances(const CountingBackend& backend,
 }
 
 void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
-                       const InstanceList& instances,
+                       const InstanceList& instances, uint64_t min_count,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out) {
   switch (backend.kind()) {
     case BackendKind::kHybrid:
       internal::ForwardExtensionsVertical(backend.hybrid(), pattern,
-                                          instances, ws, out);
+                                          instances, min_count, ws, out);
       return;
     default:
-      ForwardExtensions(backend.csr(), pattern, instances, ws, out);
+      ForwardExtensions(backend.csr(), pattern, instances, min_count, ws,
+                        out);
       return;
   }
 }
@@ -194,13 +193,15 @@ void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
 const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
+                                               uint64_t min_count,
                                                ProjectionWorkspace* ws) {
   switch (backend.kind()) {
     case BackendKind::kHybrid:
       return internal::BackwardExtensionsVertical(backend.hybrid(), pattern,
-                                                  instances, ws);
+                                                  instances, min_count, ws);
     default:
-      return BackwardExtensions(backend.csr(), pattern, instances, ws);
+      return BackwardExtensions(backend.csr(), pattern, instances, min_count,
+                                ws);
   }
 }
 
@@ -209,7 +210,7 @@ ForwardExtensionMap ForwardExtensions(const PositionIndex& index,
                                       const InstanceList& instances) {
   ProjectionWorkspace ws;
   ForwardExtensionMap out;
-  ForwardExtensions(index, pattern, instances, &ws, &out);
+  ForwardExtensions(index, pattern, instances, /*min_count=*/1, &ws, &out);
   return out;
 }
 
@@ -217,7 +218,7 @@ BackwardExtensionMap BackwardExtensions(const PositionIndex& index,
                                         const Pattern& pattern,
                                         const InstanceList& instances) {
   ProjectionWorkspace ws;
-  return BackwardExtensions(index, pattern, instances, &ws);
+  return BackwardExtensions(index, pattern, instances, /*min_count=*/1, &ws);
 }
 
 bool HasUniformInfixAbsorber(const SequenceDatabase& db,

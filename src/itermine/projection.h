@@ -22,11 +22,26 @@
 //    sup(Q) == sup(P) implies a total one-to-one correspondence — the
 //    absorption condition of Definition 4.2.
 //
+//  * Threshold contract and count bound. The miners read only extensions
+//    that reach a threshold (min_support to grow, the pattern's own
+//    support to absorb), so the backend-dispatching queries take a
+//    `min_count` and return only events whose extension reaches it.
+//    Distinct instances of P++<e> end at distinct occurrences of e: two
+//    instances with the same end would share the deterministic chain back
+//    to their start (Definition 4.1), so they would be one instance.
+//    Likewise distinct instances of <e>++P start at distinct occurrences
+//    of e. Hence sup(P++<e>) and sup(<e>++P) are at most TotalCount(e),
+//    and the window walks skip every event with TotalCount(e) < min_count
+//    before the seen and gap tests: no candidate, seen bit or bucket is
+//    ever spent on an event that cannot qualify. Events that pass the
+//    bound but end below min_count are dropped at the drain.
+//
 // Hot-path design (README.md, "Index layout & threading"): every query
 // runs over dense epoch-stamped mark sets and per-event buckets held in a
 // reusable ProjectionWorkspace — no hashing, no std::map nodes, and in
 // steady state no heap allocation. The workspace-free overloads exist for
-// tests and one-off callers; the miners thread one workspace per worker.
+// tests and one-off callers and return every touched event (min_count 1);
+// the miners thread one workspace per worker.
 
 #ifndef SPECMINE_ITERMINE_PROJECTION_H_
 #define SPECMINE_ITERMINE_PROJECTION_H_
@@ -91,8 +106,9 @@ struct VerticalScratch {
 };
 
 /// \brief Reusable scratch for the word-wise QRE recount (the alphabet
-/// union row). Optional: callers in loops (the generator check, shard
-/// recounts) keep one alive to stay allocation-free.
+/// union row). Optional: callers in loops (shard recounts, a cancelled
+/// generator run's deletion recounts) keep one alive to stay
+/// allocation-free.
 struct QreRecountScratch {
   std::vector<uint64_t> union_words;
   std::vector<EventId> alphabet;
@@ -122,19 +138,22 @@ struct ProjectionWorkspace {
 /// \brief Instances of the single-event pattern <ev>: every occurrence.
 InstanceList SingleEventInstances(const PositionIndex& index, EventId ev);
 
-/// \brief Instances of every one-event forward extension P++<e>, written
-/// into \p out (cleared first). Events with no valid extension are absent;
-/// iteration order is ascending event id, so it is deterministic.
+/// \brief Instances of every one-event forward extension P++<e> with at
+/// least \p min_count instances, written into \p out (cleared first).
+/// Events with fewer (or no valid extension) are absent; iteration order
+/// is ascending event id, so it is deterministic.
 void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
-                       const InstanceList& instances,
+                       const InstanceList& instances, uint64_t min_count,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out);
 
-/// \brief Supports (and adjacency) of every one-event backward extension.
-/// The returned reference lives in \p ws and is valid until the next
-/// BackwardExtensions call on the same workspace.
+/// \brief Supports (and adjacency) of every one-event backward extension
+/// with support at least \p min_count. The returned reference lives in
+/// \p ws and is valid until the next BackwardExtensions call on the same
+/// workspace.
 const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
+                                               uint64_t min_count,
                                                ProjectionWorkspace* ws);
 
 /// \brief True iff some event e outside alphabet(pattern) occurs with an
@@ -147,7 +166,8 @@ bool HasUniformInfixAbsorber(const SequenceDatabase& db,
                              const InstanceList& instances,
                              ProjectionWorkspace* ws);
 
-/// \brief Workspace-free conveniences for tests and one-off callers.
+/// \brief Workspace-free conveniences for tests and one-off callers: every
+/// event with at least one valid extension (min_count 1).
 ForwardExtensionMap ForwardExtensions(const PositionIndex& index,
                                       const Pattern& pattern,
                                       const InstanceList& instances);
@@ -169,16 +189,19 @@ bool HasUniformInfixAbsorber(const SequenceDatabase& db,
 /// \brief Instances of the single-event pattern <ev> on either backend.
 InstanceList SingleEventInstances(const CountingBackend& backend, EventId ev);
 
-/// \brief ForwardExtensions on either backend.
+/// \brief ForwardExtensions on either backend: only events whose
+/// extension has at least \p min_count instances.
 void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
-                       const InstanceList& instances,
+                       const InstanceList& instances, uint64_t min_count,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out);
 
-/// \brief BackwardExtensions on either backend; the returned reference
+/// \brief BackwardExtensions on either backend: only events whose
+/// extension has support at least \p min_count. The returned reference
 /// lives in \p ws either way.
 const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
+                                               uint64_t min_count,
                                                ProjectionWorkspace* ws);
 
 }  // namespace specmine

@@ -75,8 +75,7 @@ uint64_t CountInstances(const CountingBackend& backend, const Pattern& pattern,
                         QreRecountScratch* scratch) {
   if (pattern.size() == 1) {
     // Every occurrence of a single event is an instance — the indexes
-    // already hold the count (the generators' deletion recounts hit this
-    // constantly).
+    // already hold the count.
     return backend.TotalCount(pattern[0]);
   }
   switch (backend.kind()) {

@@ -126,9 +126,32 @@ inline InstanceList SingleEventInstancesVertical(const HybridIndex& index,
   return out;
 }
 
+// Counts one backward extension by `ev` into ws->back — shared by the CSR
+// and the vertical arm.
+inline void TallyBackward(EventId ev, bool adjacent, ProjectionWorkspace* ws) {
+  BackwardExtension& ext = ws->back.Slot(ev);
+  ++ext.support;
+  ext.all_adjacent = ext.all_adjacent && adjacent;
+}
+
+// Writes the tallied backward extensions that reach `min_count` into
+// ws->back_result in ascending event order — the drain both arms share.
+inline const BackwardExtensionMap& DrainBackward(uint64_t min_count,
+                                                 ProjectionWorkspace* ws) {
+  std::vector<EventId>& touched = ws->back.touched();
+  std::sort(touched.begin(), touched.end());
+  ws->back_result.clear();
+  for (EventId ev : touched) {
+    const BackwardExtension& ext = ws->back.At(ev);
+    if (ext.support >= min_count) ws->back_result.emplace_back(ev, ext);
+  }
+  return ws->back_result;
+}
+
 inline void ForwardExtensionsVertical(const HybridIndex& index,
                                       const Pattern& pattern,
                                       const InstanceList& instances,
+                                      uint64_t min_count,
                                       ProjectionWorkspace* ws,
                                       ForwardExtensionMap* out) {
   VerticalScratch& sc = ws->vertical;
@@ -175,13 +198,14 @@ inline void ForwardExtensionsVertical(const HybridIndex& index,
     for (size_t g = from; g < window_end; ++g) {
       const EventId ev = arena[g];
       if (ev >= num_events) continue;  // Defensive; ids come from dict.
+      if (index.TotalCount(ev) < min_count) continue;  // Count bound.
       if (!ws->seen.TestAndSet(ev)) continue;  // First occurrence only.
       if (has_gaps && sc.gap_events.Test(ev)) continue;
       ++sc.slots.Slot(ev);
       sc.forward.push_back(VerticalScratch::ForwardCandidate{
           ev, IterInstance{inst.seq, inst.start, static_cast<Pos>(g - base)}});
     }
-    if (stop != kNoBit) {
+    if (stop != kNoBit && index.TotalCount(arena[stop]) >= min_count) {
       ++sc.slots.Slot(arena[stop]);
       sc.forward.push_back(VerticalScratch::ForwardCandidate{
           arena[stop],
@@ -194,28 +218,37 @@ inline void ForwardExtensionsVertical(const HybridIndex& index,
   // cold path's dominant cost) and the flat buffer is scattered in
   // discovery order, which within an event IS the CSR bucket order. Only
   // the distinct-event list (small) is ever sorted, never the K
-  // candidates.
+  // candidates. Events below min_count get no bucket; their candidates
+  // are skipped by the scatter.
+  constexpr uint32_t kDropped = ~uint32_t{0};
   std::vector<EventId>& touched = sc.slots.touched();
   std::sort(touched.begin(), touched.end());
   out->clear();
   out->entries().reserve(touched.size());
-  for (size_t i = 0; i < touched.size(); ++i) {
-    const EventId ev = touched[i];
-    InstanceList bucket = ws->forward.AcquireBucket();
-    bucket.reserve(sc.slots.At(ev));
-    out->emplace_back(ev, std::move(bucket));
+  for (const EventId ev : touched) {
     // Repurpose the slot as the event's entry index for the scatter.
-    sc.slots.Slot(ev) = static_cast<uint32_t>(i);
+    uint32_t& slot = sc.slots.Slot(ev);
+    if (slot < min_count) {
+      slot = kDropped;
+      continue;
+    }
+    InstanceList bucket = ws->forward.AcquireBucket();
+    bucket.reserve(slot);
+    slot = static_cast<uint32_t>(out->size());
+    out->emplace_back(ev, std::move(bucket));
   }
+  if (out->empty()) return;
   auto& entries = out->entries();
   for (const VerticalScratch::ForwardCandidate& cand : sc.forward) {
-    entries[sc.slots.At(cand.ev)].second.push_back(cand.inst);
+    const uint32_t entry = sc.slots.At(cand.ev);
+    if (entry != kDropped) entries[entry].second.push_back(cand.inst);
   }
 }
 
 inline const BackwardExtensionMap& BackwardExtensionsVertical(
     const HybridIndex& index, const Pattern& pattern,
-    const InstanceList& instances, ProjectionWorkspace* ws) {
+    const InstanceList& instances, uint64_t min_count,
+    ProjectionWorkspace* ws) {
   VerticalScratch& sc = ws->vertical;
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();
@@ -257,26 +290,16 @@ inline const BackwardExtensionMap& BackwardExtensionsVertical(
     for (size_t g = gstart; g-- > window_begin;) {
       const EventId ev = arena[g];
       if (ev >= num_events) continue;  // Defensive; ids come from dict.
+      if (index.TotalCount(ev) < min_count) continue;  // Count bound.
       if (!ws->seen.TestAndSet(ev)) continue;  // Nearest-to-start only.
       if (has_gaps && sc.gap_events.Test(ev)) continue;
-      BackwardExtension& ext = ws->back.Slot(ev);
-      ++ext.support;
-      ext.all_adjacent = ext.all_adjacent && (g + 1 == gstart);
+      TallyBackward(ev, g + 1 == gstart, ws);
     }
-    if (stop != kNoBit) {
-      BackwardExtension& ext = ws->back.Slot(arena[stop]);
-      ++ext.support;
-      ext.all_adjacent = ext.all_adjacent && (stop + 1 == gstart);
+    if (stop != kNoBit && index.TotalCount(arena[stop]) >= min_count) {
+      TallyBackward(arena[stop], stop + 1 == gstart, ws);
     }
   }
-
-  std::vector<EventId>& touched = ws->back.touched();
-  std::sort(touched.begin(), touched.end());
-  ws->back_result.clear();
-  for (EventId ev : touched) {
-    ws->back_result.emplace_back(ev, ws->back.At(ev));
-  }
-  return ws->back_result;
+  return DrainBackward(min_count, ws);
 }
 
 inline uint64_t CountInstancesVertical(const HybridIndex& index,

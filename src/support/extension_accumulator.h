@@ -80,13 +80,15 @@ class ExtensionAccumulator {
   /// \brief Event ids touched this epoch, in touch order (unsorted).
   const std::vector<EventId>& touched() const { return touched_; }
 
-  /// \brief Moves the touched buckets into \p out, sorted by event id.
-  /// Empty buckets are skipped. \p out is cleared first.
-  void Drain(Map* out) {
+  /// \brief Moves the touched buckets holding at least \p min_size items
+  /// into \p out, sorted by event id. Smaller (and empty) buckets stay
+  /// behind, keeping their capacity for the next epoch. \p out is cleared
+  /// first.
+  void Drain(Map* out, size_t min_size = 1) {
     std::sort(touched_.begin(), touched_.end());
     out->clear();
     for (EventId ev : touched_) {
-      if (buckets_[ev].empty()) continue;
+      if (buckets_[ev].size() < min_size || buckets_[ev].empty()) continue;
       out->emplace_back(ev, std::move(buckets_[ev]));
     }
     touched_.clear();

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -142,7 +144,7 @@ TEST(BitmapLayoutTest, WordBoundarySequenceLengths) {
       ForwardExtensionMap csr_fwd = ForwardExtensions(csr, p, insts);
       ProjectionWorkspace ws;
       ForwardExtensionMap bitmap_fwd;
-      ForwardExtensions(bb, p, insts, &ws, &bitmap_fwd);
+      ForwardExtensions(bb, p, insts, /*min_count=*/1, &ws, &bitmap_fwd);
       ASSERT_EQ(csr_fwd.size(), bitmap_fwd.size()) << "len=" << len;
       auto it = bitmap_fwd.begin();
       for (const auto& [ev, il] : csr_fwd) {
@@ -342,16 +344,17 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
       InstanceList pat_insts = FindAllInstances(pat, db);
       if (pat_insts.empty()) continue;
       ForwardExtensionMap csr_fwd;
-      ForwardExtensions(cb, pat, pat_insts, &csr_ws, &csr_fwd);
+      ForwardExtensions(cb, pat, pat_insts, /*min_count=*/1, &csr_ws, &csr_fwd);
       const BackwardExtensionMap& csr_back =
-          BackwardExtensions(cb, pat, pat_insts, &csr_ws);
+          BackwardExtensions(cb, pat, pat_insts, /*min_count=*/1, &csr_ws);
       // Copy: the reference lives in the workspace.
       BackwardExtensionMap csr_back_copy;
       for (const auto& [e, ext] : csr_back) csr_back_copy.emplace_back(e, ext);
       for (size_t a = 0; a < alts.size(); ++a) {
         const CountingBackend& alt = alts[a];
         ForwardExtensionMap alt_fwd;
-        ForwardExtensions(alt, pat, pat_insts, &alt_ws[a], &alt_fwd);
+        ForwardExtensions(alt, pat, pat_insts, /*min_count=*/1, &alt_ws[a],
+                          &alt_fwd);
         ASSERT_EQ(csr_fwd.size(), alt_fwd.size())
             << alt.name() << " " << pat.ToString();
         auto it = alt_fwd.begin();
@@ -360,8 +363,8 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
           ASSERT_EQ(il, it->second) << alt.name() << " " << pat.ToString();
           ++it;
         }
-        const BackwardExtensionMap& alt_back =
-            BackwardExtensions(alt, pat, pat_insts, &alt_ws[a]);
+        const BackwardExtensionMap& alt_back = BackwardExtensions(
+            alt, pat, pat_insts, /*min_count=*/1, &alt_ws[a]);
         ASSERT_EQ(csr_back_copy.size(), alt_back.size())
             << alt.name() << " " << pat.ToString();
         auto bit = alt_back.begin();
@@ -380,6 +383,135 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
             << alt.name();
       }
     }
+  }
+}
+
+// Projection maps as comparable vectors.
+using ForwardEntries = std::vector<std::pair<EventId, InstanceList>>;
+using BackwardEntries = std::vector<std::tuple<EventId, uint64_t, bool>>;
+
+ForwardEntries Entries(const ForwardExtensionMap& map) {
+  return ForwardEntries(map.begin(), map.end());
+}
+
+BackwardEntries Entries(const BackwardExtensionMap& map) {
+  BackwardEntries out;
+  for (const auto& [ev, ext] : map) {
+    out.emplace_back(ev, ext.support, ext.all_adjacent);
+  }
+  return out;
+}
+
+// The min_count contract of the backend-dispatching projection queries:
+// at threshold k each returns exactly the k = 1 map minus its entries
+// below k, on csr, bitmap (cutoff 1), hybrid and an all-sparse hybrid,
+// for k in {1, 2, the pattern's support, one above the smallest event
+// count present}, over every length-1 and length-2 pattern of \p db.
+// Returns how many dropped entries belonged to an event whose total count
+// is below k — events inside candidate windows that the count-bound scan
+// filter skips.
+size_t CheckMinCountContract(const SequenceDatabase& db) {
+  PositionIndex csr(db);
+  HybridIndex bitmap(db, kBitmapDenseCutoff);
+  HybridIndex hybrid(db);
+  HybridIndex all_sparse(db, ~uint64_t{0});
+  const std::array<CountingBackend, 4> backends = {
+      CountingBackend(csr), CountingBackend(bitmap), CountingBackend(hybrid),
+      CountingBackend(all_sparse)};
+  std::array<ProjectionWorkspace, 4> ws;
+  const size_t num_events = db.dictionary().size();
+  uint64_t smallest = ~uint64_t{0};
+  std::vector<Pattern> patterns;
+  for (EventId a = 0; a < num_events; ++a) {
+    if (csr.TotalCount(a) > 0) {
+      smallest = std::min<uint64_t>(smallest, csr.TotalCount(a));
+    }
+    patterns.push_back(Pattern{a});
+    for (EventId b = 0; b < num_events; ++b) patterns.push_back(Pattern{a, b});
+  }
+  size_t count_bound_skips = 0;
+  for (const Pattern& pat : patterns) {
+    const InstanceList insts = FindAllInstances(pat, db);
+    if (insts.empty()) continue;
+    const ForwardEntries all_fwd = Entries(ForwardExtensions(csr, pat, insts));
+    const BackwardEntries all_back =
+        Entries(BackwardExtensions(csr, pat, insts));
+    for (const uint64_t k : {uint64_t{1}, uint64_t{2},
+                             uint64_t{insts.size()}, smallest + 1}) {
+      SCOPED_TRACE(pat.ToString() + " min_count=" + std::to_string(k));
+      ForwardEntries want_fwd;
+      for (const auto& entry : all_fwd) {
+        if (entry.second.size() >= k) {
+          want_fwd.push_back(entry);
+        } else if (csr.TotalCount(entry.first) < k) {
+          ++count_bound_skips;
+        }
+      }
+      BackwardEntries want_back;
+      for (const auto& entry : all_back) {
+        if (std::get<1>(entry) >= k) {
+          want_back.push_back(entry);
+        } else if (csr.TotalCount(std::get<0>(entry)) < k) {
+          ++count_bound_skips;
+        }
+      }
+      for (size_t b = 0; b < backends.size(); ++b) {
+        ForwardExtensionMap got;
+        ForwardExtensions(backends[b], pat, insts, k, &ws[b], &got);
+        EXPECT_EQ(want_fwd, Entries(got)) << backends[b].name() << " #" << b;
+        EXPECT_EQ(want_back, Entries(BackwardExtensions(backends[b], pat,
+                                                        insts, k, &ws[b])))
+            << backends[b].name() << " #" << b;
+      }
+    }
+  }
+  return count_bound_skips;
+}
+
+TEST_P(BackendEquivalenceTest, MinCountKeepsExactlyTheEntriesReachingIt) {
+  const EquivParams p = GetParam();
+  CheckMinCountContract(RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet));
+}
+
+// A rare event (x, two occurrences) inside candidate windows: the
+// count-bound filter must skip it without disturbing the rest of the
+// walk, and an extension whose support equals its event's total count
+// (<a>++<b>, 3) must survive at exactly that threshold.
+TEST(MinCountContractTest, CountBoundSkipsRareEventsInsideWindows) {
+  SequenceDatabaseBuilder builder;
+  for (const char* trace : {"a x b", "a b", "a b c", "a c", "c x a"}) {
+    builder.AddTraceFromString(trace);
+  }
+  const SequenceDatabase db = builder.Build();
+  EXPECT_GT(CheckMinCountContract(db), 0u);
+
+  const EventDictionary& dict = db.dictionary();
+  const EventId a = dict.Lookup("a"), b = dict.Lookup("b"),
+                c = dict.Lookup("c"), x = dict.Lookup("x");
+  const PositionIndex csr(db);
+  const HybridIndex bitmap(db, kBitmapDenseCutoff);
+  ProjectionWorkspace ws;
+  const Pattern pa{a};
+  const InstanceList insts = SingleEventInstances(csr, a);
+  ASSERT_EQ(csr.TotalCount(x), 2u);
+  ASSERT_EQ(csr.TotalCount(c), 3u);
+  for (const CountingBackend& backend :
+       {CountingBackend(csr), CountingBackend(bitmap)}) {
+    // <a>++<x> has 1 instance, <a>++<b> 3, <a>++<c> 2: at 3 only b stays.
+    ForwardExtensionMap fwd;
+    ForwardExtensions(backend, pa, insts, 3, &ws, &fwd);
+    ASSERT_EQ(fwd.size(), 1u) << backend.name();
+    EXPECT_EQ(fwd.begin()->first, b);
+    EXPECT_EQ(fwd.begin()->second.size(), 3u);
+    // Backward of <a>: <x, a> and <c, a> once each (the c-x-a trace), so
+    // at 2 neither survives.
+    EXPECT_TRUE(BackwardExtensions(backend, pa, insts, 2, &ws).empty())
+        << backend.name();
+    // <c> has 3 occurrences; <a>++<c> ends at 2 of them.
+    ForwardExtensions(backend, pa, insts, 2, &ws, &fwd);
+    ASSERT_EQ(fwd.size(), 2u) << backend.name();
+    EXPECT_EQ(fwd.entries()[1].first, c);
+    EXPECT_EQ(fwd.entries()[1].second.size(), 2u);
   }
 }
 

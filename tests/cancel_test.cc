@@ -8,9 +8,11 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/engine/engine.h"
+#include "src/itermine/generators.h"
 #include "src/rulemine/backward_rules.h"
 #include "src/support/cancel.h"
 #include "src/support/random.h"
@@ -155,6 +157,44 @@ TEST(CancelTest, CancelledParallelScanDeliversAPrefix) {
   const std::string partial = sink.set().ToString(dict);
   EXPECT_EQ(full.compare(0, partial.size(), partial), 0)
       << "parallel partial output is not a prefix of the full order";
+}
+
+// The generator miner answers deletions from its scan's support table. A
+// scan cut short lacks some frequent deletions, so the miner recounts its
+// misses, and what it returns is still a prefix of the complete run.
+TEST(CancelTest, CancelledGeneratorRunReturnsAPrefix) {
+  const SequenceDatabase db = RandomDb(97, 80, 12, 5);
+  const PositionIndex index(db);
+  const CountingBackend backend(index);
+  IterGeneratorMinerOptions options;
+  options.min_support = 2;
+  options.num_threads = 1;
+  IterMinerStats full_stats;
+  const PatternSet full = MineIterativeGenerators(backend, options,
+                                                  &full_stats);
+  // The token reads its deadline once per 64 polls (one per node), so a
+  // deadline that has passed stops the scan within its first 64 nodes.
+  ASSERT_GT(full_stats.nodes_visited, 256u);
+  bool saw_partial = false;
+  // The first attempt may stop at the very first node (the strobe phase
+  // is per thread); the next one then runs 64 nodes before it stops.
+  for (int attempt = 0; attempt < 2 && !saw_partial; ++attempt) {
+    CancelToken token;
+    token.SetDeadline(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    options.cancel = &token;
+    IterMinerStats stats;
+    const PatternSet partial = MineIterativeGenerators(backend, options,
+                                                       &stats);
+    EXPECT_EQ(stats.stopped, StatusCode::kDeadlineExceeded);
+    ASSERT_LE(partial.size(), full.size());
+    for (size_t i = 0; i < partial.size(); ++i) {
+      ASSERT_EQ(partial[i], full[i])
+          << "cancelled generator output is not a prefix at " << i;
+    }
+    saw_partial = !partial.empty() && partial.size() < full.size();
+  }
+  EXPECT_TRUE(saw_partial);
 }
 
 // An armed token that never fires must change nothing: output stays

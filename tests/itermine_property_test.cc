@@ -1,12 +1,14 @@
 // Property-based tests for iterative pattern mining, parameterized over
 // seeded random databases: projection-vs-verifier agreement, apriori
 // anti-monotonicity, full/closed cross-checks against the brute-force
-// Definition-4.2 oracle, prune soundness, and coverage of the full set by
-// the closed set.
+// Definition-4.2 oracle, generators against deletion recounts, prune
+// soundness, and coverage of the full set by the closed set.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/engine/engine.h"
 #include "src/itermine/brute_force.h"
@@ -68,6 +70,61 @@ TEST_P(IterMinePropertyTest, FullMinerMatchesBruteForce) {
     auto want = ToMap(BruteForceFrequentIterative(db, min_sup));
     ASSERT_EQ(got, want) << "min_sup=" << min_sup;
   }
+}
+
+// Generators against the definition: the brute-force frequent set,
+// filtered by recounting every one-event deletion with the QRE verifier,
+// in the full miner's emission order — at 1 and 4 threads, unbounded and
+// with max_length set. The miner answers deletions from its scan's
+// support table, so this pins that lookup to the recount it replaces.
+TEST_P(IterMinePropertyTest, GeneratorsMatchDeletionRecountOracle) {
+  SequenceDatabase db = RandomDb(GetParam());
+  size_t non_generators = 0;
+  for (uint64_t min_sup : {1u, 2u}) {
+    for (size_t max_length : {size_t{0}, size_t{3}}) {
+      const PatternSet frequent =
+          BruteForceFrequentIterative(db, min_sup, max_length);
+      std::map<Pattern, uint64_t> want;
+      for (const auto& it : frequent.items()) {
+        bool generator = true;
+        for (size_t k = 0; k < it.pattern.size() && generator; ++k) {
+          const Pattern deleted = it.pattern.Erase(k);
+          generator =
+              deleted.empty() || CountInstances(deleted, db) != it.support;
+        }
+        if (generator) {
+          want[it.pattern] = it.support;
+        } else {
+          ++non_generators;
+        }
+      }
+      for (size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("min_sup=" + std::to_string(min_sup) + " max_length=" +
+                     std::to_string(max_length) +
+                     " threads=" + std::to_string(threads));
+        IterGeneratorMinerOptions options;
+        options.min_support = min_sup;
+        options.max_length = max_length;
+        options.num_threads = threads;
+        const PatternSet got = Collect(db, GeneratorsTask{.options = options});
+        EXPECT_EQ(ToMap(got), want);
+        IterMinerOptions full_options;
+        full_options.min_support = min_sup;
+        full_options.max_length = max_length;
+        full_options.num_threads = threads;
+        const PatternSet full =
+            Collect(db, FullPatternsTask{.options = full_options});
+        std::vector<MinedPattern> in_order;
+        for (const auto& it : full.items()) {
+          if (want.count(it.pattern) != 0) in_order.push_back(it);
+        }
+        EXPECT_EQ(got.items(), in_order) << "not in the scan's order";
+      }
+    }
+  }
+  // Every frequent pattern of a benchmark corpus can be a generator, so
+  // the oracle must reject some here for the check to mean anything.
+  EXPECT_GT(non_generators, 0u);
 }
 
 TEST_P(IterMinePropertyTest, SupportsAgreeWithIndependentVerifier) {

@@ -1,12 +1,14 @@
 // Tests for the JSON layer the server and the CLI --json flag share: the
 // deterministic pretty-printing writer (its formatting is an API contract
-// — server/CLI byte-identity depends on it) and the strict reader the
-// request decoder uses.
+// — server/CLI byte-identity depends on it), the strict reader the
+// request decoder uses, and the report object both surfaces render.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
+#include "src/engine/json_results.h"
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
 
@@ -157,6 +159,38 @@ TEST(JsonReaderTest, GetUintRejectsNegativeAndFractional) {
   uint64_t u = 0;
   EXPECT_FALSE(parsed->GetUint("neg", &u).ok());
   EXPECT_FALSE(parsed->GetUint("frac", &u).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Results.
+
+// The sharded candidate counters reach --json and the server, not only
+// RunReport::ToString.
+TEST(JsonResultsTest, RunReportCarriesShardCounters) {
+  RunReport report;
+  report.task = "full-patterns";
+  report.shard_local_patterns = 11;
+  report.shard_candidates = 7;
+  report.shard_bound_skips = 3;
+  report.shard_recounts = 5;
+  std::string out;
+  JsonWriter writer(&out);
+  WriteRunReport(writer, report);
+  writer.Finish();
+  Result<JsonValue> parsed = ParseJson(out);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::pair<const char*, uint64_t> want[] = {
+      {"shard_local_patterns", 11},
+      {"shard_candidates", 7},
+      {"shard_bound_skips", 3},
+      {"shard_recounts", 5}};
+  for (const auto& [key, value] : want) {
+    const JsonValue* field = parsed->Find(key);
+    ASSERT_NE(field, nullptr) << key;
+    uint64_t got = 0;
+    ASSERT_TRUE(parsed->GetUint(key, &got).ok()) << key;
+    EXPECT_EQ(got, value) << key;
+  }
 }
 
 }  // namespace
