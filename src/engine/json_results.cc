@@ -43,6 +43,13 @@ void WriteRunReport(JsonWriter& writer, const RunReport& report) {
   writer.Field("shard_bound_skips",
                static_cast<uint64_t>(report.shard_bound_skips));
   writer.Field("shard_recounts", static_cast<uint64_t>(report.shard_recounts));
+  writer.Field("shards_scanned", static_cast<uint64_t>(report.shards_scanned));
+  writer.Field("shards_cached", static_cast<uint64_t>(report.shards_cached));
+  writer.Key("shard_phase1_nodes").BeginArray();
+  for (size_t nodes : report.shard_phase1_nodes) {
+    writer.UInt(static_cast<uint64_t>(nodes));
+  }
+  writer.EndArray();
   writer.EndObject();
 }
 

@@ -17,10 +17,10 @@
 //                "effect": name, "template": name, "relevant_traces": N,
 //                "satisfying_traces": N, "satisfaction": F}, ... ] }
 //
-// The report object carries every RunReport counter and timing except
-// the phase-1 provenance of sharded runs (shards_scanned, shards_cached,
-// shard_phase1_nodes); its *_seconds members are the only fields whose
-// bytes vary across equal runs.
+// The report object carries every RunReport counter and timing, the
+// phase-1 provenance of sharded runs (shards_scanned, shards_cached,
+// shard_phase1_nodes) included; its *_seconds members are the only fields
+// whose bytes vary across equal runs.
 
 #ifndef SPECMINE_ENGINE_JSON_RESULTS_H_
 #define SPECMINE_ENGINE_JSON_RESULTS_H_

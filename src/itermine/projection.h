@@ -36,6 +36,19 @@
 //    ever spent on an event that cannot qualify. Events that pass the
 //    bound but end below min_count are dropped at the drain.
 //
+//  * Backward early exit (the vertical arm). An event first met when
+//    fewer than min_count instances remain cannot reach min_count, so
+//    once that point is passed the query stops walking windows: each
+//    later instance only probes the events tallied so far that can still
+//    reach it, and the query returns as soon as none can. A probe gives
+//    the walk's exact outcome for its event (the instance's alphabet stop
+//    event, or present in the window and absent from the gaps; adjacent
+//    iff it sits right before the start), and an event dropped as unable
+//    to reach min_count would have been dropped at the drain, so every
+//    returned support and adjacency flag is the full walk's. At the
+//    closed miner's threshold (the pattern's own support) this is
+//    intersect-and-stop: walk the first instance, then probe.
+//
 // Hot-path design (README.md, "Index layout & threading"): every query
 // runs over dense epoch-stamped mark sets and per-event buckets held in a
 // reusable ProjectionWorkspace — no hashing, no std::map nodes, and in
@@ -103,6 +116,10 @@ struct VerticalScratch {
   /// test is then an O(1) membership lookup per candidate instead of a
   /// per-candidate row probe.
   EventMarkSet gap_events;
+
+  /// Backward events that can still reach min_count once fewer than
+  /// min_count instances remain (the probe phase of the backward query).
+  std::vector<EventId> alive;
 };
 
 /// \brief Reusable scratch for the word-wise QRE recount (the alphabet
@@ -149,7 +166,8 @@ void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
 /// \brief Supports (and adjacency) of every one-event backward extension
 /// with support at least \p min_count. The returned reference lives in
 /// \p ws and is valid until the next BackwardExtensions call on the same
-/// workspace.
+/// workspace. (This CSR arm walks every instance; the vertical arm stops
+/// early, with the same result — see "Backward early exit" above.)
 const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
                                                const Pattern& pattern,
                                                const InstanceList& instances,

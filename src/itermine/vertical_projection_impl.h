@@ -260,25 +260,44 @@ inline const BackwardExtensionMap& BackwardExtensionsVertical(
   const bool has_gaps = pattern.size() > 1;
   if (has_gaps) sc.gap_events.EnsureSize(num_events);
 
+  // Instances [0, walked) are walked window by window: an event first met
+  // there can still reach min_count. Past them fewer than min_count
+  // instances remain, so later instances only probe the events tallied so
+  // far that can still reach it (at min_count == instances.size(), the
+  // closed miner's threshold, walked is 1: intersect-and-stop).
+  const size_t n = instances.size();
+  if (min_count > n) return DrainBackward(min_count, ws);
+  const size_t walked = static_cast<size_t>(n + 1 - min_count);
+  std::vector<EventId>& alive = sc.alive;
+
+  // The union row is built per sequence until the sequences prepared so
+  // far would have paid for one whole-arena build (UseWholeRowUnion over
+  // the sequences actually reached, since an early exit may reach few).
   const size_t total_bits = offsets[db.size()];
-  const bool whole_row =
-      UseWholeRowUnion(DistinctSequences(instances), (total_bits + 63) >> 6);
-  if (whole_row) {
-    index.BuildUnionForRange(sc.alphabet, 0, total_bits, &sc.union_words);
-  }
+  const size_t total_words = (total_bits + 63) >> 6;
+  bool whole_row = false;
+  size_t seqs_prepared = 0;
   SeqId prepared = ~SeqId{0};
   size_t base = 0, limit = 0;
-  for (const IterInstance& inst : instances) {
+  for (size_t i = 0; i < n; ++i) {
+    if (i == walked) {
+      alive.assign(ws->back.touched().begin(), ws->back.touched().end());
+    }
+    if (i >= walked && alive.empty()) break;  // Nothing can qualify.
+    const IterInstance& inst = instances[i];
     if (inst.seq != prepared) {
       prepared = inst.seq;
       base = offsets[inst.seq];
       limit = offsets[inst.seq + 1];
       if (!whole_row) {
-        index.BuildUnionForRange(sc.alphabet, base, limit, &sc.union_words);
+        whole_row = UseWholeRowUnion(++seqs_prepared, total_words);
+        if (whole_row) {
+          index.BuildUnionForRange(sc.alphabet, 0, total_bits,
+                                   &sc.union_words);
+        } else {
+          index.BuildUnionForRange(sc.alphabet, base, limit, &sc.union_words);
+        }
       }
-    }
-    if (has_gaps) {
-      MarkGapEvents(arena, num_events, base, inst, &sc.gap_events);
     }
     const size_t gstart = base + inst.start;
     // Last alphabet(P) event before the instance start bounds the window;
@@ -286,6 +305,30 @@ inline const BackwardExtensionMap& BackwardExtensionsVertical(
     const size_t stop =
         bitrow::LastSetBefore(sc.union_words.data(), base, gstart);
     const size_t window_begin = stop == kNoBit ? base : stop + 1;
+    if (i >= walked) {
+      // The walk's outcome for one event: the stop event if it is that,
+      // else present in the window (which holds no alphabet event) and
+      // absent from the gaps; adjacent iff it sits right before the start.
+      const size_t remaining = n - i - 1;
+      size_t kept = 0;
+      for (const EventId ev : alive) {
+        if (stop != kNoBit && arena[stop] == ev) {
+          TallyBackward(ev, stop + 1 == gstart, ws);
+        } else if (index.AnyOfEventInRange(ev, window_begin, gstart) &&
+                   !(has_gaps && index.AnyOfEventInRange(
+                                     ev, gstart + 1, base + inst.end))) {
+          TallyBackward(ev, arena[gstart - 1] == ev, ws);
+        }
+        if (ws->back.At(ev).support + remaining >= min_count) {
+          alive[kept++] = ev;
+        }
+      }
+      alive.resize(kept);
+      continue;
+    }
+    if (has_gaps) {
+      MarkGapEvents(arena, num_events, base, inst, &sc.gap_events);
+    }
     ws->seen.Clear();
     for (size_t g = gstart; g-- > window_begin;) {
       const EventId ev = arena[g];

@@ -47,17 +47,52 @@ bool LatestEmbedding(const Pattern& pattern, EventSpan seq, Pos begin,
   return k == 0;
 }
 
+// The embedding rows of one HasPeriodExtension call, filled lazily: a
+// unit's earliest row (and, for maximum periods, its latest row) in the
+// workspace's flat `ee` / `ls` is computed the first time a slot's scan
+// reaches the unit. Every scan walks units in order from the first, so the
+// embedded units are always a prefix, and a scan that stops early never
+// pays for the embeddings it would not read.
+struct PeriodRows {
+  const Pattern& pattern;
+  bool semi;
+  size_t embedded = 0;  // Units [0, embedded) have rows.
+};
+
+// Embeds unit `idx` (== rows->embedded) into its rows; false if the
+// pattern does not embed in its suffix.
+bool EmbedNextUnit(Ctx* ctx, const std::vector<SeqEntry>& entries,
+                   size_t idx, PeriodRows* rows) {
+  const size_t n = rows->pattern.size();
+  const Unit& unit = ctx->units->units()[entries[idx].unit];
+  const EventSpan seq = ctx->units->db()[unit.seq];
+  if (!EarliestEmbedding(rows->pattern, seq, unit.start,
+                         &ctx->ws->ee[idx * n]) ||
+      (!rows->semi && !LatestEmbedding(rows->pattern, seq, unit.start,
+                                       &ctx->ws->ls[idx * n]))) {
+    return false;
+  }
+  ++rows->embedded;
+  return true;
+}
+
 // Returns true iff some event occurs inside the slot-th period of every
 // supporting unit: the exclusive interval (ee[slot-1], hi[slot]) of the
-// unit's row in the workspace's `ee` and `hi`. Counts with epoch-stamped
-// slots, so the cost is at most the sum of interval lengths; it stops at
-// the first unit that advances no event's count, since no event can then
-// reach entries.size().
+// unit's rows, hi being `ls` for maximum periods and `ee` for semi-maximum
+// ones. Counts with epoch-stamped slots, so the cost is at most the sum of
+// interval lengths; it stops at the first unit that advances no event's
+// count, since no event can then reach entries.size(), or that does not
+// embed.
 bool HasCommonPeriodEvent(Ctx* ctx, const std::vector<SeqEntry>& entries,
-                          size_t n, size_t slot, const std::vector<Pos>& hi) {
+                          size_t slot, PeriodRows* rows) {
   const SequenceDatabase& db = ctx->units->db();
+  const size_t n = rows->pattern.size();
+  const std::vector<Pos>& hi = rows->semi ? ctx->ws->ee : ctx->ws->ls;
   ctx->ws->period_counts.Reset(ctx->num_events);
   for (uint32_t idx = 0; idx < entries.size(); ++idx) {
+    if (idx == rows->embedded && !EmbedNextUnit(ctx, entries, idx, rows)) {
+      return false;
+    }
     const Unit& unit = ctx->units->units()[entries[idx].unit];
     const EventSpan seq = db[unit.seq];
     const Pos lo = (slot == 0) ? kNoPos : ctx->ws->ee[idx * n + slot - 1];
@@ -84,28 +119,19 @@ bool HasCommonPeriodEvent(Ctx* ctx, const std::vector<SeqEntry>& entries,
 // of all supporting units, where the slot-i period of a unit is
 //  * maximum period      (ee[i-1], ls[i])  when semi == false (closure),
 //  * semi-maximum period (ee[i-1], ee[i])  when semi == true  (BackScan).
-// Embeddings are computed once per unit into the workspace's flat `ee` /
-// `ls` rows and reused across slots.
+// A unit whose suffix does not embed the pattern makes the answer false.
+// Rows are embedded lazily (PeriodRows) and reused across slots; a true
+// answer has scanned, and so embedded, every unit, and a unit that would
+// fail to embed makes every slot's scan that reaches it false, so
+// laziness never changes the answer.
 bool HasPeriodExtension(Ctx* ctx, const Pattern& pattern,
                         const std::vector<SeqEntry>& entries, bool semi) {
-  const SequenceDatabase& db = ctx->units->db();
   const size_t n = pattern.size();
   ctx->ws->ee.resize(entries.size() * n);
   if (!semi) ctx->ws->ls.resize(entries.size() * n);
-  for (size_t idx = 0; idx < entries.size(); ++idx) {
-    const Unit& unit = ctx->units->units()[entries[idx].unit];
-    const EventSpan seq = db[unit.seq];
-    if (!EarliestEmbedding(pattern, seq, unit.start, &ctx->ws->ee[idx * n])) {
-      return false;
-    }
-    if (!semi &&
-        !LatestEmbedding(pattern, seq, unit.start, &ctx->ws->ls[idx * n])) {
-      return false;
-    }
-  }
-  const std::vector<Pos>& hi = semi ? ctx->ws->ee : ctx->ws->ls;
+  PeriodRows rows{pattern, semi};
   for (size_t slot = 0; slot < n; ++slot) {
-    if (HasCommonPeriodEvent(ctx, entries, n, slot, hi)) return true;
+    if (HasCommonPeriodEvent(ctx, entries, slot, &rows)) return true;
   }
   return false;
 }

@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -405,8 +407,12 @@ BackwardEntries Entries(const BackwardExtensionMap& map) {
 // The min_count contract of the backend-dispatching projection queries:
 // at threshold k each returns exactly the k = 1 map minus its entries
 // below k, on csr, bitmap (cutoff 1), hybrid and an all-sparse hybrid,
-// for k in {1, 2, the pattern's support, one above the smallest event
-// count present}, over every length-1 and length-2 pattern of \p db.
+// for k in {1, 2, the pattern's support and one below it, one above the
+// smallest event count present}, over every length-1 and length-2
+// pattern of \p db and every length-3 extension of a length-2 pattern
+// that occurs. At k = the support the vertical backward query walks only
+// the first instance and probes the rest (windows and two gaps at
+// length 3); one below it, each candidate may miss one instance.
 // Returns how many dropped entries belonged to an event whose total count
 // is below k — events inside candidate windows that the count-bound scan
 // filter skips.
@@ -430,14 +436,22 @@ size_t CheckMinCountContract(const SequenceDatabase& db) {
     for (EventId b = 0; b < num_events; ++b) patterns.push_back(Pattern{a, b});
   }
   size_t count_bound_skips = 0;
-  for (const Pattern& pat : patterns) {
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const Pattern pat = patterns[i];  // A copy: the loop appends.
     const InstanceList insts = FindAllInstances(pat, db);
     if (insts.empty()) continue;
+    if (pat.size() == 2) {
+      for (EventId c = 0; c < num_events; ++c) {
+        patterns.push_back(pat.Extend(c));
+      }
+    }
     const ForwardEntries all_fwd = Entries(ForwardExtensions(csr, pat, insts));
     const BackwardEntries all_back =
         Entries(BackwardExtensions(csr, pat, insts));
-    for (const uint64_t k : {uint64_t{1}, uint64_t{2},
-                             uint64_t{insts.size()}, smallest + 1}) {
+    const uint64_t support = insts.size();
+    for (const uint64_t k : {uint64_t{1}, uint64_t{2}, support,
+                             std::max<uint64_t>(support - 1, 1),
+                             smallest + 1}) {
       SCOPED_TRACE(pat.ToString() + " min_count=" + std::to_string(k));
       ForwardEntries want_fwd;
       for (const auto& entry : all_fwd) {
@@ -513,6 +527,93 @@ TEST(MinCountContractTest, CountBoundSkipsRareEventsInsideWindows) {
     EXPECT_EQ(fwd.entries()[1].first, c);
     EXPECT_EQ(fwd.entries()[1].second.size(), 2u);
   }
+}
+
+// The backward query's probe phase on hand-made corpora, where each
+// later instance decides one candidate differently from the first
+// instance's walk. `Backward` runs the query at min_count k on csr (which
+// walks every instance), bitmap and an all-sparse hybrid, and checks that
+// they agree.
+class BackwardProbeTest : public ::testing::Test {
+ protected:
+  void Build(std::initializer_list<const char*> traces) {
+    SequenceDatabaseBuilder builder;
+    for (const char* trace : traces) builder.AddTraceFromString(trace);
+    db_ = builder.Build();
+    csr_.emplace(db_);
+    bitmap_.emplace(db_, kBitmapDenseCutoff);
+    all_sparse_.emplace(db_, ~uint64_t{0});
+    CheckMinCountContract(db_);  // Every pattern of length 1 to 3.
+  }
+  EventId Id(const char* name) const { return db_.dictionary().Lookup(name); }
+  Pattern Pat(std::initializer_list<const char*> names) const {
+    Pattern out;
+    for (const char* name : names) out = out.Extend(Id(name));
+    return out;
+  }
+  BackwardEntries Backward(const Pattern& pat, uint64_t k) {
+    const InstanceList insts = FindAllInstances(pat, db_);
+    ProjectionWorkspace ws;
+    const BackwardEntries want = Entries(
+        BackwardExtensions(CountingBackend(*csr_), pat, insts, k, &ws));
+    for (const CountingBackend& backend :
+         {CountingBackend(*bitmap_), CountingBackend(*all_sparse_)}) {
+      EXPECT_EQ(want, Entries(BackwardExtensions(backend, pat, insts, k, &ws)))
+          << backend.name() << " " << pat.ToString() << " k=" << k;
+    }
+    return want;
+  }
+
+  SequenceDatabase db_;
+  std::optional<PositionIndex> csr_;
+  std::optional<HybridIndex> bitmap_, all_sparse_;
+};
+
+// x sits right before the first instance of <a, b> but one event earlier
+// in the second, so the probe of instance 2 must clear all_adjacent.
+TEST_F(BackwardProbeTest, LaterInstanceClearsAdjacency) {
+  Build({"x a b", "x y a c b"});
+  const EventId x = Id("x"), y = Id("y");
+  EXPECT_EQ(Backward(Pat({"a", "b"}), 2),
+            (BackwardEntries{{x, 2, false}}));
+  EXPECT_EQ(Backward(Pat({"a", "b"}), 1),
+            (BackwardEntries{{x, 2, false}, {y, 1, true}}));
+}
+
+// z is in the first instance's backward window but inside a gap of the
+// second, so the second's gap probe drops it: at the pattern's support
+// nothing survives (and the query stops there); at 2 the walk covers
+// instances 1 and 2, and the probe of instance 3 brings z to 2.
+TEST_F(BackwardProbeTest, GapProbeDropsCandidate) {
+  Build({"z a b", "z a z b", "z a b"});
+  const EventId z = Id("z");
+  const Pattern ab = Pat({"a", "b"});
+  ASSERT_EQ(FindAllInstances(ab, db_).size(), 3u);
+  EXPECT_TRUE(Backward(ab, 3).empty());
+  EXPECT_EQ(Backward(ab, 2), (BackwardEntries{{z, 2, true}}));
+  // Length 3, two gaps: z inside the second gap of instance 2 only.
+  Build({"z a b c", "z a b z c", "z a b c"});
+  const Pattern abc = Pat({"a", "b", "c"});
+  ASSERT_EQ(FindAllInstances(abc, db_).size(), 3u);
+  EXPECT_TRUE(Backward(abc, 3).empty());
+  EXPECT_EQ(Backward(abc, 2), (BackwardEntries{{Id("z"), 2, true}}));
+}
+
+// The instances' alphabet stop events differ (a before the first, b
+// before the second): neither alphabet candidate reaches 2, while x, in
+// both windows, does.
+TEST_F(BackwardProbeTest, DifferentStopEvents) {
+  Build({"a x a b", "b x a b"});
+  const EventId a = Id("a"), b = Id("b"), x = Id("x");
+  const Pattern ab = Pat({"a", "b"});
+  ASSERT_EQ(FindAllInstances(ab, db_).size(), 2u);
+  EXPECT_EQ(Backward(ab, 2), (BackwardEntries{{x, 2, true}}));
+  EXPECT_EQ(Backward(ab, 1),
+            (BackwardEntries{{a, 1, false}, {x, 2, true}, {b, 1, false}}));
+  // The same stop event in both: it is absorbed, non-adjacent once.
+  Build({"a x a b", "a a b"});
+  EXPECT_EQ(Backward(Pat({"a", "b"}), 2),
+            (BackwardEntries{{Id("a"), 2, false}}));
 }
 
 // Full / closed / generator miners: byte-identical emission across

@@ -193,5 +193,52 @@ TEST(JsonResultsTest, RunReportCarriesShardCounters) {
   }
 }
 
+// The phase-1 provenance of a sharded run (scanned vs cached shards and
+// each shard's phase-1 nodes, in shard order) reaches --json and the
+// server too.
+TEST(JsonResultsTest, RunReportCarriesPhase1Provenance) {
+  RunReport report;
+  report.task = "full-patterns";
+  report.shards_total = 3;
+  report.shards_scanned = 1;
+  report.shards_cached = 2;
+  report.shard_phase1_nodes = {0, 42, 0};
+  std::string out;
+  JsonWriter writer(&out);
+  WriteRunReport(writer, report);
+  writer.Finish();
+  Result<JsonValue> parsed = ParseJson(out);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  uint64_t got = 0;
+  ASSERT_TRUE(parsed->GetUint("shards_scanned", &got).ok());
+  EXPECT_EQ(got, 1u);
+  ASSERT_TRUE(parsed->GetUint("shards_cached", &got).ok());
+  EXPECT_EQ(got, 2u);
+  const JsonValue* nodes = parsed->Find("shard_phase1_nodes");
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_TRUE(nodes->is_array());
+  const std::vector<JsonValue>& got_nodes = nodes->AsArray();
+  ASSERT_EQ(got_nodes.size(), 3u);
+  const double want[] = {0, 42, 0};
+  for (size_t i = 0; i < got_nodes.size(); ++i) {
+    ASSERT_TRUE(got_nodes[i].is_number()) << i;
+    EXPECT_EQ(got_nodes[i].AsDouble(), want[i]) << i;
+  }
+
+  // An unsharded run renders zero counts and an empty node list.
+  out.clear();
+  JsonWriter empty_writer(&out);
+  WriteRunReport(empty_writer, RunReport{});
+  empty_writer.Finish();
+  parsed = ParseJson(out);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->GetUint("shards_scanned", &got).ok());
+  EXPECT_EQ(got, 0u);
+  nodes = parsed->Find("shard_phase1_nodes");
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_TRUE(nodes->is_array());
+  EXPECT_TRUE(nodes->AsArray().empty());
+}
+
 }  // namespace
 }  // namespace specmine

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/rulemine/consequent_miner.h"
@@ -425,6 +426,36 @@ TEST(ClosedSequentialTest, MatchesOracleOnPointUnits) {
         }
       }
     }
+  }
+}
+
+// The period checks embed units lazily, as a slot's scan first reaches
+// them. Here y precedes a in the first unit only, so the slot-0 scan of
+// <a, b> stops at the second unit, and x sits between a and b in every
+// unit but the last, so the slot-1 scan embeds the rest and only the last
+// unit breaks the one common period: <a, b> stays closed. With x in the
+// last unit too, <a, x, b> absorbs it.
+TEST(ClosedSequentialTest, LastUnitBreaksTheOnlyCommonPeriod) {
+  for (const char* last : {"a c b", "a x c b"}) {
+    SequenceDatabase db = MakeDb({"y a x b", "a x b", "a x c b", last});
+    UnitDatabase units = UnitDatabase::WholeSequences(db);
+    for (uint64_t min_sup : {1u, 2u, 3u, 4u}) {
+      const auto want = OracleClosed(units, min_sup);
+      for (bool backscan : {true, false}) {
+        ClosedSeqMinerOptions options;
+        options.min_support = min_sup;
+        options.backscan_pruning = backscan;
+        EXPECT_EQ(ToMap(MineClosedSequential(units, options)), want)
+            << "last=" << last << " min_sup=" << min_sup
+            << " backscan=" << backscan;
+      }
+    }
+    ClosedSeqMinerOptions options;
+    options.min_support = 4;
+    const auto got = ToMap(MineClosedSequential(units, options));
+    const bool x_everywhere = std::string(last) == "a x c b";
+    EXPECT_EQ(got.count(P(db, "a b")), x_everywhere ? 0u : 1u) << last;
+    EXPECT_EQ(got.count(P(db, "a x b")), x_everywhere ? 1u : 0u) << last;
   }
 }
 

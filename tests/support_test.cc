@@ -217,7 +217,9 @@ TEST(StopwatchTest, ReportsNonNegativeMonotonicTime) {
   Stopwatch sw;
   int64_t a = sw.ElapsedNanos();
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) {
+    sink = sink + std::sqrt(static_cast<double>(i));
+  }
   int64_t b = sw.ElapsedNanos();
   EXPECT_GE(a, 0);
   EXPECT_GE(b, a);
