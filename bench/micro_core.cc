@@ -1,4 +1,4 @@
-// Microbenchmarks of the hot paths shared by every miner: position-index
+// Microbenchmarks of the hot paths shared by every miner: counting-index
 // construction, QRE instance projection, temporal point computation,
 // subsequence embedding, and instance verification.
 //
@@ -44,7 +44,7 @@ const SequenceDatabase& Db() {
 // once and reused by the benchmarks below.
 EventId HottestEvent() {
   static EventId ev = [] {
-    PositionIndex index(Db());
+    const HybridIndex index(Db(), kBitmapDenseCutoff);
     EventId best = 0;
     for (EventId e = 0; e < Db().dictionary().size(); ++e) {
       if (index.TotalCount(e) > index.TotalCount(best)) best = e;
@@ -55,9 +55,12 @@ EventId HottestEvent() {
 }
 
 Pattern HotPattern() {
-  PositionIndex index(Db());
+  const HybridIndex index(Db(), kBitmapDenseCutoff);
   Pattern p{HottestEvent()};
-  auto ext = ForwardExtensions(index, p, SingleEventInstances(index, p[0]));
+  ProjectionWorkspace ws;
+  ForwardExtensionMap ext;
+  ForwardExtensions(index, p, SingleEventInstances(index, p[0]),
+                    /*min_count=*/1, &ws, &ext);
   EventId best = kInvalidEvent;
   size_t best_count = 0;
   for (const auto& [ev, instances] : ext) {
@@ -71,63 +74,11 @@ Pattern HotPattern() {
 
 int Run() {
   const SequenceDatabase& db = Db();
-  PositionIndex index(db);
-  const EventId hottest = HottestEvent();
   const Pattern hot = HotPattern();
   const InstanceList hot_instances = FindAllInstances(hot, db);
 
   std::printf("=== micro_core: shared hot-path benchmarks ===\n");
   JsonReport report("BENCH_core.json");
-
-  RunMicroBenchmark(
-      "PositionIndexBuild",
-      [&] {
-        PositionIndex ix(db);
-        DoNotOptimize(ix.num_events());
-      },
-      &report);
-
-  RunMicroBenchmark(
-      "SingleEventInstances",
-      [&] { DoNotOptimize(SingleEventInstances(index, hottest).size()); },
-      &report);
-
-  const double csr_forward_cold_ns = RunMicroBenchmark(
-      "ForwardExtensions",
-      [&] {
-        DoNotOptimize(ForwardExtensions(index, hot, hot_instances).size());
-      },
-      &report);
-
-  RunMicroBenchmark(
-      "BackwardExtensions",
-      [&] {
-        DoNotOptimize(BackwardExtensions(index, hot, hot_instances).size());
-      },
-      &report);
-
-  // The miners' steady state: one workspace reused across every node, so
-  // the projection runs allocation-free.
-  ProjectionWorkspace ws;
-  ForwardExtensionMap forward_out;
-  RunMicroBenchmark(
-      "ForwardExtensionsReuse",
-      [&] {
-        ForwardExtensions(index, hot, hot_instances, /*min_count=*/1, &ws,
-                          &forward_out);
-        DoNotOptimize(forward_out.size());
-        ws.forward.Recycle(std::move(forward_out));
-      },
-      &report);
-
-  RunMicroBenchmark(
-      "BackwardExtensionsReuse",
-      [&] {
-        DoNotOptimize(
-            BackwardExtensions(index, hot, hot_instances, /*min_count=*/1, &ws)
-                .size());
-      },
-      &report);
 
   RunMicroBenchmark(
       "QreFindInstances",
@@ -153,14 +104,13 @@ int Run() {
       "CountOccurrences", [&] { DoNotOptimize(CountOccurrences(hot, db)); },
       &report);
 
-  // --- the vertical bitmap backend (a HybridIndex at kBitmapDenseCutoff)
-  // on the same (dense, fig1-style QUEST) corpus. The cold benchmarks
-  // construct a fresh workspace per call like their CSR twins above; the
-  // chooser line documents what `auto` picks.
+  // --- the bitmap layout (a HybridIndex at kBitmapDenseCutoff) on the
+  // same (dense, fig1-style QUEST) corpus. The cold benchmark constructs a
+  // fresh workspace per call; the chooser line documents what `auto`
+  // picks.
   std::printf("--- bitmap backend (auto on this corpus: %s) ---\n",
               BackendKindName(ChooseBackendKind(db)));
   const HybridIndex bitmap_index(db, kBitmapDenseCutoff);
-  const CountingBackend bitmap_backend(bitmap_index);
 
   RunMicroBenchmark(
       "BitmapIndexBuild",
@@ -170,12 +120,12 @@ int Run() {
       },
       &report);
 
-  const double bitmap_forward_cold_ns = RunMicroBenchmark(
+  RunMicroBenchmark(
       "BitmapForwardExtensions",
       [&] {
         ProjectionWorkspace cold;
         ForwardExtensionMap out;
-        ForwardExtensions(bitmap_backend, hot, hot_instances, /*min_count=*/1,
+        ForwardExtensions(bitmap_index, hot, hot_instances, /*min_count=*/1,
                           &cold, &out);
         DoNotOptimize(out.size());
       },
@@ -186,7 +136,7 @@ int Run() {
   RunMicroBenchmark(
       "BitmapForwardExtensionsReuse",
       [&] {
-        ForwardExtensions(bitmap_backend, hot, hot_instances, /*min_count=*/1,
+        ForwardExtensions(bitmap_index, hot, hot_instances, /*min_count=*/1,
                           &bitmap_ws, &bitmap_forward_out);
         DoNotOptimize(bitmap_forward_out.size());
         bitmap_ws.forward.Recycle(std::move(bitmap_forward_out));
@@ -197,7 +147,7 @@ int Run() {
       "BitmapBackwardExtensionsReuse",
       [&] {
         DoNotOptimize(
-            BackwardExtensions(bitmap_backend, hot, hot_instances,
+            BackwardExtensions(bitmap_index, hot, hot_instances,
                                /*min_count=*/1, &bitmap_ws)
                 .size());
       },
@@ -205,24 +155,19 @@ int Run() {
 
   RunMicroBenchmark(
       "BitmapQreCountInstances",
-      [&] { DoNotOptimize(CountInstances(bitmap_backend, hot)); }, &report);
+      [&] { DoNotOptimize(CountInstances(bitmap_index, hot)); }, &report);
 
   RunMicroBenchmark(
       "BitmapCountOccurrences",
-      [&] { DoNotOptimize(CountOccurrences(bitmap_backend, hot)); },
+      [&] { DoNotOptimize(CountOccurrences(bitmap_index, hot)); },
       &report);
-
-  std::printf(
-      "forward cold speedup: %.1fx (csr %.1f us -> bitmap %.1f us)\n",
-      csr_forward_cold_ns / bitmap_forward_cold_ns,
-      csr_forward_cold_ns / 1e3, bitmap_forward_cold_ns / 1e3);
 
   // --- the sparse synthetic corpus (huge alphabet, rare events — mean
   // occurrences ~2): the regime where the full bitmap loses the miners'
   // steady state (its events x words table falls out of cache, so every
   // per-event row touch misses). The hybrid format exists for exactly
   // this shape — rare events keep sorted ID-lists, only the dense heads
-  // pay for rows — and `auto` must pick it here. All three backends are
+  // pay for rows — and `auto` must pick it here. Both layouts are
   // measured workspace-reusing, the state the miners actually run in.
   std::printf("--- sparse corpus (auto must pick hybrid) ---\n");
   {  // Scoped: the sparse tables (the bitmap's is ~100 MB) must be gone
@@ -236,7 +181,6 @@ int Run() {
     p.num_seed_patterns = 40;
     return GenerateQuest(p).TakeValueOrDie();
   }();
-  PositionIndex sparse_csr(sparse);
   const HybridIndex sparse_bitmap(sparse, kBitmapDenseCutoff);
   std::printf(
       "sparse corpus: auto picks %s (mean occurrences %.2f, bitmap table "
@@ -258,11 +202,9 @@ int Run() {
   // The workload: sparse-tier root expansion — SingleEventInstances plus
   // the first ForwardExtensions for every frequent event below the dense
   // cutoff. This is the unit a low-min-support miner repeats per root on a
-  // huge-alphabet corpus, and the regime the formats genuinely diverge in:
-  // CSR's root enumeration walks all sequences per event (O(sequences)
-  // even for a four-occurrence event), the full bitmap scans a mostly-empty
-  // multi-KB row per sequence, and the hybrid reads the event's sorted
-  // ID-list directly.
+  // huge-alphabet corpus, and the regime the layouts genuinely diverge in:
+  // the full bitmap scans a mostly-empty multi-KB row per sequence, and
+  // the hybrid reads the event's sorted ID-list directly.
   constexpr uint64_t kSparseMinSupport = 4;
   std::vector<EventId> sparse_roots;
   for (EventId ev = 0; ev < sparse.dictionary().size(); ++ev) {
@@ -273,7 +215,7 @@ int Run() {
   }
   std::printf("sparse-tier roots at min_support %" PRIu64 ": %zu events\n",
               kSparseMinSupport, sparse_roots.size());
-  auto expand_sparse_roots = [&](const CountingBackend& backend,
+  auto expand_sparse_roots = [&](const HybridIndex& backend,
                                  ProjectionWorkspace* ws,
                                  ForwardExtensionMap* out) {
     size_t buckets = 0;
@@ -286,39 +228,26 @@ int Run() {
     }
     return buckets;
   };
-  const CountingBackend sparse_csr_backend(sparse_csr);
-  ProjectionWorkspace sparse_ws;
   ForwardExtensionMap sparse_out;
-  const double sparse_csr_ns = RunMicroBenchmark(
-      "SparseForwardExtensionsCsr",
-      [&] {
-        DoNotOptimize(
-            expand_sparse_roots(sparse_csr_backend, &sparse_ws, &sparse_out));
-      },
-      &report, /*budget_seconds=*/1.0);
-  const CountingBackend sparse_bitmap_backend(sparse_bitmap);
   ProjectionWorkspace sparse_bitmap_ws;
   const double sparse_bitmap_ns = RunMicroBenchmark(
       "SparseForwardExtensionsBitmap",
       [&] {
-        DoNotOptimize(expand_sparse_roots(sparse_bitmap_backend,
-                                          &sparse_bitmap_ws, &sparse_out));
+        DoNotOptimize(
+            expand_sparse_roots(sparse_bitmap, &sparse_bitmap_ws, &sparse_out));
       },
       &report, /*budget_seconds=*/1.0);
-  const CountingBackend sparse_hybrid_backend(sparse_hybrid);
   ProjectionWorkspace sparse_hybrid_ws;
   const double sparse_hybrid_ns = RunMicroBenchmark(
       "HybridSparseForwardExtensions",
       [&] {
-        DoNotOptimize(expand_sparse_roots(sparse_hybrid_backend,
-                                          &sparse_hybrid_ws, &sparse_out));
+        DoNotOptimize(
+            expand_sparse_roots(sparse_hybrid, &sparse_hybrid_ws, &sparse_out));
       },
       &report, /*budget_seconds=*/1.0);
   std::printf(
-      "sparse root expansion: hybrid %.1f us vs csr %.1f us (%.2fx) vs "
-      "bitmap %.1f us (%.2fx)\n",
-      sparse_hybrid_ns / 1e3, sparse_csr_ns / 1e3,
-      sparse_csr_ns / sparse_hybrid_ns, sparse_bitmap_ns / 1e3,
+      "sparse root expansion: hybrid %.1f us vs bitmap %.1f us (%.2fx)\n",
+      sparse_hybrid_ns / 1e3, sparse_bitmap_ns / 1e3,
       sparse_bitmap_ns / sparse_hybrid_ns);
   }  // End of the sparse-corpus scope.
 

@@ -175,50 +175,17 @@ const SequenceDatabase& Engine::database() const {
   return *db_;
 }
 
-Result<const PositionIndex*> Engine::EnsureIndex(double* build_seconds) const {
+Result<const HybridIndex*> Engine::EnsureBackend(
+    BackendChoice choice, double* build_seconds) const {
   *build_seconds = 0.0;
   // Concurrent cold callers serialize here; exactly one pays the build
   // and the rest observe the published cache (a zero build_seconds — the
-  // cache-hit signal the server's metrics count).
+  // cache-hit signal the server's metrics count). A sharded session
+  // resolves over its materialized merged arena, so it holds the same one
+  // index per layout as a single-file session.
   std::lock_guard<std::mutex> lock(sync_->cache_mu);
   MaterializeLocked();
-  if (index_ == nullptr) {
-    SPECMINE_RETURN_NOT_OK(CheckIndexable(*db_));
-    Stopwatch sw;
-    index_ = std::make_unique<PositionIndex>(*db_);
-    *build_seconds = sw.ElapsedSeconds();
-    sync_->index_builds.fetch_add(1, std::memory_order_acq_rel);
-  }
-  return index_.get();
-}
-
-const PositionIndex& Engine::index() const {
-  double unused = 0.0;
-  Result<const PositionIndex*> idx = EnsureIndex(&unused);
-  if (!idx.ok()) {
-    std::fprintf(stderr, "Engine::index(): %s\n",
-                 idx.status().ToString().c_str());
-    std::abort();  // The checked factories make this unreachable.
-  }
-  return **idx;
-}
-
-Result<CountingBackend> Engine::EnsureBackend(BackendChoice choice,
-                                              double* build_seconds) const {
-  *build_seconds = 0.0;
-  // A sharded session resolves over its materialized merged arena, so it
-  // holds the same one index per representation as a single-file session.
-  {
-    std::lock_guard<std::mutex> lock(sync_->cache_mu);
-    MaterializeLocked();
-  }
   const BackendKind kind = ResolveBackendKind(choice, *db_);
-  if (kind == BackendKind::kCsr) {
-    Result<const PositionIndex*> index = EnsureIndex(build_seconds);
-    if (!index.ok()) return index.status();
-    return CountingBackend(**index);
-  }
-  std::lock_guard<std::mutex> lock(sync_->cache_mu);
   const bool bitmap = kind == BackendKind::kBitmap;
   std::unique_ptr<HybridIndex>& slot = bitmap ? bitmap_index_ : hybrid_index_;
   if (slot == nullptr) {
@@ -231,20 +198,20 @@ Result<CountingBackend> Engine::EnsureBackend(BackendChoice choice,
     *build_seconds = sw.ElapsedSeconds();
     sync_->index_builds.fetch_add(1, std::memory_order_acq_rel);
   }
-  return CountingBackend(*slot);
+  return slot.get();
 }
 
-CountingBackend Engine::backend(BackendChoice choice) const {
+const HybridIndex& Engine::backend(BackendChoice choice) const {
   double unused = 0.0;
-  Result<CountingBackend> backend = EnsureBackend(choice, &unused);
-  if (!backend.ok()) {
+  Result<const HybridIndex*> index = EnsureBackend(choice, &unused);
+  if (!index.ok()) {
     std::fprintf(stderr, "Engine::backend(): %s\n",
-                 backend.status().ToString().c_str());
-    std::abort();  // The checked factories make auto/csr unreachable;
+                 index.status().ToString().c_str());
+    std::abort();  // The checked factories make auto/hybrid unreachable;
                    // explicit kBitmap can exceed the table cap — use
                    // Mine (Status) for untrusted sizes.
   }
-  return *backend;
+  return **index;
 }
 
 const UnitDatabase& Engine::Units() const {
@@ -309,13 +276,13 @@ Result<RunReport> Engine::Mine(const FullPatternsTask& task,
                                PatternSink& sink) const {
   SPECMINE_RETURN_NOT_OK(Begin(task));
   double build_seconds = 0.0;
-  Result<CountingBackend> backend =
+  Result<const HybridIndex*> index =
       EnsureBackend(task.options.backend, &build_seconds);
-  if (!backend.ok()) return backend.status();
+  if (!index.ok()) return index.status();
   IterMinerStats stats;
   PoolLease lease = LeasePool(task.options.num_threads);
   ScanFrequentIterative(
-      *backend, task.options,
+      **index, task.options,
       [&sink](const Pattern& pattern, uint64_t support) {
         return sink.Consume(pattern, support);
       },
@@ -324,7 +291,7 @@ Result<RunReport> Engine::Mine(const FullPatternsTask& task,
   // order; a stopped run reports that as a Status.
   SPECMINE_RETURN_NOT_OK(FinishRun(stats.error, task.options.cancel));
   RunReport report = FromIterStats("full-patterns", stats, build_seconds);
-  report.backend = backend->name();
+  report.backend = (*index)->name();
   return report;
 }
 
@@ -332,16 +299,16 @@ Result<RunReport> Engine::Mine(const ClosedTask& task,
                                PatternSink& sink) const {
   SPECMINE_RETURN_NOT_OK(Begin(task));
   double build_seconds = 0.0;
-  Result<CountingBackend> backend =
+  Result<const HybridIndex*> index =
       EnsureBackend(task.options.backend, &build_seconds);
-  if (!backend.ok()) return backend.status();
+  if (!index.ok()) return index.status();
   IterMinerStats stats;
   PoolLease lease = LeasePool(task.options.num_threads);
   PatternSet mined =
-      MineClosedIterative(*backend, task.options, &stats, lease.pool());
+      MineClosedIterative(**index, task.options, &stats, lease.pool());
   SPECMINE_RETURN_NOT_OK(FinishRun(stats.error, task.options.cancel));
   RunReport report = FromIterStats("closed-patterns", stats, build_seconds);
-  report.backend = backend->name();
+  report.backend = (*index)->name();
   bool stopped = false;
   report.patterns_emitted = DeliverPatterns(mined, sink, &stopped);
   report.truncated = report.truncated || stopped;
@@ -352,16 +319,16 @@ Result<RunReport> Engine::Mine(const GeneratorsTask& task,
                                PatternSink& sink) const {
   SPECMINE_RETURN_NOT_OK(Begin(task));
   double build_seconds = 0.0;
-  Result<CountingBackend> backend =
+  Result<const HybridIndex*> index =
       EnsureBackend(task.options.backend, &build_seconds);
-  if (!backend.ok()) return backend.status();
+  if (!index.ok()) return index.status();
   IterMinerStats stats;
   PoolLease lease = LeasePool(task.options.num_threads);
   PatternSet mined =
-      MineIterativeGenerators(*backend, task.options, &stats, lease.pool());
+      MineIterativeGenerators(**index, task.options, &stats, lease.pool());
   SPECMINE_RETURN_NOT_OK(FinishRun(stats.error, task.options.cancel));
   RunReport report = FromIterStats("generators", stats, build_seconds);
-  report.backend = backend->name();
+  report.backend = (*index)->name();
   bool stopped = false;
   report.patterns_emitted = DeliverPatterns(mined, sink, &stopped);
   report.truncated = report.truncated || stopped;
@@ -372,20 +339,26 @@ Result<RunReport> Engine::Mine(const GeneratorsTask& task,
 // The sharded execution path.
 
 Status Engine::EnsureShardBackends(BackendChoice choice,
-                                   std::vector<CountingBackend>* backends,
+                                   std::vector<const HybridIndex*>* indexes,
                                    double* build_seconds, ThreadPool* pool,
                                    size_t num_threads) const {
   *build_seconds = 0.0;
-  backends->clear();
+  indexes->clear();
   // Serializes concurrent sharded tasks racing into cold shards: one
   // caller builds the missing per-shard indexes (in parallel on its own
   // pool — the workers never touch cache_mu), the rest reuse them.
   std::lock_guard<std::mutex> lock(sync_->cache_mu);
   const size_t num_shards = shard_set_->num_shards();
   if (num_shards == 0) return Status::OK();
-  // Resolve the representation per shard — the chooser runs on each
-  // shard's own density, so a corpus mixing dense protocol modules with
-  // sparse ones gets the right physical layout for each.
+  if (shard_bitmap_indexes_.empty()) {
+    shard_bitmap_indexes_.resize(num_shards);
+  }
+  if (shard_hybrid_indexes_.empty()) {
+    shard_hybrid_indexes_.resize(num_shards);
+  }
+  // Resolve the layout per shard — the chooser runs on each shard's own
+  // density, so a corpus mixing dense protocol modules with sparse ones
+  // gets the right layout for each.
   std::vector<BackendKind> kinds(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     kinds[i] = ResolveBackendKind(choice, shard_set_->shard(i));
@@ -393,15 +366,7 @@ Status Engine::EnsureShardBackends(BackendChoice choice,
       SPECMINE_RETURN_NOT_OK(CheckBitmapIndexable(shard_set_->shard(i)));
     }
   }
-  if (shard_indexes_.empty()) shard_indexes_.resize(num_shards);
-  if (shard_bitmap_indexes_.empty()) {
-    shard_bitmap_indexes_.resize(num_shards);
-  }
-  if (shard_hybrid_indexes_.empty()) {
-    shard_hybrid_indexes_.resize(num_shards);
-  }
-  // The vertical slot a shard resolved to (kinds[i] must not be kCsr).
-  const auto vertical_slot = [&](size_t i) -> std::unique_ptr<HybridIndex>& {
+  const auto slot = [&](size_t i) -> std::unique_ptr<HybridIndex>& {
     return kinds[i] == BackendKind::kBitmap ? shard_bitmap_indexes_[i]
                                             : shard_hybrid_indexes_[i];
   };
@@ -409,33 +374,21 @@ Status Engine::EnsureShardBackends(BackendChoice choice,
   // Slots are distinct, so the fan-out needs no locking.
   std::vector<size_t> missing;
   for (size_t i = 0; i < num_shards; ++i) {
-    const bool empty = kinds[i] == BackendKind::kCsr
-                           ? shard_indexes_[i] == nullptr
-                           : vertical_slot(i) == nullptr;
-    if (empty) missing.push_back(i);
+    if (slot(i) == nullptr) missing.push_back(i);
   }
   if (!missing.empty()) {
     Stopwatch sw;
     auto build_one = [&](size_t m) {
       const size_t i = missing[m];
-      const SequenceDatabase& shard = shard_set_->shard(i);
-      if (kinds[i] == BackendKind::kCsr) {
-        shard_indexes_[i] = std::make_unique<PositionIndex>(shard);
-      } else {
-        vertical_slot(i) =
-            std::make_unique<HybridIndex>(shard, DenseCutoffFor(kinds[i]));
-      }
+      slot(i) = std::make_unique<HybridIndex>(shard_set_->shard(i),
+                                              DenseCutoffFor(kinds[i]));
     };
     SPECMINE_RETURN_NOT_OK(ThreadPool::ParallelForShared(
         pool, num_threads, missing.size(), build_one));
     *build_seconds = sw.ElapsedSeconds();
   }
-  backends->reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    backends->push_back(kinds[i] == BackendKind::kCsr
-                            ? CountingBackend(*shard_indexes_[i])
-                            : CountingBackend(*vertical_slot(i)));
-  }
+  indexes->reserve(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) indexes->push_back(slot(i).get());
   return Status::OK();
 }
 
@@ -463,9 +416,9 @@ Result<RunReport> Engine::MineSharded(const FullPatternsTask& task,
   const size_t num_threads =
       ThreadPool::ResolveThreads(task.options.num_threads);
   double build_seconds = 0.0;
-  std::vector<CountingBackend> backends;
+  std::vector<const HybridIndex*> indexes;
   SPECMINE_RETURN_NOT_OK(EnsureShardBackends(
-      task.options.backend, &backends, &build_seconds, pool, num_threads));
+      task.options.backend, &indexes, &build_seconds, pool, num_threads));
   // The phase-1 candidate cache lives beside the manifest. Loading
   // tolerates anything (missing, torn, foreign — all mean "empty"): the
   // cache only accelerates, it never decides output.
@@ -485,7 +438,7 @@ Result<RunReport> Engine::MineSharded(const FullPatternsTask& task,
   }
   ShardExecStats stats;
   PatternSet mined =
-      MineShardedFull(*shard_set_, backends, task.options, &stats, pool,
+      MineShardedFull(*shard_set_, indexes, task.options, &stats, pool,
                       use_cache ? &cache_io : nullptr);
   if (!stats.error.ok()) return stats.error;
   if (use_cache && !cache_updated.entries.empty()) {
@@ -521,10 +474,10 @@ Result<RunReport> Engine::MineSharded(const FullPatternsTask& task,
     report.shard_errors.push_back("shard " + std::to_string(q.index) + " (" +
                                   q.path + "): " + q.error);
   }
-  if (!backends.empty()) {
-    report.backend = backends.front().name();
-    for (const CountingBackend& b : backends) {
-      if (report.backend != b.name()) {
+  if (!indexes.empty()) {
+    report.backend = indexes.front()->name();
+    for (const HybridIndex* index : indexes) {
+      if (report.backend != index->name()) {
         report.backend = "mixed";
         break;
       }
@@ -582,23 +535,16 @@ Result<RunReport> Engine::Mine(const RulesTask& task, RuleSink& sink) const {
   PoolLease lease = LeasePool(task.options.num_threads);
   if (task.backward) {
     // Backward rules mine the *reversed* database, which the session's
-    // forward indexes do not cover — the scalar path stands.
+    // forward index does not cover — the scalar path stands.
     mined = MineBackwardRules(db, task.options, &stats);
-  } else if (ResolveBackendKind(task.options.backend, db) ==
-                 BackendKind::kCsr &&
-             !task.options.non_redundant) {
-    // With maximality pruning off the CSR arms all reduce to the scalar
-    // scans — don't pay for an index this run would never consult.
-    mined = MineRecurrentRules(db, task.options, &stats, lease.pool());
-    report.backend = BackendKindName(BackendKind::kCsr);
   } else {
-    Result<CountingBackend> backend =
+    Result<const HybridIndex*> index =
         EnsureBackend(task.options.backend, &build_seconds);
-    if (!backend.ok()) return backend.status();
+    if (!index.ok()) return index.status();
     sw.Restart();  // Report the build separately from the mining time.
     mined = MineRecurrentRules(db, task.options, &stats, lease.pool(),
-                               &*backend);
-    report.backend = backend->name();
+                               *index);
+    report.backend = (*index)->name();
   }
   SPECMINE_RETURN_NOT_OK(FinishRun(stats.error, task.options.cancel));
   report.task = task.backward ? "backward-rules" : "rules";

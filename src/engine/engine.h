@@ -3,10 +3,10 @@
 // immutable trace database).
 //
 // An Engine owns a SequenceDatabase and lazily builds — then caches — the
-// PositionIndex and a shared worker pool, so a session running many tasks
-// (a multi-scenario request stream) pays for index construction and thread
-// spawns once instead of per call. Every miner is exposed as a uniform
-// task object:
+// counting index (a HybridIndex per layout) and a shared worker pool, so a
+// session running many tasks (a multi-scenario request stream) pays for
+// index construction and thread spawns once instead of per call. Every
+// miner is exposed as a uniform task object:
 //
 //     Result<Engine> engine = Engine::FromTextTraceFile("traces.txt");
 //     if (!engine.ok()) return engine.status();
@@ -21,8 +21,8 @@
 //
 // Thread-safety: Mine is safe to call concurrently from multiple threads
 // on one Engine (the specmined server shares one session per corpus
-// across its connection threads). The lazily built caches — CSR and
-// vertical indexes, per-shard indexes, unit view — are constructed under
+// across its connection threads). The lazily built caches — the counting
+// index per layout, per-shard indexes, unit view — are constructed under
 // a mutex, so N requests racing into a cold corpus pay for exactly one
 // build (index_builds() == 1; the concurrent hammer test pins this down),
 // and every cache is immutable once published. Worker pools are handed
@@ -43,13 +43,12 @@
 #include "src/engine/run_report.h"
 #include "src/engine/sinks.h"
 #include "src/engine/tasks.h"
-#include "src/itermine/counting_backend.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/seqmine/prefixspan.h"
 #include "src/support/status.h"
 #include "src/support/thread_pool.h"
 #include "src/trace/binary_format.h"
 #include "src/trace/csv_trace_reader.h"
-#include "src/trace/position_index.h"
 #include "src/trace/sequence_database.h"
 #include "src/trace/shard_set.h"
 
@@ -193,7 +192,7 @@ class Engine {
   /// the materialized tasks) instead of pruning a subtree, and
   /// max_patterns cuts delivery at the same pattern the single-pass scan
   /// would have stopped at. Per-shard indexes are built on first use and
-  /// cached for the session, mirroring index().
+  /// cached for the session, mirroring backend().
   Result<RunReport> MineSharded(const FullPatternsTask& task,
                                 PatternSink& sink) const;
 
@@ -217,27 +216,20 @@ class Engine {
   // -------------------------------------------------------------------------
   // Cached infrastructure (exposed for advanced callers and tests).
 
-  /// \brief The session's CSR position index, building it on first use.
-  /// The checked factories guarantee this cannot fail; after the unchecked
-  /// constructor, prefer Mine (which reports indexability errors as
-  /// Status) before touching this. Note the session may instead (or also)
-  /// carry a vertical index — see backend().
-  const PositionIndex& index() const;
+  /// \brief The session's counting index for \p choice, building it on
+  /// first use (kAuto resolves via ChooseBackendKind, over the
+  /// materialized merged arena on a sharded session). The two layouts
+  /// cache independently, so a session mixing explicit bitmap and hybrid
+  /// tasks builds each at most once. This accessor aborts if the build
+  /// fails — which for kAuto and kHybrid the checked factories make
+  /// unreachable, but an explicit kBitmap request beyond the 1 GB table
+  /// cap (CheckBitmapIndexable) does fail; for untrusted sizes run a Mine
+  /// task instead, which reports the same condition as an OutOfRange
+  /// Status.
+  const HybridIndex& backend(BackendChoice choice = BackendChoice::kAuto) const;
 
-  /// \brief The session's counting backend for \p choice, building the
-  /// physical index on first use (kAuto resolves via ChooseBackendKind,
-  /// over the materialized merged arena on a sharded session).
-  /// Representations cache independently, so a
-  /// session mixing explicit csr, bitmap and hybrid tasks builds each at
-  /// most once. Like index(), this accessor aborts if the build fails —
-  /// which for kAuto / kCsr the checked factories make unreachable, but
-  /// an explicit kBitmap request beyond the 1 GB table cap
-  /// (CheckBitmapIndexable) does fail; for untrusted sizes run a Mine task
-  /// instead, which reports the same condition as an OutOfRange Status.
-  CountingBackend backend(BackendChoice choice = BackendChoice::kAuto) const;
-
-  /// \brief How many physical index builds (csr, bitmap or hybrid) this
-  /// session has paid for — at most one per representation, *including*
+  /// \brief How many index builds (bitmap or hybrid layout) this session
+  /// has paid for — at most one per layout, *including*
   /// under concurrent Mine calls racing into a cold session; a
   /// single-backend session stays at 1 however many tasks it runs (the
   /// cache assertion the tests pin down).
@@ -276,18 +268,12 @@ class Engine {
   // validated the merged-view bounds up front.
   void MaterializeLocked() const;
 
-  // Builds (once) and returns the cached CSR index; *build_seconds
-  // receives the construction time if this call built it, else 0.
-  // Thread-safe: concurrent cold callers serialize on cache_mu_ and all
-  // but one observe a cache hit.
-  Result<const PositionIndex*> EnsureIndex(double* build_seconds) const;
-
-  // Resolves \p choice and returns a backend over the cached physical
-  // index of that kind, building it on first use; *build_seconds receives
-  // the construction time if this call built it, else 0. Thread-safe like
-  // EnsureIndex.
-  Result<CountingBackend> EnsureBackend(BackendChoice choice,
-                                        double* build_seconds) const;
+  // Resolves \p choice and returns the cached index of that layout,
+  // building it on first use; *build_seconds receives the construction
+  // time if this call built it, else 0. Thread-safe: concurrent cold
+  // callers serialize on cache_mu and all but one observe a cache hit.
+  Result<const HybridIndex*> EnsureBackend(BackendChoice choice,
+                                           double* build_seconds) const;
 
   // Leases a pool sized for \p requested_threads (options-style: 0 =
   // hardware concurrency); lease.pool() is nullptr when the resolved
@@ -311,13 +297,13 @@ class Engine {
   // computed once per session under cache_mu. Sharded sessions only.
   const std::vector<uint64_t>& ShardDigests() const;
 
-  // Fills *backends with one counting backend per shard (kinds resolved
+  // Fills *indexes with one counting index per shard (layouts resolved
   // per shard — the chooser runs on each shard's own shape), building any
-  // missing physical index — one job per shard on \p pool when
-  // \p num_threads allows; *build_seconds receives the wall-clock
-  // construction time if this call built anything, else 0.
+  // missing one — one job per shard on \p pool when \p num_threads
+  // allows; *build_seconds receives the wall-clock construction time if
+  // this call built anything, else 0.
   Status EnsureShardBackends(BackendChoice choice,
-                             std::vector<CountingBackend>* backends,
+                             std::vector<const HybridIndex*>* indexes,
                              double* build_seconds, ThreadPool* pool,
                              size_t num_threads) const;
 
@@ -334,7 +320,7 @@ class Engine {
   // The mutexes and the build counter live behind one heap allocation
   // because an Engine must stay movable (the factories return by value);
   // mutexes and atomics are not. cache_mu guards every lazy cache build
-  // (index_, the vertical indexes, the per-shard index vectors, units_);
+  // (the indexes, the per-shard index vectors, units_);
   // once a cache is published it is immutable and read without the lock.
   // pool_mu guards the idle pool cache.
   struct Sync {
@@ -343,15 +329,13 @@ class Engine {
     std::atomic<size_t> index_builds{0};
   };
   mutable std::unique_ptr<Sync> sync_ = std::make_unique<Sync>();
-  mutable std::unique_ptr<PositionIndex> index_;
-  // The vertical indexes: "bitmap" is a HybridIndex at kBitmapDenseCutoff,
-  // "hybrid" one at its tuned cutoff; each caches independently.
+  // The counting index per layout: "bitmap" is the HybridIndex at
+  // kBitmapDenseCutoff, "hybrid" the one at its tuned cutoff; each caches
+  // independently.
   mutable std::unique_ptr<HybridIndex> bitmap_index_;
   mutable std::unique_ptr<HybridIndex> hybrid_index_;
-  // Per-shard physical indexes (MineSharded only); a slot is filled
-  // lazily when a sharded task resolves that shard to the corresponding
-  // kind.
-  mutable std::vector<std::unique_ptr<PositionIndex>> shard_indexes_;
+  // Per-shard indexes (MineSharded only); a slot is filled lazily when a
+  // sharded task resolves that shard to the corresponding layout.
   mutable std::vector<std::unique_ptr<HybridIndex>> shard_bitmap_indexes_;
   mutable std::vector<std::unique_ptr<HybridIndex>> shard_hybrid_indexes_;
   mutable std::unique_ptr<UnitDatabase> units_;

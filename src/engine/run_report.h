@@ -31,18 +31,17 @@ struct RunReport {
   size_t subtrees_pruned = 0;      ///< Closed miner: P1-P3 subtree prunes.
   bool truncated = false;          ///< A cap or the sink stopped the run.
 
-  /// The physical counting representation the run used: "csr", "bitmap",
-  /// "hybrid", "mixed" (MineSharded runs whose shards resolved
-  /// differently), or empty for tasks that use no counting index
+  /// The counting index layout the run used: "bitmap", "hybrid", "mixed"
+  /// (MineSharded runs whose shards resolved differently), or empty for
+  /// tasks that use no counting index
   /// (sequential, episodes, two-event, backward rules). A sharded
   /// session's Mine reports the backend resolved over its merged arena,
   /// the same as the equivalent single .smdb.
   std::string backend;
 
-  /// Physical index (CSR or vertical) construction time spent by *this*
-  /// call. 0 when the session's cached index was reused (or the task
-  /// needs no index) — the session-reuse signal the engine tests assert
-  /// on.
+  /// Counting index construction time spent by *this* call. 0 when the
+  /// session's cached index was reused (or the task needs no index) — the
+  /// session-reuse signal the engine tests assert on.
   double index_build_seconds = 0.0;
   /// Mining wall-clock (everything after index construction).
   double mine_seconds = 0.0;

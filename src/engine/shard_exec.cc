@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/itermine/projection.h"
-#include "src/itermine/qre_verifier.h"
 #include "src/support/cancel.h"
 #include "src/support/stopwatch.h"
 #include "src/support/thread_pool.h"
@@ -81,7 +80,7 @@ uint64_t ShardInstanceBound(const std::vector<uint64_t>& occ,
 // MineShardedFull); the prune itself only removes patterns whose global
 // support provably misses the threshold, so the final filtered output is
 // identical with or without it.
-void MineOneShard(const ShardedDatabase& set, const CountingBackend& backend,
+void MineOneShard(const ShardedDatabase& set, const HybridIndex& index,
                   size_t shard, const IterMinerOptions& options,
                   uint64_t local_threshold, const OccurrenceTable& occ,
                   ShardResult* out) {
@@ -94,7 +93,7 @@ void MineOneShard(const ShardedDatabase& set, const CountingBackend& backend,
   std::vector<EventId> merged_ids;
   IterMinerStats stats;
   ScanFrequentIterative(
-      backend, local,
+      index, local,
       [&](const Pattern& pattern, uint64_t support) {
         merged_ids.clear();
         merged_ids.reserve(pattern.size());
@@ -141,7 +140,7 @@ struct ShardReport {
 }  // namespace
 
 PatternSet MineShardedFull(const ShardedDatabase& set,
-                           const std::vector<CountingBackend>& backends,
+                           const std::vector<const HybridIndex*>& indexes,
                            const IterMinerOptions& options,
                            ShardExecStats* stats, ThreadPool* pool,
                            ShardCacheIO* cache) {
@@ -166,7 +165,7 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
     const std::vector<EventId>& remap = set.remap(j);
     for (size_t local_ev = 0; local_ev < remap.size(); ++local_ev) {
       occ[j][remap[local_ev]] =
-          backends[j].TotalCount(static_cast<EventId>(local_ev));
+          indexes[j]->TotalCount(static_cast<EventId>(local_ev));
     }
   }
 
@@ -291,7 +290,7 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
       results[i].patterns = hits[i]->patterns;
       return;
     }
-    MineOneShard(set, backends[i], i, options, thresholds[i], occ,
+    MineOneShard(set, *indexes[i], i, options, thresholds[i], occ,
                  &results[i]);
   };
   stats->error =
@@ -452,7 +451,7 @@ PatternSet MineShardedFull(const ShardedDatabase& set,
         local_ids[k] = to_local[i][pattern[k]];
       }
       recounts.fetch_add(1, std::memory_order_relaxed);
-      total += CountInstances(backends[i], Pattern(local_ids), &recount);
+      total += CountInstances(*indexes[i], Pattern(local_ids), &recount);
     }
     totals[c] = total;
   };

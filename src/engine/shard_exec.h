@@ -124,16 +124,16 @@ struct ShardCacheIO {
 /// \brief Mines the full frequent iterative pattern set of \p set with the
 /// two-phase partition scheme.
 ///
-/// \p backends must hold one counting backend per shard, in shard order
-/// (each indexing that shard's database; kinds may differ per shard — the
-/// adaptive chooser picks per shard density). Phase-1 scans and phase-2
-/// recounts both run on the shard's backend; output is byte-identical for
-/// every backend mix. \p options.min_support is the *global* absolute
-/// threshold; \p options.max_length is honored; \p options.max_patterns is
-/// ignored here (the caller cuts delivery — the sorted order makes the
-/// prefix identical to single-pass truncation); \p options.num_threads
-/// sizes the shard fan-out (through \p pool when it matches, exactly like
-/// the in-shard miners).
+/// \p indexes must hold one counting index per shard, in shard order
+/// (each indexing that shard's database; layouts may differ per shard —
+/// the adaptive chooser picks per shard density). Phase-1 scans and
+/// phase-2 recounts both run on the shard's index; output is
+/// byte-identical for every layout mix. \p options.min_support is the
+/// *global* absolute threshold; \p options.max_length is honored;
+/// \p options.max_patterns is ignored here (the caller cuts delivery — the
+/// sorted order makes the prefix identical to single-pass truncation);
+/// \p options.num_threads sizes the shard fan-out (through \p pool when
+/// it matches, exactly like the in-shard miners).
 ///
 /// Returns the patterns in merged EventIds with exact global supports, in
 /// the single-pass emission order.
@@ -141,7 +141,7 @@ struct ShardCacheIO {
 /// candidate cache as described on ShardCacheIO; output stays
 /// byte-identical to the cache-less run.
 PatternSet MineShardedFull(const ShardedDatabase& set,
-                           const std::vector<CountingBackend>& backends,
+                           const std::vector<const HybridIndex*>& indexes,
                            const IterMinerOptions& options,
                            ShardExecStats* stats = nullptr,
                            ThreadPool* pool = nullptr,

@@ -14,7 +14,6 @@
 #include <cstdint>
 
 #include "src/patterns/pattern_set.h"
-#include "src/trace/position_index.h"
 #include "src/trace/sequence_database.h"
 
 namespace specmine {

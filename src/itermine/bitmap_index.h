@@ -2,7 +2,7 @@
 // primitives of the vertical (SPAM-style) bitmap layout.
 //
 // Layout: bit g of an event's row is set iff arena[g] is that event. Bit
-// positions ARE arena positions, so the CSR sequence boundaries of
+// positions ARE arena positions, so the sequence boundaries of
 // SequenceDatabase (offsets[s]..offsets[s+1]) delimit sequence s's bits
 // directly — no per-sequence padding; shared boundary words are handled by
 // the range masks of the primitives below. The projection queries become
@@ -10,13 +10,13 @@
 // find-first-set over an OR of alphabet rows, and occurrence counts are
 // popcounts.
 //
-// The one vertical index is HybridIndex (hybrid_index.h). The "bitmap"
-// backend is that index built at kBitmapDenseCutoff, where every event that
-// occurs gets a full-width row: alphabet x ceil(total_events / 64) words.
-// That table is dense in the alphabet, which is exactly the regime the
-// adaptive chooser (ChooseBackendKind) gates on: small alphabets with
-// frequent events pay off; sparse huge-alphabet corpora go to the hybrid
-// split at its tuned cutoff or stay on the CSR index.
+// The one counting index is HybridIndex (hybrid_index.h); the two
+// backends are two dense cutoffs of it. The "bitmap" backend is that index
+// built at kBitmapDenseCutoff, where every event that occurs gets a
+// full-width row: alphabet x ceil(total_events / 64) words. That table is
+// dense in the alphabet, which is exactly the regime the adaptive chooser
+// (ChooseBackendKind) gates on: small alphabets with frequent events pay
+// off; everything else goes to the hybrid split at its tuned cutoff.
 
 #ifndef SPECMINE_ITERMINE_BITMAP_INDEX_H_
 #define SPECMINE_ITERMINE_BITMAP_INDEX_H_
@@ -34,26 +34,30 @@ namespace specmine {
 /// \brief Sentinel for "no bit" returned by the scan primitives.
 inline constexpr size_t kNoBit = ~size_t{0};
 
-/// \brief Which physical counting representation backs a miner run.
-/// kBitmap and kHybrid are both a HybridIndex (at kBitmapDenseCutoff and at
-/// the tuned cutoff respectively).
-enum class BackendKind { kCsr, kBitmap, kHybrid };
+/// \brief Which dense cutoff of the one HybridIndex backs a miner run:
+/// kBitmapDenseCutoff (kBitmap) or the tuned AutoDenseCutoff (kHybrid).
+enum class BackendKind { kBitmap, kHybrid };
 
-/// \brief Backend selection in miner options: an explicit representation
-/// or the adaptive per-database chooser.
+/// \brief Backend selection in miner options: an explicit layout or the
+/// adaptive per-database chooser.
+///
+/// kCsr is not a layout. It is kept only for the benchmark package's
+/// reference digests (specbench/corpora.cc), resolves to kHybrid, and goes
+/// with the next benchmark change; nothing else may name it, and no flag
+/// or request field parses to it.
 enum class BackendChoice { kAuto, kCsr, kBitmap, kHybrid };
 
 /// \brief The HybridIndex dense cutoff of the "bitmap" backend: every event
 /// with at least one occurrence is stored as a bitmap row.
 inline constexpr uint64_t kBitmapDenseCutoff = 1;
 
-/// \brief Short lowercase name ("csr" / "bitmap" / "hybrid") for reports
-/// and flags.
+/// \brief Short lowercase name ("bitmap" / "hybrid") for reports and
+/// flags.
 const char* BackendKindName(BackendKind kind);
 
 /// \brief Parses a backend name as accepted by `--backend` and the server's
-/// "backend" field: "auto" (or empty), "csr", "bitmap" or "hybrid";
-/// nullopt for anything else.
+/// "backend" field: "auto" (or empty), "bitmap" or "hybrid"; nullopt for
+/// anything else.
 std::optional<BackendChoice> ParseBackendChoice(std::string_view name);
 
 /// \brief The adaptive chooser: picks the physical representation for
@@ -63,21 +67,21 @@ std::optional<BackendChoice> ParseBackendChoice(std::string_view name);
 /// several occurrences worth of scan work: the heuristic is
 /// mean occurrences per event (TotalEvents / alphabet size) >= 8, with the
 /// alphabet size entering a second time through the table-size cap
-/// (alphabet x TotalEvents / 8 bytes <= 256 MB). Sparse corpora with a
-/// large enough arena (>= 4096 events) go to the hybrid sparse/dense row
-/// format, whose footprint at its tuned cutoff is bounded by the corpus
-/// (not alphabet x arena) and whose rare-event lists stay cache-resident
-/// where full bitmap rows thrash. Everything else — tiny corpora,
-/// near-empty rows — stays on the CSR position index.
+/// (alphabet x TotalEvents / 8 bytes <= 256 MB). Everything else — sparse
+/// corpora, oversized tables, empty databases — goes to the hybrid
+/// sparse/dense row format, whose footprint at its tuned cutoff is bounded
+/// by the corpus (not alphabet x arena) and whose rare-event lists stay
+/// cache-resident where full bitmap rows thrash.
 BackendKind ChooseBackendKind(const SequenceDatabase& db);
 
 /// \brief Resolves a BackendChoice against \p db: explicit choices pass
 /// through, kAuto consults ChooseBackendKind.
 inline BackendKind ResolveBackendKind(BackendChoice choice,
                                       const SequenceDatabase& db) {
-  if (choice == BackendChoice::kCsr) return BackendKind::kCsr;
   if (choice == BackendChoice::kBitmap) return BackendKind::kBitmap;
-  if (choice == BackendChoice::kHybrid) return BackendKind::kHybrid;
+  if (choice == BackendChoice::kHybrid || choice == BackendChoice::kCsr) {
+    return BackendKind::kHybrid;
+  }
   return ChooseBackendKind(db);
 }
 

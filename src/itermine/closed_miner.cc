@@ -10,7 +10,7 @@ namespace specmine {
 namespace {
 
 struct Ctx {
-  const CountingBackend* backend;
+  const HybridIndex* index;
   const ClosedIterMinerOptions* options;
   PatternSet* out;
   IterMinerStats* stats;
@@ -36,7 +36,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
   // pattern's own support. The result buffer lives in the workspace and
   // is fully consumed before any recursive call.
   const BackwardExtensionMap& backward = BackwardExtensions(
-      *ctx->backend, pattern, instances, support, ctx->ws);
+      *ctx->index, pattern, instances, support, ctx->ws);
   bool backward_absorbed = false;
   for (const auto& [ev, ext] : backward) {
     backward_absorbed = true;
@@ -50,7 +50,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
   }
 
   ForwardExtensionMap forward = ctx->ws->forward.AcquireMap();
-  ForwardExtensions(*ctx->backend, pattern, instances,
+  ForwardExtensions(*ctx->index, pattern, instances,
                     ctx->options->min_support, ctx->ws, &forward);
   bool forward_absorbed = false;
   for (const auto& [ev, ext_instances] : forward) {
@@ -65,7 +65,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
       (ctx->options->infix_prune ||
        (ctx->options->infix_check && !backward_absorbed &&
         !forward_absorbed))) {
-    infix_absorbed = HasUniformInfixAbsorber(ctx->backend->db(), pattern,
+    infix_absorbed = HasUniformInfixAbsorber(ctx->index->db(), pattern,
                                              instances, ctx->ws);
     if (infix_absorbed && ctx->options->infix_prune) {
       ++ctx->stats->subtrees_pruned;
@@ -92,7 +92,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
 
 }  // namespace
 
-PatternSet MineClosedIterative(const CountingBackend& backend,
+PatternSet MineClosedIterative(const HybridIndex& index,
                                const ClosedIterMinerOptions& options,
                                IterMinerStats* stats, ThreadPool* pool) {
   IterMinerStats local_stats;
@@ -112,9 +112,9 @@ PatternSet MineClosedIterative(const CountingBackend& backend,
   OrderedFanOut<ProjectionWorkspace, RootBuffer, EventId> fan(
       pool, ThreadPool::ResolveThreads(options.num_threads),
       [&](ProjectionWorkspace& ws, RootBuffer* buffer, EventId root) {
-        Ctx ctx{&backend, &options, buffer == nullptr ? &out : &buffer->out,
+        Ctx ctx{&index, &options, buffer == nullptr ? &out : &buffer->out,
                 buffer == nullptr ? stats : &buffer->stats, &ws};
-        Grow(&ctx, Pattern{root}, SingleEventInstances(backend, root));
+        Grow(&ctx, Pattern{root}, SingleEventInstances(index, root));
         // A worker's workspace grows to the largest subtree it projected;
         // dropping it after each root keeps memory at the subtrees in
         // flight rather than that peak once per worker.
@@ -133,8 +133,8 @@ PatternSet MineClosedIterative(const CountingBackend& backend,
         }
         return true;
       });
-  for (EventId ev = 0; ev < backend.num_events(); ++ev) {
-    if (backend.TotalCount(ev) < options.min_support) continue;
+  for (EventId ev = 0; ev < index.num_events(); ++ev) {
+    if (index.TotalCount(ev) < options.min_support) continue;
     if (!fan.Push(ev)) break;
   }
   stats->error = fan.Finish();

@@ -39,8 +39,8 @@ namespace specmine {
 struct ClosedIterMinerOptions {
   /// Minimum number of instances (absolute).
   uint64_t min_support = 1;
-  /// Physical counting representation. Read by the Engine only; the miner
-  /// mines whatever backend it is handed.
+  /// Index layout (see IterMinerOptions::backend). Read by the Engine
+  /// only; the miner mines whatever index it is handed.
   BackendChoice backend = BackendChoice::kAuto;
   /// Maximum pattern length; 0 means unbounded.
   size_t max_length = 0;
@@ -72,10 +72,10 @@ struct ClosedIterMinerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// \brief Mines the closed frequent iterative patterns over \p backend.
+/// \brief Mines the closed frequent iterative patterns over \p index.
 /// \p pool, when non-null and matching the resolved thread count, runs the
 /// first-level fan-out.
-PatternSet MineClosedIterative(const CountingBackend& backend,
+PatternSet MineClosedIterative(const HybridIndex& index,
                                const ClosedIterMinerOptions& options,
                                IterMinerStats* stats = nullptr,
                                ThreadPool* pool = nullptr);

@@ -21,7 +21,7 @@ struct SubtreeBuffer {
 // calling thread replays in root order, applying the same skips and
 // truncation there.
 struct Ctx {
-  const CountingBackend* backend;
+  const HybridIndex* index;
   const IterMinerOptions* options;
   const std::function<bool(const Pattern&, uint64_t)>* sink;
   SubtreeBuffer* buffer;  // Null inline.
@@ -68,7 +68,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
     return;
   }
   ForwardExtensionMap extensions = ctx->ws->forward.AcquireMap();
-  ForwardExtensions(*ctx->backend, pattern, instances,
+  ForwardExtensions(*ctx->index, pattern, instances,
                     ctx->options->min_support, ctx->ws, &extensions);
   for (auto& [ev, ext_instances] : extensions) {
     if (ctx->stop) break;
@@ -80,7 +80,7 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
 }  // namespace
 
 void ScanFrequentIterative(
-    const CountingBackend& backend, const IterMinerOptions& options,
+    const HybridIndex& index, const IterMinerOptions& options,
     const std::function<bool(const Pattern&, uint64_t)>& sink,
     IterMinerStats* stats, ThreadPool* pool) {
   IterMinerStats local_stats;
@@ -120,9 +120,9 @@ void ScanFrequentIterative(
   OrderedFanOut<ProjectionWorkspace, SubtreeBuffer, EventId> fan(
       pool, ThreadPool::ResolveThreads(options.num_threads),
       [&](ProjectionWorkspace& ws, SubtreeBuffer* buffer, EventId root) {
-        Ctx ctx{&backend, &options, &sink, buffer,
+        Ctx ctx{&index, &options, &sink, buffer,
                 buffer == nullptr ? stats : &buffer->stats, &ws};
-        Grow(&ctx, Pattern{root}, SingleEventInstances(backend, root));
+        Grow(&ctx, Pattern{root}, SingleEventInstances(index, root));
         // A worker's workspace grows to the largest subtree it projected;
         // dropping it after each root keeps memory at the subtrees in
         // flight rather than that peak once per worker.
@@ -130,8 +130,8 @@ void ScanFrequentIterative(
         return !ctx.stop;
       },
       replay);
-  for (EventId ev = 0; ev < backend.num_events(); ++ev) {
-    if (backend.TotalCount(ev) < options.min_support) continue;
+  for (EventId ev = 0; ev < index.num_events(); ++ev) {
+    if (index.TotalCount(ev) < options.min_support) continue;
     if (!fan.Push(ev)) break;
   }
   stats->error = fan.Finish();

@@ -1,6 +1,8 @@
 // Full-set frequent iterative pattern mining (the "Full" series of Figure 1
 // in the paper): depth-first pattern growth over the instance projection,
-// pruned only by the apriori property (Theorem 1).
+// pruned only by the apriori property (Theorem 1). Every iterative miner
+// runs on one counting index, a HybridIndex (hybrid_index.h); the options'
+// `backend` only picks its dense cutoff.
 
 #ifndef SPECMINE_ITERMINE_FULL_MINER_H_
 #define SPECMINE_ITERMINE_FULL_MINER_H_
@@ -8,7 +10,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "src/itermine/counting_backend.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/patterns/pattern_set.h"
 #include "src/support/status.h"
 
@@ -21,11 +23,11 @@ class ThreadPool;
 struct IterMinerOptions {
   /// Minimum number of instances (absolute).
   uint64_t min_support = 1;
-  /// Physical counting representation: kAuto picks per database via
-  /// ChooseBackendKind (density x alphabet heuristic); kCsr, kBitmap
-  /// (a HybridIndex at kBitmapDenseCutoff) and kHybrid (one at its tuned
-  /// cutoff) force one. Read by the Engine only; the miners mine whatever
-  /// backend they are handed. Output is byte-identical across backends.
+  /// Index layout: kAuto picks per database via ChooseBackendKind
+  /// (density x alphabet heuristic); kBitmap (the HybridIndex at
+  /// kBitmapDenseCutoff) and kHybrid (at its tuned cutoff) force one. Read
+  /// by the Engine only; the miners mine whatever index they are handed.
+  /// Output is byte-identical across layouts.
   BackendChoice backend = BackendChoice::kAuto;
   /// Maximum pattern length; 0 means unbounded.
   size_t max_length = 0;
@@ -67,7 +69,7 @@ struct IterMinerStats {
   Status error = Status::OK();
 };
 
-/// \brief Mines every frequent iterative pattern over \p backend; \p sink
+/// \brief Mines every frequent iterative pattern over \p index; \p sink
 /// receives (pattern, support) and returns false to skip growing that
 /// pattern's subtree.
 ///
@@ -76,7 +78,7 @@ struct IterMinerStats {
 /// and matching the resolved thread count, runs the first-level fan-out
 /// instead of a fresh pool per call.
 void ScanFrequentIterative(
-    const CountingBackend& backend, const IterMinerOptions& options,
+    const HybridIndex& index, const IterMinerOptions& options,
     const std::function<bool(const Pattern&, uint64_t)>& sink,
     IterMinerStats* stats = nullptr, ThreadPool* pool = nullptr);
 

@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "src/itermine/projection.h"
-#include "src/itermine/qre_verifier.h"
 
 namespace specmine {
 
@@ -24,14 +23,14 @@ bool IsGeneratorImpl(const Pattern& pattern,
 
 }  // namespace
 
-bool IsIterativeGenerator(const CountingBackend& backend,
+bool IsIterativeGenerator(const HybridIndex& index,
                           const Pattern& pattern, uint64_t support) {
   return IsGeneratorImpl(pattern, [&](const Pattern& deleted) {
-    return CountInstances(backend, deleted) == support;
+    return CountInstances(index, deleted) == support;
   });
 }
 
-PatternSet MineIterativeGenerators(const CountingBackend& backend,
+PatternSet MineIterativeGenerators(const HybridIndex& index,
                                    const IterGeneratorMinerOptions& options,
                                    IterMinerStats* stats, ThreadPool* pool) {
   IterMinerStats local_stats;
@@ -51,7 +50,7 @@ PatternSet MineIterativeGenerators(const CountingBackend& backend,
   SupportTable supports;
   std::vector<const SupportTable::value_type*> order;
   ScanFrequentIterative(
-      backend, scan,
+      index, scan,
       [&](const Pattern& p, uint64_t support) {
         order.push_back(&*supports.emplace(p, support).first);
         return true;
@@ -74,7 +73,7 @@ PatternSet MineIterativeGenerators(const CountingBackend& backend,
           const auto it = supports.find(deleted);
           if (it != supports.end()) return it->second == support;
           return !complete &&
-                 CountInstances(backend, deleted, &scratch) == support;
+                 CountInstances(index, deleted, &scratch) == support;
         });
     if (generator) out.Add(pattern, support);
   }

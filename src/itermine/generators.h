@@ -22,7 +22,7 @@
 // support. The scan is complete, so a deletion absent from the table has
 // support below min_support <= sup(P) and cannot absorb P; no deletion is
 // recounted over the database. Only a scan cut short by the cancel token
-// recounts its misses (the QRE recount on the mined backend), keeping a
+// recounts its misses (the QRE recount on the mined index), keeping a
 // cancelled run's output a prefix of the complete one.
 
 #ifndef SPECMINE_ITERMINE_GENERATORS_H_
@@ -36,9 +36,9 @@ namespace specmine {
 struct IterGeneratorMinerOptions {
   /// Minimum number of instances (absolute).
   uint64_t min_support = 1;
-  /// Physical counting representation. Read by the Engine only; the miner
-  /// mines whatever backend it is handed (and runs a cancelled scan's
-  /// deletion recounts on that same backend).
+  /// Index layout (see IterMinerOptions::backend). Read by the Engine
+  /// only; the miner mines whatever index it is handed (and runs a
+  /// cancelled scan's deletion recounts on that same index).
   BackendChoice backend = BackendChoice::kAuto;
   /// Maximum pattern length; 0 means unbounded.
   size_t max_length = 0;
@@ -50,18 +50,18 @@ struct IterGeneratorMinerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// \brief Mines the frequent iterative generators over \p backend, in the
+/// \brief Mines the frequent iterative generators over \p index, in the
 /// frequent scan's emission order; \p stats are the scan's. \p pool,
 /// when non-null and matching the resolved thread count, runs the fan-out.
-PatternSet MineIterativeGenerators(const CountingBackend& backend,
+PatternSet MineIterativeGenerators(const HybridIndex& index,
                                    const IterGeneratorMinerOptions& options,
                                    IterMinerStats* stats = nullptr,
                                    ThreadPool* pool = nullptr);
 
 /// \brief True iff the one-event deletion check declares \p pattern a
-/// generator, recounting every deletion on \p backend — the reference
+/// generator, recounting every deletion on \p index — the reference
 /// the miner's table lookup must agree with (exposed for tests).
-bool IsIterativeGenerator(const CountingBackend& backend,
+bool IsIterativeGenerator(const HybridIndex& index,
                           const Pattern& pattern, uint64_t support);
 
 }  // namespace specmine

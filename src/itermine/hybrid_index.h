@@ -1,13 +1,11 @@
-// HybridIndex: the vertical physical counting representation behind the
-// CountingBackend seam — per event, either a word-packed occurrence bitmap
-// over the flat event arena or a sorted list of its arena positions.
+// HybridIndex: the one counting index behind every iterative-pattern and
+// rule miner — per event, either a word-packed occurrence bitmap over the
+// flat event arena or a sorted list of its arena positions.
 //
-// Motivation (BENCH_core.json, sparse corpus): a full bitmap table is
-// alphabet x ceil(arena/64) words, so on a 20k-event corpus every
-// rare-event row is a multi-KB, almost-empty strip and each gap-freedom
-// probe is a cold cache line; CSR wins there, but still pays per-position
-// binary searches. The hybrid format splits the alphabet by occurrence
-// count at a cutoff:
+// Motivation: a full bitmap table is alphabet x ceil(arena/64) words, so
+// on a wide-alphabet corpus every rare-event row is a multi-KB, almost
+// empty strip and each gap-freedom probe is a cold cache line. The hybrid
+// format splits the alphabet by occurrence count at a cutoff:
 //
 //   * dense events (count >= cutoff) get word-packed bitmap rows (layout in
 //     bitmap_index.h) — the events whose rows the union build and the
@@ -18,8 +16,8 @@
 //     and union rows get their bits scattered individually.
 //
 // Either way the query interface speaks global bit positions, so the
-// vertical projection queries (vertical_projection_impl.h) run unchanged
-// and byte-identical on top of any cutoff.
+// projection queries (projection.h) run unchanged and byte-identical on
+// top of any cutoff.
 //
 // The cutoff picks the backend: the tuned AutoDenseCutoff is the "hybrid"
 // backend, whose memory is bounded by the corpus (32 bytes per occurrence
@@ -70,6 +68,14 @@ class HybridIndex {
   /// with 0).
   uint64_t dense_cutoff() const { return dense_cutoff_; }
 
+  /// \brief Backend name for reports: "bitmap" at kBitmapDenseCutoff,
+  /// "hybrid" otherwise.
+  const char* name() const {
+    return BackendKindName(dense_cutoff_ == kBitmapDenseCutoff
+                               ? BackendKind::kBitmap
+                               : BackendKind::kHybrid);
+  }
+
   /// \brief True iff \p ev is stored as a bitmap row.
   bool is_dense(EventId ev) const { return row_index_[ev] != kNoRow; }
 
@@ -93,9 +99,9 @@ class HybridIndex {
   }
 
   // -------------------------------------------------------------------------
-  // The query interface of the vertical projection queries (see
-  // vertical_projection_impl.h): the global-bit contracts of the bitrow
-  // primitives, dispatched on the event's representation.
+  // The query interface of the projection queries (projection.cc): the
+  // global-bit contracts of the bitrow primitives, dispatched on the
+  // event's representation.
 
   /// \brief First occurrence of \p ev in global bits [from, limit), or
   /// kNoBit; ev must be < num_events().

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/trace/position_index.h"
+#include "src/trace/sequence_database.h"
 
 namespace specmine {
 

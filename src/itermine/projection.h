@@ -12,7 +12,7 @@
 //    (the exclusion alphabet of Q contains e, so the old gaps must be free
 //    of it). Scanning forward from end+1 and stopping at the first
 //    alphabet(P) event enumerates every candidate e in one pass; gap
-//    freedom is a position-index range count.
+//    freedom is a membership test against the events inside the gaps.
 //
 //  * Backward growth mirrors this on [0, start-1].
 //
@@ -24,8 +24,8 @@
 //
 //  * Threshold contract and count bound. The miners read only extensions
 //    that reach a threshold (min_support to grow, the pattern's own
-//    support to absorb), so the backend-dispatching queries take a
-//    `min_count` and return only events whose extension reaches it.
+//    support to absorb), so the queries take a `min_count` and return only
+//    events whose extension reaches it.
 //    Distinct instances of P++<e> end at distinct occurrences of e: two
 //    instances with the same end would share the deterministic chain back
 //    to their start (Definition 4.1), so they would be one instance.
@@ -36,11 +36,11 @@
 //    ever spent on an event that cannot qualify. Events that pass the
 //    bound but end below min_count are dropped at the drain.
 //
-//  * Backward early exit (the vertical arm). An event first met when
-//    fewer than min_count instances remain cannot reach min_count, so
-//    once that point is passed the query stops walking windows: each
-//    later instance only probes the events tallied so far that can still
-//    reach it, and the query returns as soon as none can. A probe gives
+//  * Backward early exit. An event first met when fewer than min_count
+//    instances remain cannot reach min_count, so once that point is
+//    passed the query stops walking windows: each later instance only
+//    probes the events tallied so far that can still reach it, and the
+//    query returns as soon as none can. A probe gives
 //    the walk's exact outcome for its event (the instance's alphabet stop
 //    event, or present in the window and absent from the gaps; adjacent
 //    iff it sits right before the start), and an event dropped as unable
@@ -50,11 +50,15 @@
 //    intersect-and-stop: walk the first instance, then probe.
 //
 // Hot-path design (README.md, "Index layout & threading"): every query
-// runs over dense epoch-stamped mark sets and per-event buckets held in a
-// reusable ProjectionWorkspace — no hashing, no std::map nodes, and in
-// steady state no heap allocation. The workspace-free overloads exist for
-// tests and one-off callers and return every touched event (min_count 1);
-// the miners thread one workspace per worker.
+// runs word-wise over HybridIndex rows and ID lists, with dense
+// epoch-stamped mark sets and per-event slots held in a reusable
+// ProjectionWorkspace — no hashing, no std::map nodes, and in steady state
+// no heap allocation. The miners thread one workspace per worker.
+//
+// Index queries use the global-bit conventions of bitmap_index.h (bit g =
+// arena position g, ranges half-open, kNoBit = none). Union rows are
+// always word-packed — rare events are scattered into the union as bits —
+// so the union-row scans call the bitrow word primitives directly.
 
 #ifndef SPECMINE_ITERMINE_PROJECTION_H_
 #define SPECMINE_ITERMINE_PROJECTION_H_
@@ -62,7 +66,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/itermine/counting_backend.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/itermine/instance.h"
 #include "src/patterns/pattern.h"
 #include "src/support/event_marks.h"
@@ -86,7 +90,7 @@ struct BackwardExtension {
 /// \brief Supports of every one-event backward extension, sorted by event.
 using BackwardExtensionMap = EventMap<BackwardExtension>;
 
-/// \brief Scratch for the vertical projection arm: one alphabet
+/// \brief Scratch for the word-wise projection queries: one alphabet
 /// union row over the event arena, a flat candidate buffer, and the
 /// per-event counting slots the scatter drain sizes buckets from. The
 /// buffers grow once and are reused; every reset is an O(1) epoch bump.
@@ -99,8 +103,8 @@ struct VerticalScratch {
 
   /// Forward-extension candidates in discovery order — the flat buffer
   /// the drain scatters into exact-sized per-event buckets (discovery
-  /// order within an event IS the CSR bucket order, so no K-element sort
-  /// is ever needed).
+  /// order within an event is instance order, so no K-element sort is
+  /// ever needed).
   struct ForwardCandidate {
     EventId ev;
     IterInstance inst;
@@ -135,11 +139,12 @@ struct QreRecountScratch {
 /// sets, extension buckets and result buffers. One per mining thread;
 /// never shared concurrently.
 struct ProjectionWorkspace {
-  EventMarkSet alphabet;
+  EventMarkSet alphabet;  // The infix check's pattern alphabet.
   EventMarkSet seen;
-  ExtensionAccumulator<IterInstance> forward;  // Buckets and map shells.
+  // Pooled bucket capacity and map shells for the forward results.
+  ExtensionAccumulator<IterInstance> forward;
 
-  // Scratch for the vertical backends' word-wise queries (unused by CSR).
+  // The word-wise queries' union row, candidates and slots.
   VerticalScratch vertical;
 
   // Backward extensions: dense per-event slots, epoch-stamped, plus the
@@ -152,23 +157,24 @@ struct ProjectionWorkspace {
   ExtensionAccumulator<uint32_t>::Map common;
 };
 
-/// \brief Instances of the single-event pattern <ev>: every occurrence.
-InstanceList SingleEventInstances(const PositionIndex& index, EventId ev);
+/// \brief Instances of the single-event pattern <ev>: every occurrence,
+/// in (sequence, position) order.
+InstanceList SingleEventInstances(const HybridIndex& index, EventId ev);
 
 /// \brief Instances of every one-event forward extension P++<e> with at
 /// least \p min_count instances, written into \p out (cleared first).
 /// Events with fewer (or no valid extension) are absent; iteration order
 /// is ascending event id, so it is deterministic.
-void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
+void ForwardExtensions(const HybridIndex& index, const Pattern& pattern,
                        const InstanceList& instances, uint64_t min_count,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out);
 
 /// \brief Supports (and adjacency) of every one-event backward extension
 /// with support at least \p min_count. The returned reference lives in
 /// \p ws and is valid until the next BackwardExtensions call on the same
-/// workspace. (This CSR arm walks every instance; the vertical arm stops
-/// early, with the same result — see "Backward early exit" above.)
-const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
+/// workspace. The walk stops early where it can; see "Backward early
+/// exit" above.
+const BackwardExtensionMap& BackwardExtensions(const HybridIndex& index,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
                                                uint64_t min_count,
@@ -184,43 +190,18 @@ bool HasUniformInfixAbsorber(const SequenceDatabase& db,
                              const InstanceList& instances,
                              ProjectionWorkspace* ws);
 
-/// \brief Workspace-free conveniences for tests and one-off callers: every
-/// event with at least one valid extension (min_count 1).
-ForwardExtensionMap ForwardExtensions(const PositionIndex& index,
-                                      const Pattern& pattern,
-                                      const InstanceList& instances);
-BackwardExtensionMap BackwardExtensions(const PositionIndex& index,
-                                        const Pattern& pattern,
-                                        const InstanceList& instances);
+/// \brief Workspace-free HasUniformInfixAbsorber for tests and one-off
+/// callers.
 bool HasUniformInfixAbsorber(const SequenceDatabase& db,
                              const Pattern& pattern,
                              const InstanceList& instances);
 
-// ---------------------------------------------------------------------------
-// Backend-dispatching overloads: the seam the miners run through. Each
-// branches once on backend.kind() — kCsr lands in the functions above
-// unchanged, kHybrid (the "bitmap" and "hybrid" backends alike) in the
-// word-wise arm (vertical_projection_impl.h). Outputs are observationally
-// identical across backends (entries, supports, order), property-tested in
-// tests/backend_equivalence_test.cc.
-
-/// \brief Instances of the single-event pattern <ev> on either backend.
-InstanceList SingleEventInstances(const CountingBackend& backend, EventId ev);
-
-/// \brief ForwardExtensions on either backend: only events whose
-/// extension has at least \p min_count instances.
-void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
-                       const InstanceList& instances, uint64_t min_count,
-                       ProjectionWorkspace* ws, ForwardExtensionMap* out);
-
-/// \brief BackwardExtensions on either backend: only events whose
-/// extension has support at least \p min_count. The returned reference
-/// lives in \p ws either way.
-const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
-                                               const Pattern& pattern,
-                                               const InstanceList& instances,
-                                               uint64_t min_count,
-                                               ProjectionWorkspace* ws);
+/// \brief Indexed instance recount: identical to the scalar oracle
+/// CountInstances(pattern, index.db()) (qre_verifier.h), computed by
+/// chain-walking first-set bits of the alphabet union row. \p scratch,
+/// when non-null, keeps recount loops allocation-free.
+uint64_t CountInstances(const HybridIndex& index, const Pattern& pattern,
+                        QreRecountScratch* scratch = nullptr);
 
 }  // namespace specmine
 

@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "src/itermine/vertical_projection_impl.h"
-
 namespace specmine {
 
 bool IsQreInstance(const Pattern& pattern, EventSpan seq, Pos start,
@@ -69,22 +67,6 @@ InstanceList FindAllInstances(const Pattern& pattern,
 
 uint64_t CountInstances(const Pattern& pattern, const SequenceDatabase& db) {
   return FindAllInstances(pattern, db).size();
-}
-
-uint64_t CountInstances(const CountingBackend& backend, const Pattern& pattern,
-                        QreRecountScratch* scratch) {
-  if (pattern.size() == 1) {
-    // Every occurrence of a single event is an instance — the indexes
-    // already hold the count.
-    return backend.TotalCount(pattern[0]);
-  }
-  switch (backend.kind()) {
-    case BackendKind::kHybrid:
-      return internal::CountInstancesVertical(backend.hybrid(), pattern,
-                                              scratch);
-    default:
-      return CountInstances(pattern, backend.db());
-  }
 }
 
 }  // namespace specmine

@@ -19,6 +19,18 @@ bool StemEnd(const Pattern& stem, EventSpan seq, Pos* end) {
   return *end != kNoPos;
 }
 
+// True iff \p ev occurs in sequence \p seq within positions [lo, hi]
+// inclusive — the insertion-window test as one indexed range query.
+bool AnyInRange(const HybridIndex& index, EventId ev, SeqId seq, Pos lo,
+                Pos hi) {
+  if (lo > hi || ev >= index.num_events()) return false;
+  const uint64_t* offsets = index.db().offsets();
+  const size_t base = offsets[seq];
+  size_t limit = base + hi + 1;
+  if (limit > offsets[seq + 1]) limit = offsets[seq + 1];
+  return index.AnyOfEventInRange(ev, base + lo, limit);
+}
+
 // True iff occ(premise-with-x-inserted-at-slot) == occ(premise) in every
 // sequence. `stem` is premise minus its last event; the insertion slot is
 // encoded in `stem_ins` (stem with x inserted). Equality holds iff, in
@@ -27,7 +39,7 @@ bool StemEnd(const Pattern& stem, EventSpan seq, Pos* end) {
 bool InsertionPreservesPoints(const SequenceDatabase& db,
                               const Pattern& stem, const Pattern& stem_ins,
                               EventId last, const TemporalPointSet& points,
-                              const CountingBackend* backend) {
+                              const HybridIndex* index) {
   // Sequences without points impose nothing (occ subset of empty).
   for (size_t i = 0; i < points.SupportingSequences(); ++i) {
     const SeqId s = points.seq(i);
@@ -39,9 +51,9 @@ bool InsertionPreservesPoints(const SequenceDatabase& db,
     // Any occurrence of `last` in (t, t_ins] is a point of the premise
     // that the extended premise loses.
     Pos from = (t == kNoPos) ? 0 : t + 1;
-    if (backend != nullptr) {
+    if (index != nullptr) {
       // One range-emptiness query instead of the scalar window scan.
-      if (backend->AnyInRange(last, s, from, t_ins)) return false;
+      if (AnyInRange(*index, last, s, from, t_ins)) return false;
       continue;
     }
     for (Pos p = from; p <= t_ins && p < seq.size(); ++p) {
@@ -69,7 +81,7 @@ bool InsertionEquivalentExists(const SequenceDatabase& db,
                                const Pattern& premise,
                                const TemporalPointSet& points,
                                InsertionScratch* scratch,
-                               const CountingBackend* backend) {
+                               const HybridIndex* index) {
   const size_t n = premise.size();
   const EventId last = premise.last();
   Pattern stem(std::vector<EventId>(premise.events().begin(),
@@ -105,7 +117,7 @@ bool InsertionEquivalentExists(const SequenceDatabase& db,
     for (EventId x : scratch->candidates) {
       Pattern stem_ins = stem.Insert(slot, x);
       if (InsertionPreservesPoints(db, stem, stem_ins, last, points,
-                                   backend)) {
+                                   index)) {
         return true;
       }
     }
@@ -118,7 +130,7 @@ bool InsertionEquivalentExists(const SequenceDatabase& db,
 void ScanPremises(
     const SequenceDatabase& db, const PremiseMinerOptions& options,
     const std::function<bool(const Pattern&, const TemporalPointSet&)>& sink,
-    SeqMinerStats* stats, const CountingBackend* backend) {
+    SeqMinerStats* stats, const HybridIndex* index) {
   UnitDatabase units = UnitDatabase::WholeSequences(db);
   SeqMinerOptions scan_options;
   scan_options.min_support = options.min_s_support;
@@ -137,7 +149,7 @@ void ScanPremises(
           points.AddSequence(s, OccurrencePoints(p, db[s]));
         }
         if (options.maximality_pruning &&
-            InsertionEquivalentExists(db, p, points, &scratch, backend)) {
+            InsertionEquivalentExists(db, p, points, &scratch, index)) {
           // A point-equivalent longer premise exists; its rules dominate
           // this premise's rules under Definition 5.2, and the equivalence
           // propagates to every forward extension — prune the subtree.

@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "src/itermine/counting_backend.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/patterns/pattern.h"
 #include "src/rulemine/temporal_points.h"
 #include "src/seqmine/prefixspan.h"
@@ -44,14 +44,14 @@ struct PremiseMinerOptions {
 /// temporal points. The sink's return value controls subtree growth
 /// (return false to stop growing — used for external budget caps).
 ///
-/// \p backend, when non-null (and indexing \p db), accelerates the
+/// \p index, when non-null (and indexing \p db), accelerates the
 /// maximality pruning's insertion-window emptiness tests — a range query
 /// per (sequence, slot) instead of a scalar scan. Verdicts are identical
 /// with and without it.
 void ScanPremises(
     const SequenceDatabase& db, const PremiseMinerOptions& options,
     const std::function<bool(const Pattern&, const TemporalPointSet&)>& sink,
-    SeqMinerStats* stats = nullptr, const CountingBackend* backend = nullptr);
+    SeqMinerStats* stats = nullptr, const HybridIndex* index = nullptr);
 
 }  // namespace specmine
 

@@ -19,7 +19,7 @@ namespace {
 // holds max_rules rules.
 bool MinePremise(const SequenceDatabase& db,
                  const ConsequentMinerOptions& consequent_options,
-                 const CountingBackend* backend, size_t max_rules,
+                 const HybridIndex* index, size_t max_rules,
                  SequentialWorkspace* ws, const Pattern& premise,
                  const TemporalPointSet& points, RuleSet* rules) {
   const PatternSet consequents =
@@ -31,8 +31,8 @@ bool MinePremise(const SequenceDatabase& db,
     rule.s_support = points.SupportingSequences();
     rule.premise_points = points.TotalPoints();
     rule.satisfied_points = post.support;
-    rule.i_support = backend != nullptr
-                         ? CountOccurrences(*backend, rule.Concatenation())
+    rule.i_support = index != nullptr
+                         ? CountOccurrences(*index, rule.Concatenation())
                          : CountOccurrences(rule.Concatenation(), db);
     rules->Add(std::move(rule));
     if (max_rules != 0 && rules->size() >= max_rules) return false;
@@ -45,7 +45,7 @@ bool MinePremise(const SequenceDatabase& db,
 RuleSet MineRecurrentRules(const SequenceDatabase& db,
                            const RuleMinerOptions& options,
                            RuleMinerStats* stats, ThreadPool* pool,
-                           const CountingBackend* backend) {
+                           const HybridIndex* index) {
   RuleMinerStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = RuleMinerStats{};
@@ -72,7 +72,7 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
       pool, num_threads,
       [&](SequentialWorkspace& ws, RuleSet* rules, const Pattern& premise,
           const TemporalPointSet& points) {
-        return MinePremise(db, consequent_options, backend, options.max_rules,
+        return MinePremise(db, consequent_options, index, options.max_rules,
                            &ws, premise, points,
                            rules == nullptr ? &candidates : rules);
       },
@@ -98,7 +98,7 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
         stopped = !fan.Push(premise, points);
         return !stopped;
       },
-      nullptr, backend);
+      nullptr, index);
   stats->error = fan.Finish();
   stats->candidate_rules = candidates.size();
   stats->truncated =

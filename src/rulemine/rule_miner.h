@@ -6,7 +6,7 @@
 
 #include <cstdint>
 
-#include "src/itermine/counting_backend.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/rulemine/redundancy.h"
 #include "src/rulemine/rule.h"
 #include "src/support/status.h"
@@ -36,10 +36,11 @@ struct RuleMinerOptions {
   RedundancyOptions redundancy;
   /// Safety valve: stop after this many candidate rules (0 = unbounded).
   size_t max_rules = 0;
-  /// Physical counting representation for the i-support occurrence counts
-  /// and the Step-1 insertion-window tests. Read by the Engine only, which
-  /// passes its cached backend down; MineRecurrentRules uses whatever
-  /// backend it is handed and runs scalar scans without one.
+  /// Index layout for the i-support occurrence counts and the Step-1
+  /// insertion-window tests (see IterMinerOptions::backend). Read by the
+  /// Engine only, which passes its cached index down; MineRecurrentRules
+  /// uses whatever index it is handed and runs scalar scans without one
+  /// (the backward miner's reversed database has no index).
   BackendChoice backend = BackendChoice::kAuto;
   /// Worker threads for Steps 3-4; 0 = hardware concurrency. The premise
   /// scan runs on the calling thread and hands each premise to a worker
@@ -69,7 +70,7 @@ class ThreadPool;
 /// \brief Mines recurrent rules from \p db per \p options.
 ///
 /// \p pool, when non-null and matching the resolved thread count, runs the
-/// per-premise fan-out instead of a fresh pool per call. \p backend, when
+/// per-premise fan-out instead of a fresh pool per call. \p index, when
 /// non-null (and indexing \p db), accelerates the i-support occurrence
 /// counts and the premise maximality tests; the rule set is identical with
 /// and without it. New code should go through specmine::Engine
@@ -79,7 +80,7 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
                            const RuleMinerOptions& options,
                            RuleMinerStats* stats = nullptr,
                            ThreadPool* pool = nullptr,
-                           const CountingBackend* backend = nullptr);
+                           const HybridIndex* index = nullptr);
 
 }  // namespace specmine
 

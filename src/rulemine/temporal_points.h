@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/patterns/pattern.h"
-#include "src/trace/position_index.h"
 #include "src/trace/sequence_database.h"
 
 namespace specmine {

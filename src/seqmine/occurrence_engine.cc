@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "src/itermine/vertical_projection_impl.h"
-
 namespace specmine {
 
 Pos EarliestEmbeddingEnd(const Pattern& pattern, EventSpan seq,
@@ -63,14 +61,38 @@ size_t CountOccurrences(const Pattern& pattern, const SequenceDatabase& db) {
   return n;
 }
 
-size_t CountOccurrences(const CountingBackend& backend,
-                        const Pattern& pattern) {
-  switch (backend.kind()) {
-    case BackendKind::kHybrid:
-      return internal::CountOccurrencesVertical(backend.hybrid(), pattern);
-    default:
-      return CountOccurrences(pattern, backend.db());
+size_t CountOccurrences(const HybridIndex& index, const Pattern& pattern) {
+  if (pattern.empty()) return 0;
+  const size_t num_events = index.num_events();
+  const SequenceDatabase& db = index.db();
+  const uint64_t* offsets = db.offsets();
+  const EventId last = pattern.last();
+  if (last >= num_events) return 0;
+  size_t count = 0;
+  for (SeqId s = 0; s < db.size(); ++s) {
+    const size_t base = offsets[s];
+    const size_t limit = offsets[s + 1];
+    // Greedy earliest embedding of the prefix, one first-set-bit per
+    // event; the remaining occurrences of the last event are the temporal
+    // points (Definition 5.1).
+    size_t from = base;
+    bool embedded = true;
+    for (size_t k = 0; k + 1 < pattern.size(); ++k) {
+      if (pattern[k] >= num_events) {
+        embedded = false;
+        break;
+      }
+      const size_t g = index.FirstOfEventAtOrAfter(pattern[k], from, limit);
+      if (g == kNoBit) {
+        embedded = false;
+        break;
+      }
+      from = g + 1;
+    }
+    if (!embedded) continue;
+    count += index.CountOfEventInRange(last, from, limit);
   }
+  return count;
 }
 
 Pos LatestEmbeddingStart(const Pattern& pattern, EventSpan seq,

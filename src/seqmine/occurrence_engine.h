@@ -10,9 +10,8 @@
 
 #include <vector>
 
-#include "src/itermine/counting_backend.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/patterns/pattern.h"
-#include "src/trace/position_index.h"
 #include "src/trace/sequence.h"
 
 namespace specmine {
@@ -43,12 +42,11 @@ std::vector<Pos> OccurrencePoints(const Pattern& pattern, EventSpan seq,
 /// sequences of \p db.
 size_t CountOccurrences(const Pattern& pattern, const SequenceDatabase& db);
 
-/// \brief Backend-accelerated occurrence count: identical to
-/// CountOccurrences(pattern, backend.db()). The CSR arm IS that scalar
-/// scan; the vertical arm runs the greedy prefix chain word-wise and
-/// popcounts the last event's tail (the rule miner's i-support hot path).
-size_t CountOccurrences(const CountingBackend& backend,
-                        const Pattern& pattern);
+/// \brief Indexed occurrence count: identical to
+/// CountOccurrences(pattern, index.db()), computed by running the greedy
+/// prefix chain word-wise and popcounting the last event's tail (the rule
+/// miner's i-support hot path).
+size_t CountOccurrences(const HybridIndex& index, const Pattern& pattern);
 
 /// \brief Start position of the latest (rightmost) embedding of \p pattern
 /// into seq[begin..end_inclusive]; kNoPos if it does not embed.

@@ -18,7 +18,6 @@
 #include "src/support/event_marks.h"
 #include "src/support/extension_accumulator.h"
 #include "src/support/status.h"
-#include "src/trace/position_index.h"
 #include "src/trace/sequence_database.h"
 
 namespace specmine {

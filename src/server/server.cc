@@ -68,9 +68,9 @@ Status DecodeBackend(const JsonValue& body, BackendChoice* out) {
   if (!status.ok()) return status;
   const std::optional<BackendChoice> choice = ParseBackendChoice(value);
   if (!choice) {
-    return Status::InvalidArgument("field 'backend' must be auto, csr, "
-                                   "bitmap or hybrid (got '" +
-                                   value + "')");
+    return Status::InvalidArgument(
+        "field 'backend' must be auto, bitmap or hybrid (got '" + value +
+        "')");
   }
   *out = *choice;
   return Status::OK();

@@ -69,11 +69,11 @@ common options:
 
 mine-patterns: --min-sup F (0.5) | --full | --generators | --max-len N
                --threads N (0 = all cores)
-               --backend {auto,csr,bitmap,hybrid}
+               --backend {auto,bitmap,hybrid}
 mine-rules:    --min-ssup F (0.5) --min-conf F (0.9) --min-isup N (1)
                --full | --backward | --rank
                --max-pre N --max-post N --threads N (0 = all cores)
-               --backend {auto,csr,bitmap,hybrid}
+               --backend {auto,bitmap,hybrid}
 mine-seq:      --min-sup F (0.5) | --closed | --generators | --max-len N
 mine-episodes: --minepi | --window N (10) --min-count N (1) --max-len N
 mine-pairs:    --min-sat F (1.0) --min-relevant N (1)
@@ -94,12 +94,12 @@ mined around. Exit codes: 0 success, 2 usage, 3 invalid argument,
 4 parse error / corruption, 5 I/O error, 6 cancelled or deadline
 exceeded, 1 anything else.
 
---backend selects the physical counting representation: csr (horizontal
-position lists), bitmap (vertical word-packed occurrence rows), hybrid
-(bitmap rows for dense events, sorted ID-lists for rare ones), or auto
-(default; per-database density heuristic — a sharded corpus resolves
-over its merged arena, exactly like the equivalent single .smdb). Outputs
-are byte-identical across backends. Accepted by every mine-* command;
+--backend selects the layout of the one counting index: bitmap (a
+word-packed occurrence row for every event), hybrid (bitmap rows for
+dense events, sorted ID-lists for rare ones), or auto (default;
+per-database density heuristic — a sharded corpus resolves over its
+merged arena, exactly like the equivalent single .smdb). Outputs are
+byte-identical across layouts. Accepted by every mine-* command;
 mine-seq, mine-episodes and mine-pairs use no counting index, so there it
 only validates.
 )";
@@ -230,7 +230,7 @@ bool ParseBackendFlag(const Args& args, std::ostream& err,
   const std::string value = args.Get("backend", "auto");
   const std::optional<BackendChoice> choice = ParseBackendChoice(value);
   if (!choice) {
-    err << "--backend must be auto, csr, bitmap or hybrid (got '" << value
+    err << "--backend must be auto, bitmap or hybrid (got '" << value
         << "')\n";
     return false;
   }

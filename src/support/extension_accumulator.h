@@ -80,22 +80,21 @@ class ExtensionAccumulator {
   /// \brief Event ids touched this epoch, in touch order (unsorted).
   const std::vector<EventId>& touched() const { return touched_; }
 
-  /// \brief Moves the touched buckets holding at least \p min_size items
-  /// into \p out, sorted by event id. Smaller (and empty) buckets stay
-  /// behind, keeping their capacity for the next epoch. \p out is cleared
-  /// first.
-  void Drain(Map* out, size_t min_size = 1) {
+  /// \brief Moves the touched, non-empty buckets into \p out, sorted by
+  /// event id. Empty buckets stay behind, keeping their capacity for the
+  /// next epoch. \p out is cleared first.
+  void Drain(Map* out) {
     std::sort(touched_.begin(), touched_.end());
     out->clear();
     for (EventId ev : touched_) {
-      if (buckets_[ev].size() < min_size || buckets_[ev].empty()) continue;
+      if (buckets_[ev].empty()) continue;
       out->emplace_back(ev, std::move(buckets_[ev]));
     }
     touched_.clear();
   }
 
   /// \brief Takes one empty bucket, reusing pooled capacity — for callers
-  /// that group without the dense stamp table (the vertical projection's
+  /// that group without the dense stamp table (the forward projection's
   /// count-and-scatter drain) but share this accumulator's recycle pool.
   Bucket_t AcquireBucket() {
     if (pool_.empty()) return Bucket_t();

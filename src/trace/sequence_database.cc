@@ -124,4 +124,25 @@ SequenceDatabase SequenceDatabaseBuilder::Build() {
   return db;
 }
 
+Status CheckIndexable(const SequenceDatabase& db) {
+  // Index positions are uint32 (kNoPos reserved as a sentinel); past that
+  // the index build would wrap and scatter out of bounds. A database this
+  // large needs a sharded index first.
+  if (db.TotalEvents() >= kNoPos) {
+    return Status::OutOfRange(
+        "database has " + std::to_string(db.TotalEvents()) +
+        " events, beyond the 2^32-2 the index's uint32 offsets can address");
+  }
+  const uint64_t* offsets = db.offsets();
+  for (SeqId s = 0; s < db.size(); ++s) {
+    const uint64_t len = offsets[s + 1] - offsets[s];
+    if (len >= kNoPos) {
+      return Status::OutOfRange(
+          "sequence " + std::to_string(s) + " has " + std::to_string(len) +
+          " events, beyond the uint32 position range");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace specmine

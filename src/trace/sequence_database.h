@@ -29,6 +29,14 @@ namespace specmine {
 /// \brief Index of a sequence within a database.
 using SeqId = uint32_t;
 
+/// \brief Position within a sequence (0-based). The counting index and the
+/// instance lists address the arena with uint32 positions; see
+/// CheckIndexable.
+using Pos = uint32_t;
+
+/// \brief Sentinel for "no position".
+inline constexpr Pos kNoPos = ~Pos{0};
+
 /// \brief A database of event sequences (program traces).
 ///
 /// Owns (or views) the event arena and the EventDictionary naming events.
@@ -180,6 +188,14 @@ class SequenceDatabaseBuilder {
   std::vector<EventId> arena_;
   std::vector<uint64_t> offsets_;  // Always starts with 0.
 };
+
+/// \brief Verifies that \p db fits the uint32 addressing of the counting
+/// index: the arena length and every per-sequence position must be
+/// representable as a uint32 (with kNoPos reserved as a sentinel).
+/// Returns OutOfRange naming the violating quantity, else OK. The Engine
+/// façade and the trace readers check it up front so oversized inputs
+/// surface as errors instead of silently wrapped positions.
+Status CheckIndexable(const SequenceDatabase& db);
 
 }  // namespace specmine
 

@@ -126,7 +126,7 @@ MineOut MineSet(const std::string& path, uint64_t min_support,
 
 TEST(AppendTest, AppendThenMineMatchesRepackAcrossConfigs) {
   const BackendChoice kBackends[] = {BackendChoice::kAuto,
-                                     BackendChoice::kCsr,
+                                     BackendChoice::kHybrid,
                                      BackendChoice::kBitmap};
   for (uint64_t seed : {3u, 19u}) {
     // The batch uses a larger alphabet, so appends also extend the

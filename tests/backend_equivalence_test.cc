@@ -1,16 +1,19 @@
-// The backend-equivalence property: every miner produces byte-identical
-// output — patterns, supports, rules, emission order — on the CSR, the
-// bitmap (a HybridIndex at kBitmapDenseCutoff), and the hybrid counting
-// backends, across randomized databases, thresholds, thread counts, and
-// the plain / sharded execution paths —
-// and a sharded session's auto backend, resolved over its merged arena,
-// reproduces the eager-merge output exactly, including in
+// The layout-equivalence property of the one counting index: the
+// projection queries on the bitmap layout (a HybridIndex at
+// kBitmapDenseCutoff), the tuned hybrid cutoff and an all-sparse index
+// agree with the scalar QRE matcher (FindAllInstances on P++<e> and
+// <e>++P, which no index touches), and every miner produces
+// byte-identical output — patterns, supports, rules, emission order — on
+// both layouts, across randomized databases, thresholds, thread counts,
+// and the plain / sharded execution paths, against the brute-force miners
+// where the corpus is small and the bitmap layout on one thread
+// otherwise. A sharded session's auto backend, resolved over its merged
+// arena, reproduces the eager-merge output exactly, including in
 // quarantined-shard degraded mode. Plus the bitrow word primitives
 // against a per-bit reference (word-boundary grids, degenerate and random
 // rows, the union's untouched-words contract), the word-mask edge cases
 // (sequence lengths straddling the 64-bit word boundary), the adaptive
-// chooser's dense/sparse/hybrid verdicts, and the explicit-bitmap table
-// cap.
+// chooser's bitmap/hybrid verdicts, and the explicit-bitmap table cap.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <array>
 #include <fstream>
 #include <initializer_list>
+#include <map>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "src/engine/engine.h"
+#include "src/itermine/brute_force.h"
 #include "src/itermine/hybrid_index.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
@@ -60,6 +65,79 @@ SequenceDatabase RandomDb(uint64_t seed, size_t num_seqs, size_t max_len,
 
 std::string Render(const PatternSet& set, const EventDictionary& dict) {
   return set.ToString(dict);
+}
+
+// Projection maps as comparable vectors.
+using ForwardEntries = std::vector<std::pair<EventId, InstanceList>>;
+using BackwardEntries = std::vector<std::tuple<EventId, uint64_t, bool>>;
+
+ForwardEntries Entries(const ForwardExtensionMap& map) {
+  return ForwardEntries(map.begin(), map.end());
+}
+
+BackwardEntries Entries(const BackwardExtensionMap& map) {
+  BackwardEntries out;
+  for (const auto& [ev, ext] : map) {
+    out.emplace_back(ev, ext.support, ext.all_adjacent);
+  }
+  return out;
+}
+
+// The scalar references for the projection queries at min_count 1, from
+// the QRE matcher alone: every event e with an instance of P++<e>, with
+// those instances.
+ForwardEntries OracleForward(const SequenceDatabase& db, const Pattern& pat) {
+  ForwardEntries out;
+  for (EventId e = 0; e < db.dictionary().size(); ++e) {
+    InstanceList insts = FindAllInstances(pat.Extend(e), db);
+    if (!insts.empty()) out.emplace_back(e, std::move(insts));
+  }
+  return out;
+}
+
+// Every event e with an instance of <e>++P: the instance count, and
+// whether e sits right before P's first event in every instance (the
+// instance's second pattern event is its first alphabet event after the
+// start).
+BackwardEntries OracleBackward(const SequenceDatabase& db,
+                               const Pattern& pat) {
+  BackwardEntries out;
+  for (EventId e = 0; e < db.dictionary().size(); ++e) {
+    const Pattern ext = pat.Prepend(e);
+    const InstanceList insts = FindAllInstances(ext, db);
+    if (insts.empty()) continue;
+    const auto alphabet = ext.Alphabet();
+    bool adjacent = true;
+    for (const IterInstance& inst : insts) {
+      adjacent = adjacent && alphabet.count(db[inst.seq][inst.start + 1]) != 0;
+    }
+    out.emplace_back(e, insts.size(), adjacent);
+  }
+  return out;
+}
+
+// Patterns with their supports, order aside.
+std::map<Pattern, uint64_t> ToMap(const PatternSet& set) {
+  std::map<Pattern, uint64_t> out;
+  for (const MinedPattern& item : set.items()) out[item.pattern] = item.support;
+  return out;
+}
+
+// The largest corpus the miner checks also run the brute-force miners on.
+constexpr size_t kBruteForceMaxEvents = 400;
+
+// Occurrences of `ev` in the whole database and the number of sequences
+// holding it, by a scan of the raw sequences.
+std::pair<uint64_t, size_t> NaiveCounts(const SequenceDatabase& db,
+                                        EventId ev) {
+  uint64_t total = 0;
+  size_t seqs = 0;
+  for (EventSpan seq : db) {
+    const uint64_t before = total;
+    for (EventId x : seq) total += x == ev;
+    seqs += total != before;
+  }
+  return {total, seqs};
 }
 
 // ---------------------------------------------------------------------------
@@ -124,36 +202,29 @@ TEST(BitmapLayoutTest, WordBoundarySequenceLengths) {
     builder.AddSequence(s1);
     SequenceDatabase db = builder.Build();
     HybridIndex bitmap(db, kBitmapDenseCutoff);
-    CountingBackend bb(bitmap);
-    PositionIndex csr(db);
     for (EventId ev = 0; ev < 3; ++ev) {
-      EXPECT_EQ(bb.TotalCount(ev), csr.TotalCount(ev)) << "len=" << len;
-      EXPECT_EQ(bb.SequenceCount(ev), csr.SequenceCount(ev))
-          << "len=" << len;
-      EXPECT_EQ(SingleEventInstances(bb, ev), SingleEventInstances(csr, ev))
+      const auto [total, seqs] = NaiveCounts(db, ev);
+      EXPECT_EQ(bitmap.TotalCount(ev), total) << "len=" << len;
+      EXPECT_EQ(bitmap.SequenceCount(ev), seqs) << "len=" << len;
+      EXPECT_EQ(SingleEventInstances(bitmap, ev),
+                FindAllInstances(Pattern{ev}, db))
           << "len=" << len;
     }
     // The z occurrence sits in the last word of sequence 0; sequence 1's
     // b-run must not bleed into its range queries (and vice versa).
-    EXPECT_TRUE(bb.AnyInRange(2, 0, static_cast<Pos>(len - 1),
-                              static_cast<Pos>(len - 1)));
-    EXPECT_FALSE(bb.AnyInRange(1, 0, 0, static_cast<Pos>(len - 1)));
-    EXPECT_FALSE(bb.AnyInRange(0, 1, 0, static_cast<Pos>(len - 1)));
-    // Projection parity on a pattern rooted in each sequence.
+    const size_t boundary = db.offsets()[1];
+    EXPECT_TRUE(bitmap.AnyOfEventInRange(2, len - 1, boundary));
+    EXPECT_FALSE(bitmap.AnyOfEventInRange(1, 0, boundary));
+    EXPECT_FALSE(bitmap.AnyOfEventInRange(0, boundary, db.TotalEvents()));
+    // Projection parity with the QRE matcher on a pattern rooted in each
+    // sequence.
     for (EventId root : {EventId{0}, EventId{1}}) {
-      InstanceList insts = SingleEventInstances(csr, root);
-      Pattern p{root};
-      ForwardExtensionMap csr_fwd = ForwardExtensions(csr, p, insts);
+      const Pattern p{root};
       ProjectionWorkspace ws;
-      ForwardExtensionMap bitmap_fwd;
-      ForwardExtensions(bb, p, insts, /*min_count=*/1, &ws, &bitmap_fwd);
-      ASSERT_EQ(csr_fwd.size(), bitmap_fwd.size()) << "len=" << len;
-      auto it = bitmap_fwd.begin();
-      for (const auto& [ev, il] : csr_fwd) {
-        EXPECT_EQ(ev, it->first);
-        EXPECT_EQ(il, it->second);
-        ++it;
-      }
+      ForwardExtensionMap fwd;
+      ForwardExtensions(bitmap, p, SingleEventInstances(bitmap, root),
+                        /*min_count=*/1, &ws, &fwd);
+      EXPECT_EQ(Entries(fwd), OracleForward(db, p)) << "len=" << len;
     }
   }
 }
@@ -273,29 +344,33 @@ TEST(BitmapLayoutTest, UnionRowsMatchesNaiveOrInsideItsWordRange) {
 }
 
 // ---------------------------------------------------------------------------
-// The adaptive chooser: dense corpora go vertical, sparse corpora stay on
-// the CSR index (the acceptance pins of the auto mode).
+// The adaptive chooser: dense corpora get the bitmap layout, everything
+// else the hybrid split (the acceptance pins of the auto mode).
 
-TEST(BackendChooserTest, DensePicksBitmapSparsePicksCsr) {
+TEST(BackendChooserTest, DensePicksBitmapElsePicksHybrid) {
   // Dense: 40 sequences x 60 events over 12 distinct names.
   SequenceDatabase dense = RandomDb(1, 40, 60, 12);
   EXPECT_EQ(ChooseBackendKind(dense), BackendKind::kBitmap);
-  // Sparse AND tiny: the hybrid split can't amortize its arena, so the
-  // CSR index wins (mean occurrences ~1, a few hundred events total).
+  // Sparse and tiny (mean occurrences ~1, a few hundred events total):
+  // the hybrid split.
   SequenceDatabase sparse = RandomDb(2, 30, 15, 500);
-  EXPECT_EQ(ChooseBackendKind(sparse), BackendKind::kCsr);
-  // Sparse but big: thousands of events over a wide alphabet — the
+  EXPECT_EQ(ChooseBackendKind(sparse), BackendKind::kHybrid);
+  // Sparse and big: thousands of events over a wide alphabet — the
   // hybrid format keeps the rare tail as ID-lists instead of paying a
   // full bitmap row per event.
   SequenceDatabase wide = RandomDb(4, 300, 30, 3000);
   EXPECT_EQ(ChooseBackendKind(wide), BackendKind::kHybrid);
-  // Empty databases default to CSR.
-  EXPECT_EQ(ChooseBackendKind(SequenceDatabase()), BackendKind::kCsr);
+  // Empty databases resolve the hybrid layout too.
+  EXPECT_EQ(ChooseBackendKind(SequenceDatabase()), BackendKind::kHybrid);
+  // No parsed name reaches the removed csr layout.
+  EXPECT_FALSE(ParseBackendChoice("csr").has_value());
+  EXPECT_EQ(ParseBackendChoice("hybrid"), BackendChoice::kHybrid);
+  EXPECT_EQ(ParseBackendChoice(""), BackendChoice::kAuto);
 }
 
 // ---------------------------------------------------------------------------
-// Projection-level equivalence on randomized databases: the dispatching
-// overloads agree entry-for-entry between backends.
+// Projection-level equivalence on randomized databases: every layout's
+// queries agree entry-for-entry with the scalar QRE matcher.
 
 struct EquivParams {
   uint64_t seed;
@@ -308,130 +383,86 @@ class BackendEquivalenceTest : public ::testing::TestWithParam<EquivParams> {
 TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
   const EquivParams p = GetParam();
   SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
-  PositionIndex csr(db);
   HybridIndex bitmap(db, kBitmapDenseCutoff);
   HybridIndex hybrid(db);
   // The bitmap alias stores exactly the events that occur as rows.
   size_t present = 0;
   for (EventId ev = 0; ev < db.dictionary().size(); ++ev) {
-    if (csr.TotalCount(ev) > 0) ++present;
+    if (NaiveCounts(db, ev).first > 0) ++present;
   }
   EXPECT_EQ(bitmap.num_dense_events(), present);
   // Also a hybrid forced to keep a sparse tail on every corpus: a huge
   // cutoff pushes *all* events onto the ID-list side, so the sparse
   // scatter path is exercised even where auto-tuning would go all-dense.
   HybridIndex all_sparse(db, ~uint64_t{0});
-  CountingBackend cb(csr);
-  std::array<CountingBackend, 3> alts = {CountingBackend(bitmap),
-                                         CountingBackend(hybrid),
-                                         CountingBackend(all_sparse)};
-  EXPECT_STREQ(alts[0].name(), "bitmap");
-  EXPECT_STREQ(alts[1].name(), "hybrid");
-  std::array<ProjectionWorkspace, 3> alt_ws;
-  ProjectionWorkspace csr_ws;
-  for (const CountingBackend& alt : alts) {
-    ASSERT_EQ(cb.num_events(), alt.num_events());
+  const std::array<const HybridIndex*, 3> layouts = {&bitmap, &hybrid,
+                                                     &all_sparse};
+  EXPECT_STREQ(bitmap.name(), "bitmap");
+  EXPECT_STREQ(hybrid.name(), "hybrid");
+  std::array<ProjectionWorkspace, 3> ws;
+  for (const HybridIndex* index : layouts) {
+    ASSERT_EQ(index->num_events(), db.dictionary().size());
   }
   for (EventId ev = 0; ev < db.dictionary().size(); ++ev) {
-    InstanceList insts = SingleEventInstances(cb, ev);
-    for (const CountingBackend& alt : alts) {
-      ASSERT_EQ(cb.TotalCount(ev), alt.TotalCount(ev)) << alt.name();
-      ASSERT_EQ(cb.SequenceCount(ev), alt.SequenceCount(ev)) << alt.name();
-      ASSERT_EQ(insts, SingleEventInstances(alt, ev)) << alt.name();
+    const auto [total, seqs] = NaiveCounts(db, ev);
+    const InstanceList insts = FindAllInstances(Pattern{ev}, db);
+    for (const HybridIndex* index : layouts) {
+      ASSERT_EQ(index->TotalCount(ev), total) << index->name();
+      ASSERT_EQ(index->SequenceCount(ev), seqs) << index->name();
+      ASSERT_EQ(SingleEventInstances(*index, ev), insts) << index->name();
     }
     if (insts.empty()) continue;
-    // Grow a couple of levels and compare the full projection at each.
+    // Grow a level and compare the full projection of each pattern.
     for (EventId second = 0; second < db.dictionary().size(); ++second) {
       Pattern pat = Pattern{ev}.Extend(second);
       InstanceList pat_insts = FindAllInstances(pat, db);
       if (pat_insts.empty()) continue;
-      ForwardExtensionMap csr_fwd;
-      ForwardExtensions(cb, pat, pat_insts, /*min_count=*/1, &csr_ws, &csr_fwd);
-      const BackwardExtensionMap& csr_back =
-          BackwardExtensions(cb, pat, pat_insts, /*min_count=*/1, &csr_ws);
-      // Copy: the reference lives in the workspace.
-      BackwardExtensionMap csr_back_copy;
-      for (const auto& [e, ext] : csr_back) csr_back_copy.emplace_back(e, ext);
-      for (size_t a = 0; a < alts.size(); ++a) {
-        const CountingBackend& alt = alts[a];
-        ForwardExtensionMap alt_fwd;
-        ForwardExtensions(alt, pat, pat_insts, /*min_count=*/1, &alt_ws[a],
-                          &alt_fwd);
-        ASSERT_EQ(csr_fwd.size(), alt_fwd.size())
-            << alt.name() << " " << pat.ToString();
-        auto it = alt_fwd.begin();
-        for (const auto& [e, il] : csr_fwd) {
-          ASSERT_EQ(e, it->first) << alt.name() << " " << pat.ToString();
-          ASSERT_EQ(il, it->second) << alt.name() << " " << pat.ToString();
-          ++it;
-        }
-        const BackwardExtensionMap& alt_back = BackwardExtensions(
-            alt, pat, pat_insts, /*min_count=*/1, &alt_ws[a]);
-        ASSERT_EQ(csr_back_copy.size(), alt_back.size())
-            << alt.name() << " " << pat.ToString();
-        auto bit = alt_back.begin();
-        for (const auto& [e, ext] : csr_back_copy) {
-          ASSERT_EQ(e, bit->first) << alt.name();
-          ASSERT_EQ(ext.support, bit->second.support)
-              << alt.name() << " " << pat.ToString();
-          ASSERT_EQ(ext.all_adjacent, bit->second.all_adjacent)
-              << alt.name() << " " << pat.ToString();
-          ++bit;
-        }
+      const ForwardEntries want_fwd = OracleForward(db, pat);
+      const BackwardEntries want_back = OracleBackward(db, pat);
+      for (size_t a = 0; a < layouts.size(); ++a) {
+        const HybridIndex& index = *layouts[a];
+        SCOPED_TRACE(std::string(index.name()) + " #" + std::to_string(a) +
+                     " " + pat.ToString());
+        ForwardExtensionMap fwd;
+        ForwardExtensions(index, pat, pat_insts, /*min_count=*/1, &ws[a],
+                          &fwd);
+        ASSERT_EQ(Entries(fwd), want_fwd);
+        ASSERT_EQ(Entries(BackwardExtensions(index, pat, pat_insts,
+                                             /*min_count=*/1, &ws[a])),
+                  want_back);
         // The QRE recount and the occurrence count agree with the oracles.
-        ASSERT_EQ(CountInstances(alt, pat), CountInstances(pat, db))
-            << alt.name();
-        ASSERT_EQ(CountOccurrences(alt, pat), CountOccurrences(pat, db))
-            << alt.name();
+        ASSERT_EQ(CountInstances(index, pat), pat_insts.size());
+        ASSERT_EQ(CountOccurrences(index, pat), CountOccurrences(pat, db));
       }
     }
   }
 }
 
-// Projection maps as comparable vectors.
-using ForwardEntries = std::vector<std::pair<EventId, InstanceList>>;
-using BackwardEntries = std::vector<std::tuple<EventId, uint64_t, bool>>;
-
-ForwardEntries Entries(const ForwardExtensionMap& map) {
-  return ForwardEntries(map.begin(), map.end());
-}
-
-BackwardEntries Entries(const BackwardExtensionMap& map) {
-  BackwardEntries out;
-  for (const auto& [ev, ext] : map) {
-    out.emplace_back(ev, ext.support, ext.all_adjacent);
-  }
-  return out;
-}
-
-// The min_count contract of the backend-dispatching projection queries:
-// at threshold k each returns exactly the k = 1 map minus its entries
-// below k, on csr, bitmap (cutoff 1), hybrid and an all-sparse hybrid,
-// for k in {1, 2, the pattern's support and one below it, one above the
-// smallest event count present}, over every length-1 and length-2
-// pattern of \p db and every length-3 extension of a length-2 pattern
-// that occurs. At k = the support the vertical backward query walks only
-// the first instance and probes the rest (windows and two gaps at
-// length 3); one below it, each candidate may miss one instance.
-// Returns how many dropped entries belonged to an event whose total count
-// is below k — events inside candidate windows that the count-bound scan
-// filter skips.
+// The min_count contract of the projection queries: at threshold k each
+// returns exactly the scalar oracle's k = 1 map minus its entries below k,
+// on bitmap (cutoff 1), hybrid and an all-sparse hybrid, for k in {1, 2,
+// the pattern's support and one below it, one above the smallest event
+// count present}, over every length-1 and length-2 pattern of \p db and
+// every length-3 extension of a length-2 pattern that occurs. At k = the
+// support the backward query walks only the first instance and probes the
+// rest (windows and two gaps at length 3); one below it, each candidate
+// may miss one instance. Returns how many dropped entries belonged to an
+// event whose total count is below k — events inside candidate windows
+// that the count-bound scan filter skips.
 size_t CheckMinCountContract(const SequenceDatabase& db) {
-  PositionIndex csr(db);
   HybridIndex bitmap(db, kBitmapDenseCutoff);
   HybridIndex hybrid(db);
   HybridIndex all_sparse(db, ~uint64_t{0});
-  const std::array<CountingBackend, 4> backends = {
-      CountingBackend(csr), CountingBackend(bitmap), CountingBackend(hybrid),
-      CountingBackend(all_sparse)};
-  std::array<ProjectionWorkspace, 4> ws;
+  const std::array<const HybridIndex*, 3> layouts = {&bitmap, &hybrid,
+                                                     &all_sparse};
+  std::array<ProjectionWorkspace, 3> ws;
   const size_t num_events = db.dictionary().size();
+  std::vector<uint64_t> totals(num_events);
   uint64_t smallest = ~uint64_t{0};
   std::vector<Pattern> patterns;
   for (EventId a = 0; a < num_events; ++a) {
-    if (csr.TotalCount(a) > 0) {
-      smallest = std::min<uint64_t>(smallest, csr.TotalCount(a));
-    }
+    totals[a] = NaiveCounts(db, a).first;
+    if (totals[a] > 0) smallest = std::min<uint64_t>(smallest, totals[a]);
     patterns.push_back(Pattern{a});
     for (EventId b = 0; b < num_events; ++b) patterns.push_back(Pattern{a, b});
   }
@@ -445,9 +476,8 @@ size_t CheckMinCountContract(const SequenceDatabase& db) {
         patterns.push_back(pat.Extend(c));
       }
     }
-    const ForwardEntries all_fwd = Entries(ForwardExtensions(csr, pat, insts));
-    const BackwardEntries all_back =
-        Entries(BackwardExtensions(csr, pat, insts));
+    const ForwardEntries all_fwd = OracleForward(db, pat);
+    const BackwardEntries all_back = OracleBackward(db, pat);
     const uint64_t support = insts.size();
     for (const uint64_t k : {uint64_t{1}, uint64_t{2}, support,
                              std::max<uint64_t>(support - 1, 1),
@@ -457,7 +487,7 @@ size_t CheckMinCountContract(const SequenceDatabase& db) {
       for (const auto& entry : all_fwd) {
         if (entry.second.size() >= k) {
           want_fwd.push_back(entry);
-        } else if (csr.TotalCount(entry.first) < k) {
+        } else if (totals[entry.first] < k) {
           ++count_bound_skips;
         }
       }
@@ -465,17 +495,17 @@ size_t CheckMinCountContract(const SequenceDatabase& db) {
       for (const auto& entry : all_back) {
         if (std::get<1>(entry) >= k) {
           want_back.push_back(entry);
-        } else if (csr.TotalCount(std::get<0>(entry)) < k) {
+        } else if (totals[std::get<0>(entry)] < k) {
           ++count_bound_skips;
         }
       }
-      for (size_t b = 0; b < backends.size(); ++b) {
+      for (size_t b = 0; b < layouts.size(); ++b) {
         ForwardExtensionMap got;
-        ForwardExtensions(backends[b], pat, insts, k, &ws[b], &got);
-        EXPECT_EQ(want_fwd, Entries(got)) << backends[b].name() << " #" << b;
-        EXPECT_EQ(want_back, Entries(BackwardExtensions(backends[b], pat,
+        ForwardExtensions(*layouts[b], pat, insts, k, &ws[b], &got);
+        EXPECT_EQ(want_fwd, Entries(got)) << layouts[b]->name() << " #" << b;
+        EXPECT_EQ(want_back, Entries(BackwardExtensions(*layouts[b], pat,
                                                         insts, k, &ws[b])))
-            << backends[b].name() << " #" << b;
+            << layouts[b]->name() << " #" << b;
       }
     }
   }
@@ -502,15 +532,15 @@ TEST(MinCountContractTest, CountBoundSkipsRareEventsInsideWindows) {
   const EventDictionary& dict = db.dictionary();
   const EventId a = dict.Lookup("a"), b = dict.Lookup("b"),
                 c = dict.Lookup("c"), x = dict.Lookup("x");
-  const PositionIndex csr(db);
   const HybridIndex bitmap(db, kBitmapDenseCutoff);
+  const HybridIndex hybrid(db);
   ProjectionWorkspace ws;
   const Pattern pa{a};
-  const InstanceList insts = SingleEventInstances(csr, a);
-  ASSERT_EQ(csr.TotalCount(x), 2u);
-  ASSERT_EQ(csr.TotalCount(c), 3u);
-  for (const CountingBackend& backend :
-       {CountingBackend(csr), CountingBackend(bitmap)}) {
+  const InstanceList insts = FindAllInstances(pa, db);
+  ASSERT_EQ(NaiveCounts(db, x).first, 2u);
+  ASSERT_EQ(NaiveCounts(db, c).first, 3u);
+  for (const HybridIndex* layout : {&bitmap, &hybrid}) {
+    const HybridIndex& backend = *layout;
     // <a>++<x> has 1 instance, <a>++<b> 3, <a>++<c> 2: at 3 only b stays.
     ForwardExtensionMap fwd;
     ForwardExtensions(backend, pa, insts, 3, &ws, &fwd);
@@ -531,16 +561,15 @@ TEST(MinCountContractTest, CountBoundSkipsRareEventsInsideWindows) {
 
 // The backward query's probe phase on hand-made corpora, where each
 // later instance decides one candidate differently from the first
-// instance's walk. `Backward` runs the query at min_count k on csr (which
-// walks every instance), bitmap and an all-sparse hybrid, and checks that
-// they agree.
+// instance's walk. `Backward` runs the query at min_count k on bitmap and
+// an all-sparse hybrid, and checks both against the scalar oracle's
+// entries that reach k (the matcher walks every instance).
 class BackwardProbeTest : public ::testing::Test {
  protected:
   void Build(std::initializer_list<const char*> traces) {
     SequenceDatabaseBuilder builder;
     for (const char* trace : traces) builder.AddTraceFromString(trace);
     db_ = builder.Build();
-    csr_.emplace(db_);
     bitmap_.emplace(db_, kBitmapDenseCutoff);
     all_sparse_.emplace(db_, ~uint64_t{0});
     CheckMinCountContract(db_);  // Every pattern of length 1 to 3.
@@ -554,10 +583,12 @@ class BackwardProbeTest : public ::testing::Test {
   BackwardEntries Backward(const Pattern& pat, uint64_t k) {
     const InstanceList insts = FindAllInstances(pat, db_);
     ProjectionWorkspace ws;
-    const BackwardEntries want = Entries(
-        BackwardExtensions(CountingBackend(*csr_), pat, insts, k, &ws));
-    for (const CountingBackend& backend :
-         {CountingBackend(*bitmap_), CountingBackend(*all_sparse_)}) {
+    BackwardEntries want;
+    for (const auto& entry : OracleBackward(db_, pat)) {
+      if (std::get<1>(entry) >= k) want.push_back(entry);
+    }
+    for (const HybridIndex* layout : {&*bitmap_, &*all_sparse_}) {
+      const HybridIndex& backend = *layout;
       EXPECT_EQ(want, Entries(BackwardExtensions(backend, pat, insts, k, &ws)))
           << backend.name() << " " << pat.ToString() << " k=" << k;
     }
@@ -565,7 +596,6 @@ class BackwardProbeTest : public ::testing::Test {
   }
 
   SequenceDatabase db_;
-  std::optional<PositionIndex> csr_;
   std::optional<HybridIndex> bitmap_, all_sparse_;
 };
 
@@ -617,63 +647,85 @@ TEST_F(BackwardProbeTest, DifferentStopEvents) {
 }
 
 // Full / closed / generator miners: byte-identical emission across
-// backends x thresholds x thread counts, through one Engine session whose
-// tasks pick the backend per arm.
+// layouts x thresholds x thread counts, through one Engine session whose
+// tasks pick the layout per arm. The reference is the bitmap layout on
+// one thread; on the small corpora its full and closed sets (patterns and
+// supports) must also equal the brute-force miners', which share no code
+// with the index.
 TEST_P(BackendEquivalenceTest, MinersAreByteIdenticalAcrossBackends) {
   const EquivParams p = GetParam();
-  const Engine engine(RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet));
-  const auto mine = [&engine](auto task, BackendChoice backend) {
+  const SequenceDatabase db =
+      RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
+  const Engine engine{SequenceDatabase(db)};
+  const auto mine = [&engine](auto task, BackendChoice backend,
+                              size_t threads) {
     task.options.backend = backend;
+    task.options.num_threads = threads;
     Result<PatternSet> mined = engine.CollectPatterns(task);
     EXPECT_TRUE(mined.ok()) << mined.status().ToString();
-    return mined.ok() ? Render(*mined, engine.dictionary()) : std::string();
+    return mined.ok() ? mined.TakeValueOrDie() : PatternSet{};
   };
+  // Every layout and thread count against the one-thread bitmap run.
+  const auto expect_all_match = [&](auto task, const PatternSet& reference,
+                                    const std::string& what) {
+    const std::string want = Render(reference, db.dictionary());
+    for (size_t threads : {1u, 4u}) {
+      for (BackendChoice backend :
+           {BackendChoice::kBitmap, BackendChoice::kHybrid}) {
+        if (threads == 1 && backend == BackendChoice::kBitmap) continue;
+        ASSERT_EQ(want, Render(mine(task, backend, threads), db.dictionary()))
+            << what << " " << (backend == BackendChoice::kBitmap ? "bitmap"
+                                                                 : "hybrid")
+            << " threads=" << threads;
+      }
+    }
+  };
+  const bool small = db.TotalEvents() <= kBruteForceMaxEvents;
   // min_support 1 is omitted: the *full* pattern tree at support 1 grows
-  // combinatorially on the larger corpora (equally on both backends) —
+  // combinatorially on the larger corpora (equally on both layouts) —
   // the low-threshold regime is covered by the smaller projection test.
   for (uint64_t min_sup : {2u, 4u}) {
-    for (size_t threads : {1u, 4u}) {
-      FullPatternsTask full;
-      full.options.min_support = min_sup;
-      full.options.num_threads = threads;
-      const std::string full_csr = mine(full, BackendChoice::kCsr);
-      ASSERT_EQ(full_csr, mine(full, BackendChoice::kBitmap))
-          << "full min_sup=" << min_sup << " threads=" << threads;
-      ASSERT_EQ(full_csr, mine(full, BackendChoice::kHybrid))
-          << "full/hybrid min_sup=" << min_sup << " threads=" << threads;
-
-      ClosedTask closed;
-      closed.options.min_support = min_sup;
-      closed.options.num_threads = threads;
-      const std::string closed_csr = mine(closed, BackendChoice::kCsr);
-      ASSERT_EQ(closed_csr, mine(closed, BackendChoice::kBitmap))
-          << "closed min_sup=" << min_sup << " threads=" << threads;
-      ASSERT_EQ(closed_csr, mine(closed, BackendChoice::kHybrid))
-          << "closed/hybrid min_sup=" << min_sup << " threads=" << threads;
-
-      GeneratorsTask gens;
-      gens.options.min_support = min_sup;
-      gens.options.num_threads = threads;
-      const std::string gens_csr = mine(gens, BackendChoice::kCsr);
-      ASSERT_EQ(gens_csr, mine(gens, BackendChoice::kBitmap))
-          << "generators min_sup=" << min_sup << " threads=" << threads;
-      ASSERT_EQ(gens_csr, mine(gens, BackendChoice::kHybrid))
-          << "generators/hybrid min_sup=" << min_sup
-          << " threads=" << threads;
+    const std::string at = " min_sup=" + std::to_string(min_sup);
+    FullPatternsTask full;
+    full.options.min_support = min_sup;
+    const PatternSet full_ref = mine(full, BackendChoice::kBitmap, 1);
+    if (small) {
+      EXPECT_EQ(ToMap(full_ref),
+                ToMap(BruteForceFrequentIterative(db, min_sup)))
+          << "full" << at;
     }
+    expect_all_match(full, full_ref, "full" + at);
+
+    ClosedTask closed;
+    closed.options.min_support = min_sup;
+    expect_all_match(closed, mine(closed, BackendChoice::kBitmap, 1),
+                     "closed" + at);
+    if (small) {
+      // The heuristic P2 and P3 prunes may drop closed patterns
+      // (closed_miner.h), so the definition-level check runs without them.
+      ClosedTask sound = closed;
+      sound.options.aggressive_prefix_prune = false;
+      sound.options.infix_prune = false;
+      EXPECT_EQ(ToMap(mine(sound, BackendChoice::kBitmap, 1)),
+                ToMap(BruteForceClosedIterative(db, min_sup)))
+          << "closed" << at;
+    }
+
+    GeneratorsTask gens;
+    gens.options.min_support = min_sup;
+    expect_all_match(gens, mine(gens, BackendChoice::kBitmap, 1),
+                     "generators" + at);
   }
 }
 
-// Rules: the backend accelerates i-support counts and premise maximality
-// tests; rule sets must match the backend-free scalar path exactly.
+// Rules: the index accelerates i-support counts and premise maximality
+// tests; rule sets must match the index-free scalar path exactly.
 TEST_P(BackendEquivalenceTest, RulesAreByteIdenticalAcrossBackends) {
   const EquivParams p = GetParam();
   SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
   const EventDictionary& dict = db.dictionary();
-  PositionIndex csr(db);
   HybridIndex bitmap(db, kBitmapDenseCutoff);
   HybridIndex hybrid(db);
-  CountingBackend cb(csr), bb(bitmap), hb(hybrid);
   for (bool non_redundant : {true, false}) {
     RuleMinerOptions options;
     options.min_s_support = 2;
@@ -685,16 +737,13 @@ TEST_P(BackendEquivalenceTest, RulesAreByteIdenticalAcrossBackends) {
     options.max_premise_length = 3;
     options.max_consequent_length = 3;
     RuleSet scalar = MineRecurrentRules(db, options, nullptr, nullptr);
-    RuleSet with_csr = MineRecurrentRules(db, options, nullptr, nullptr, &cb);
     RuleSet with_bitmap =
-        MineRecurrentRules(db, options, nullptr, nullptr, &bb);
+        MineRecurrentRules(db, options, nullptr, nullptr, &bitmap);
     RuleSet with_hybrid =
-        MineRecurrentRules(db, options, nullptr, nullptr, &hb);
-    ASSERT_EQ(scalar.size(), with_csr.size());
+        MineRecurrentRules(db, options, nullptr, nullptr, &hybrid);
     ASSERT_EQ(scalar.size(), with_bitmap.size());
     ASSERT_EQ(scalar.size(), with_hybrid.size());
     for (size_t i = 0; i < scalar.size(); ++i) {
-      ASSERT_EQ(scalar[i].ToString(dict), with_csr[i].ToString(dict));
       ASSERT_EQ(scalar[i].ToString(dict), with_bitmap[i].ToString(dict));
       ASSERT_EQ(scalar[i].ToString(dict), with_hybrid[i].ToString(dict));
       ASSERT_EQ(scalar[i].i_support, with_bitmap[i].i_support);
@@ -703,7 +752,7 @@ TEST_P(BackendEquivalenceTest, RulesAreByteIdenticalAcrossBackends) {
   }
 }
 
-// Sharded execution: forcing either backend on every shard (and mixing,
+// Sharded execution: forcing either layout on every shard (and mixing,
 // via auto) reproduces the single-pass output byte for byte.
 TEST_P(BackendEquivalenceTest, ShardedMiningAgreesAcrossBackends) {
   const EquivParams p = GetParam();
@@ -724,13 +773,14 @@ TEST_P(BackendEquivalenceTest, ShardedMiningAgreesAcrossBackends) {
 
     Result<Engine> plain = Engine::Create(SequenceDatabase(db));
     ASSERT_TRUE(plain.ok());
-    task.options.backend = BackendChoice::kCsr;
-    Result<PatternSet> reference = plain->CollectPatterns(task);
+    FullPatternsTask single = task;
+    single.options.backend = BackendChoice::kBitmap;
+    single.options.num_threads = 1;
+    Result<PatternSet> reference = plain->CollectPatterns(single);
     ASSERT_TRUE(reference.ok());
 
-    for (BackendChoice choice :
-         {BackendChoice::kAuto, BackendChoice::kCsr, BackendChoice::kBitmap,
-          BackendChoice::kHybrid}) {
+    for (BackendChoice choice : {BackendChoice::kAuto, BackendChoice::kBitmap,
+                                 BackendChoice::kHybrid}) {
       task.options.backend = choice;
       Result<Engine> sharded = Engine::FromShardSet(smdbset);
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
@@ -747,8 +797,9 @@ TEST_P(BackendEquivalenceTest, ShardedMiningAgreesAcrossBackends) {
 // Sharded auto: a sharded session answers regular (non-sharded) tasks
 // over its merged arena with the backend auto resolves there, and the
 // emission is byte-identical to eagerly merging the shards into one arena
-// and mining it with csr, across every miner family and thread count.
-TEST_P(BackendEquivalenceTest, ShardedAutoMatchesEagerCsr) {
+// and mining it on the bitmap layout with one thread, across every miner
+// family and thread count.
+TEST_P(BackendEquivalenceTest, ShardedAutoMatchesEagerBitmap) {
   const EquivParams p = GetParam();
   SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
   const std::string smdbset =
@@ -776,10 +827,11 @@ TEST_P(BackendEquivalenceTest, ShardedAutoMatchesEagerCsr) {
     {
       FullPatternsTask task;
       task.options.min_support = 3;
-      task.options.num_threads = threads;
-      task.options.backend = BackendChoice::kCsr;
+      task.options.num_threads = 1;
+      task.options.backend = BackendChoice::kBitmap;
       CollectingPatternSink want;
       ASSERT_TRUE(eager->Mine(task, want).ok());
+      task.options.num_threads = threads;
       task.options.backend = BackendChoice::kAuto;
       CollectingPatternSink got;
       Result<RunReport> run = sharded->Mine(task, got);
@@ -792,10 +844,11 @@ TEST_P(BackendEquivalenceTest, ShardedAutoMatchesEagerCsr) {
     {
       ClosedTask task;
       task.options.min_support = 3;
-      task.options.num_threads = threads;
-      task.options.backend = BackendChoice::kCsr;
+      task.options.num_threads = 1;
+      task.options.backend = BackendChoice::kBitmap;
       CollectingPatternSink want;
       ASSERT_TRUE(eager->Mine(task, want).ok());
+      task.options.num_threads = threads;
       task.options.backend = BackendChoice::kAuto;
       CollectingPatternSink got;
       Result<RunReport> run = sharded->Mine(task, got);
@@ -808,10 +861,11 @@ TEST_P(BackendEquivalenceTest, ShardedAutoMatchesEagerCsr) {
     {
       GeneratorsTask task;
       task.options.min_support = 3;
-      task.options.num_threads = threads;
-      task.options.backend = BackendChoice::kCsr;
+      task.options.num_threads = 1;
+      task.options.backend = BackendChoice::kBitmap;
       CollectingPatternSink want;
       ASSERT_TRUE(eager->Mine(task, want).ok());
+      task.options.num_threads = threads;
       task.options.backend = BackendChoice::kAuto;
       CollectingPatternSink got;
       Result<RunReport> run = sharded->Mine(task, got);
@@ -827,16 +881,17 @@ TEST_P(BackendEquivalenceTest, ShardedAutoMatchesEagerCsr) {
   // that backend and agrees byte for byte.
   FullPatternsTask task;
   task.options.min_support = 3;
-  task.options.backend = BackendChoice::kCsr;
+  task.options.num_threads = 1;
+  task.options.backend = BackendChoice::kBitmap;
   CollectingPatternSink want;
   ASSERT_TRUE(eager->Mine(task, want).ok());
-  task.options.backend = BackendChoice::kBitmap;
-  CollectingPatternSink via_bitmap;
-  Result<RunReport> run = sharded->Mine(task, via_bitmap);
+  task.options.backend = BackendChoice::kHybrid;
+  CollectingPatternSink via_hybrid;
+  Result<RunReport> run = sharded->Mine(task, via_hybrid);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->backend, "bitmap");
+  EXPECT_EQ(run->backend, "hybrid");
   EXPECT_EQ(Render(want.set(), db.dictionary()),
-            Render(via_bitmap.set(), sharded->dictionary()));
+            Render(via_hybrid.set(), sharded->dictionary()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -876,10 +931,11 @@ TEST(ShardedEngineTest, QuarantinedShardsMatchHealthySubset) {
   for (size_t threads : {1u, 4u}) {
     FullPatternsTask task;
     task.options.min_support = 2;
-    task.options.num_threads = threads;
-    task.options.backend = BackendChoice::kCsr;
+    task.options.num_threads = 1;
+    task.options.backend = BackendChoice::kBitmap;
     CollectingPatternSink want;
     ASSERT_TRUE(healthy->Mine(task, want).ok());
+    task.options.num_threads = threads;
     task.options.backend = BackendChoice::kAuto;
     CollectingPatternSink healthy_auto;
     Result<RunReport> healthy_run = healthy->Mine(task, healthy_auto);
@@ -919,31 +975,21 @@ TEST(BackendEngineTest, SessionCachesEachRepresentationOnce) {
   EXPECT_EQ(second->index_build_seconds, 0.0);  // Cached.
   EXPECT_EQ(engine.index_builds(), 1u);
 
-  FullPatternsTask csr_task = bitmap_task;
-  csr_task.options.backend = BackendChoice::kCsr;
-  CollectingPatternSink sink3;
-  Result<RunReport> third = engine.Mine(csr_task, sink3);
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third->backend, "csr");
-  EXPECT_EQ(engine.index_builds(), 2u);  // Second representation.
-
   FullPatternsTask hybrid_task = bitmap_task;
   hybrid_task.options.backend = BackendChoice::kHybrid;
+  CollectingPatternSink sink3;
+  Result<RunReport> third = engine.Mine(hybrid_task, sink3);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->backend, "hybrid");
+  EXPECT_EQ(engine.index_builds(), 2u);  // Second layout.
   CollectingPatternSink sink4;
   Result<RunReport> fourth = engine.Mine(hybrid_task, sink4);
   ASSERT_TRUE(fourth.ok());
-  EXPECT_EQ(fourth->backend, "hybrid");
-  EXPECT_EQ(engine.index_builds(), 3u);  // Third representation.
-  CollectingPatternSink sink5;
-  Result<RunReport> fifth = engine.Mine(hybrid_task, sink5);
-  ASSERT_TRUE(fifth.ok());
-  EXPECT_EQ(fifth->index_build_seconds, 0.0);  // Cached.
-  EXPECT_EQ(engine.index_builds(), 3u);
+  EXPECT_EQ(fourth->index_build_seconds, 0.0);  // Cached.
+  EXPECT_EQ(engine.index_builds(), 2u);
 
   EXPECT_EQ(Render(sink1.set(), db.dictionary()),
             Render(sink3.set(), db.dictionary()));
-  EXPECT_EQ(Render(sink1.set(), db.dictionary()),
-            Render(sink4.set(), db.dictionary()));
 }
 
 TEST(BackendEngineTest, RulesReportRecordsTheBackend) {
@@ -1014,7 +1060,11 @@ TEST(BackendEngineTest, ExplicitBitmapBeyondTableCapFailsBeforeBuilding) {
     builder.AddSequence(seq);
   }
   SequenceDatabase db = builder.Build();
-  ASSERT_FALSE(CheckBitmapIndexable(db).ok());
+  const Status cap = CheckBitmapIndexable(db);
+  ASSERT_FALSE(cap.ok());
+  EXPECT_EQ(cap.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(cap.message().find("use the hybrid backend"), std::string::npos)
+      << cap.message();
 
   Result<Engine> engine = Engine::Create(SequenceDatabase(db));
   ASSERT_TRUE(engine.ok());
@@ -1025,6 +1075,7 @@ TEST(BackendEngineTest, ExplicitBitmapBeyondTableCapFailsBeforeBuilding) {
   Result<RunReport> run = engine->Mine(task, refused);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(run.status().message(), cap.message());
   EXPECT_EQ(engine->index_builds(), 0u);
 
   // Auto picks a representation within bounds and mines normally.

@@ -164,13 +164,12 @@ TEST(CancelTest, CancelledParallelScanDeliversAPrefix) {
 // misses, and what it returns is still a prefix of the complete run.
 TEST(CancelTest, CancelledGeneratorRunReturnsAPrefix) {
   const SequenceDatabase db = RandomDb(97, 80, 12, 5);
-  const PositionIndex index(db);
-  const CountingBackend backend(index);
+  const HybridIndex index(db);
   IterGeneratorMinerOptions options;
   options.min_support = 2;
   options.num_threads = 1;
   IterMinerStats full_stats;
-  const PatternSet full = MineIterativeGenerators(backend, options,
+  const PatternSet full = MineIterativeGenerators(index, options,
                                                   &full_stats);
   // The token reads its deadline once per 64 polls (one per node), so a
   // deadline that has passed stops the scan within its first 64 nodes.
@@ -184,7 +183,7 @@ TEST(CancelTest, CancelledGeneratorRunReturnsAPrefix) {
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
     options.cancel = &token;
     IterMinerStats stats;
-    const PatternSet partial = MineIterativeGenerators(backend, options,
+    const PatternSet partial = MineIterativeGenerators(index, options,
                                                        &stats);
     EXPECT_EQ(stats.stopped, StatusCode::kDeadlineExceeded);
     ASSERT_LE(partial.size(), full.size());
@@ -212,7 +211,7 @@ TEST(CancelTest, ArmedButUnfiredTokenKeepsOutputByteIdentical) {
   const std::string expected = baseline.set().ToString(dict);
 
   for (size_t threads : {size_t{1}, size_t{3}}) {
-    for (BackendChoice backend : {BackendChoice::kCsr,
+    for (BackendChoice backend : {BackendChoice::kHybrid,
                                   BackendChoice::kBitmap}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       CancelToken token;

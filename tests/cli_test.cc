@@ -49,6 +49,21 @@ TEST_F(CliTest, UnknownCommandFails) {
   EXPECT_NE(err_.str().find("unknown command"), std::string::npos);
 }
 
+// --backend accepts auto, bitmap and hybrid only: the removed csr layout
+// is a usage error like any unknown value, never an alias for another.
+TEST_F(CliTest, BackendCsrIsAnInvalidArgument) {
+  for (const char* value : {"csr", "frob"}) {
+    SCOPED_TRACE(value);
+    EXPECT_EQ(Run({"mine-patterns", path_, "--backend", value}), 3);
+    EXPECT_NE(err_.str().find("--backend must be auto, bitmap or hybrid"),
+              std::string::npos)
+        << err_.str();
+    EXPECT_TRUE(out_.str().empty());
+  }
+  EXPECT_EQ(Run({"mine-patterns", path_, "--backend", "hybrid"}), 0);
+  EXPECT_NE(out_.str().find("timing: backend hybrid"), std::string::npos);
+}
+
 TEST_F(CliTest, StatsPrintsShape) {
   EXPECT_EQ(Run({"stats", path_}), 0);
   EXPECT_NE(out_.str().find("3 sequences"), std::string::npos);
@@ -149,7 +164,7 @@ TEST_F(CliTest, StatsAutoBackendMatchesMineOnShardSet) {
   const std::string sharded = ::testing::TempDir() + "cli_test_dense.smdbset";
   {
     // Dense enough (three events, many occurrences each) that auto picks
-    // a vertical layout rather than the tiny-corpus csr fallback.
+    // the bitmap layout rather than the hybrid split.
     std::ofstream out(text);
     for (int i = 0; i < 24; ++i) {
       out << "lock use unlock lock unlock use lock use unlock\n";

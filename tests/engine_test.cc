@@ -1,6 +1,6 @@
 // Tests for the specmine::Engine session façade: one cached index across
 // a multi-task session, byte-identical outputs versus each miner's single
-// entry point over an explicit PositionIndex, Status error paths, and the
+// entry point over an explicit HybridIndex, Status error paths, and the
 // composable sink layer.
 
 #include "src/engine/engine.h"
@@ -79,13 +79,13 @@ TEST(EngineTest, IndexBuiltOnceAcrossFullClosedRulesSession) {
 
 // ---------------------------------------------------------------------------
 // Byte-identical outputs versus each miner's single entry point, run over
-// an explicit CSR PositionIndex (SmallDb's auto choice).
+// an explicit HybridIndex at the tuned cutoff (SmallDb's auto choice).
 
 // The full miner's scan form, collected into a PatternSet.
-PatternSet ScanFull(const CountingBackend& backend,
+PatternSet ScanFull(const HybridIndex& index,
                     const IterMinerOptions& options) {
   PatternSet out;
-  ScanFrequentIterative(backend, options,
+  ScanFrequentIterative(index, options,
                         [&out](const Pattern& p, uint64_t support) {
                           out.Add(p, support);
                           return true;
@@ -95,11 +95,11 @@ PatternSet ScanFull(const CountingBackend& backend,
 
 TEST(EngineTest, FullPatternsMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
-  PositionIndex index(db);
+  const HybridIndex index(db);
   Engine engine(SmallDb());
   IterMinerOptions options;
   options.min_support = 2;
-  PatternSet direct = ScanFull(CountingBackend(index), options);
+  PatternSet direct = ScanFull(index, options);
 
   FullPatternsTask task;
   task.options = options;
@@ -111,11 +111,11 @@ TEST(EngineTest, FullPatternsMatchEntryPointByteForByte) {
 
 TEST(EngineTest, ClosedPatternsMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
-  PositionIndex index(db);
+  const HybridIndex index(db);
   Engine engine(SmallDb());
   ClosedIterMinerOptions options;
   options.min_support = 2;
-  PatternSet direct = MineClosedIterative(CountingBackend(index), options);
+  PatternSet direct = MineClosedIterative(index, options);
 
   ClosedTask task;
   task.options = options;
@@ -127,12 +127,11 @@ TEST(EngineTest, ClosedPatternsMatchEntryPointByteForByte) {
 
 TEST(EngineTest, GeneratorsMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
-  PositionIndex index(db);
+  const HybridIndex index(db);
   Engine engine(SmallDb());
   IterGeneratorMinerOptions options;
   options.min_support = 2;
-  PatternSet direct =
-      MineIterativeGenerators(CountingBackend(index), options);
+  PatternSet direct = MineIterativeGenerators(index, options);
 
   GeneratorsTask task;
   task.options = options;
@@ -144,13 +143,12 @@ TEST(EngineTest, GeneratorsMatchEntryPointByteForByte) {
 
 TEST(EngineTest, RulesMatchEntryPointByteForByte) {
   SequenceDatabase db = SmallDb();
-  PositionIndex index(db);
-  const CountingBackend backend(index);
+  const HybridIndex index(db);
   Engine engine(SmallDb());
   RuleMinerOptions options;
   options.min_s_support = 3;
   options.min_confidence = 0.9;
-  RuleSet direct = MineRecurrentRules(db, options, nullptr, nullptr, &backend);
+  RuleSet direct = MineRecurrentRules(db, options, nullptr, nullptr, &index);
 
   RulesTask task;
   task.options = options;
@@ -165,8 +163,7 @@ TEST(EngineTest, SessionReusedIndexStillMatchesEntryPointsOnEveryTask) {
   // rules back-to-back (index built once), each byte-identical to the
   // miner's entry point over a separately built index.
   SequenceDatabase db = SmallDb();
-  PositionIndex index(db);
-  const CountingBackend backend(index);
+  const HybridIndex index(db);
   Engine engine(SmallDb());
 
   FullPatternsTask full;
@@ -187,12 +184,12 @@ TEST(EngineTest, SessionReusedIndexStillMatchesEntryPointsOnEveryTask) {
 
   const EventDictionary& dict = engine.database().dictionary();
   EXPECT_EQ(full_mined->ToString(dict),
-            ScanFull(backend, full.options).ToString(db.dictionary()));
+            ScanFull(index, full.options).ToString(db.dictionary()));
   EXPECT_EQ(closed_mined->ToString(dict),
-            MineClosedIterative(backend, closed.options)
+            MineClosedIterative(index, closed.options)
                 .ToString(db.dictionary()));
   EXPECT_EQ(rules_mined->ToString(dict),
-            MineRecurrentRules(db, rules.options, nullptr, nullptr, &backend)
+            MineRecurrentRules(db, rules.options, nullptr, nullptr, &index)
                 .ToString(db.dictionary()));
 }
 

@@ -63,8 +63,8 @@ TEST(IterGeneratorsTest, EqualSupportExtensionIsNotGenerator) {
   PatternSet gens = Collect(db, GeneratorsTask{.options = options});
   EXPECT_TRUE(gens.Contains(P(db, "a")));
   EXPECT_FALSE(gens.Contains(P(db, "a b")));
-  PositionIndex index(db);
-  EXPECT_FALSE(IsIterativeGenerator(CountingBackend(index), P(db, "a b"), 2));
+  const HybridIndex index(db);
+  EXPECT_FALSE(IsIterativeGenerator(index, P(db, "a b"), 2));
 }
 
 TEST(IterGeneratorsTest, LowerSupportExtensionIsGenerator) {

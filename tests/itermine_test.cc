@@ -113,12 +113,61 @@ TEST(QreVerifierTest, CountInstancesAcrossSequences) {
 }
 
 // ---------------------------------------------------------------------------
-// Projection engine.
+// Projection engine. Each query runs on both index layouts — every event a
+// bitmap row (kBitmapDenseCutoff), and the tuned cutoff, which keeps these
+// small corpora's events on the ID-list side — and the two must agree.
+
+// The bitmap and the tuned-cutoff index over one database.
+struct Indexes {
+  explicit Indexes(const SequenceDatabase& db)
+      : bitmap(db, kBitmapDenseCutoff), tuned(db) {}
+  HybridIndex bitmap;
+  HybridIndex tuned;
+};
+
+InstanceList Singles(const Indexes& idx, EventId ev) {
+  InstanceList out = SingleEventInstances(idx.tuned, ev);
+  EXPECT_EQ(out, SingleEventInstances(idx.bitmap, ev));
+  return out;
+}
+
+ForwardExtensionMap Forward(const Indexes& idx, const Pattern& pattern,
+                            const InstanceList& instances) {
+  ProjectionWorkspace ws;
+  ForwardExtensionMap out, bitmap;
+  ForwardExtensions(idx.tuned, pattern, instances, /*min_count=*/1, &ws,
+                    &out);
+  ForwardExtensions(idx.bitmap, pattern, instances, /*min_count=*/1, &ws,
+                    &bitmap);
+  EXPECT_EQ(out.entries(), bitmap.entries());
+  return out;
+}
+
+BackwardExtensionMap Backward(const Indexes& idx, const Pattern& pattern,
+                              const InstanceList& instances) {
+  ProjectionWorkspace ws;
+  BackwardExtensionMap out;
+  for (const auto& [ev, ext] : BackwardExtensions(
+           idx.tuned, pattern, instances, /*min_count=*/1, &ws)) {
+    out.emplace_back(ev, ext);
+  }
+  const BackwardExtensionMap& bitmap = BackwardExtensions(
+      idx.bitmap, pattern, instances, /*min_count=*/1, &ws);
+  EXPECT_EQ(out.size(), bitmap.size());
+  auto it = bitmap.begin();
+  for (const auto& [ev, ext] : out) {
+    if (it == bitmap.end()) break;
+    EXPECT_EQ(ev, it->first);
+    EXPECT_EQ(ext.support, it->second.support);
+    EXPECT_EQ(ext.all_adjacent, it->second.all_adjacent);
+    ++it;
+  }
+  return out;
+}
 
 TEST(ProjectionTest, SingleEventInstances) {
   SequenceDatabase db = MakeDb({"a b a", "b a"});
-  PositionIndex index(db);
-  InstanceList insts = SingleEventInstances(index, db.dictionary().Lookup("a"));
+  InstanceList insts = Singles(Indexes(db), db.dictionary().Lookup("a"));
   ASSERT_EQ(insts.size(), 3u);
   EXPECT_EQ(insts[0], (IterInstance{0, 0, 0}));
   EXPECT_EQ(insts[1], (IterInstance{0, 2, 2}));
@@ -127,9 +176,9 @@ TEST(ProjectionTest, SingleEventInstances) {
 
 TEST(ProjectionTest, ForwardExtensionsMatchVerifier) {
   SequenceDatabase db = MakeDb({"a x b a b c", "a c b"});
-  PositionIndex index(db);
+  const Indexes index(db);
   Pattern a = P(db, "a");
-  auto ext = ForwardExtensions(index, a, FindAllInstances(a, db));
+  auto ext = Forward(index, a, FindAllInstances(a, db));
   for (const auto& [ev, instances] : ext) {
     Pattern q = a.Extend(ev);
     EXPECT_EQ(instances, FindAllInstances(q, db)) << q.ToString();
@@ -140,11 +189,11 @@ TEST(ProjectionTest, ForwardExtensionGapCheck) {
   // Extending <a, c> by 'x': x occurs inside the a..c gap in trace 0, so
   // only trace 1 extends.
   SequenceDatabase db = MakeDb({"a x c x", "a c x"});
-  PositionIndex index(db);
+  const Indexes index(db);
   Pattern ac = P(db, "a c");
   InstanceList insts = FindAllInstances(ac, db);
   ASSERT_EQ(insts.size(), 2u);
-  auto ext = ForwardExtensions(index, ac, insts);
+  auto ext = Forward(index, ac, insts);
   EventId x = db.dictionary().Lookup("x");
   ASSERT_EQ(ext.count(x), 1u);
   EXPECT_EQ(ext.at(x), FindAllInstances(P(db, "a c x"), db));
@@ -154,9 +203,9 @@ TEST(ProjectionTest, ForwardExtensionGapCheck) {
 
 TEST(ProjectionTest, ForwardExtensionStopsAtAlphabetEvent) {
   SequenceDatabase db = MakeDb({"a b c"});
-  PositionIndex index(db);
+  const Indexes index(db);
   Pattern ab = P(db, "a b");
-  auto ext = ForwardExtensions(index, ab, FindAllInstances(ab, db));
+  auto ext = Forward(index, ab, FindAllInstances(ab, db));
   // After the instance, c extends; beyond it nothing else (no alphabet
   // event stops the scan here — c is first).
   EXPECT_EQ(ext.count(db.dictionary().Lookup("c")), 1u);
@@ -166,9 +215,9 @@ TEST(ProjectionTest, ForwardExtensionStopsAtAlphabetEvent) {
 
 TEST(ProjectionTest, ForwardExtensionByAlphabetEvent) {
   SequenceDatabase db = MakeDb({"a b a b"});
-  PositionIndex index(db);
+  const Indexes index(db);
   Pattern ab = P(db, "a b");
-  auto ext = ForwardExtensions(index, ab, FindAllInstances(ab, db));
+  auto ext = Forward(index, ab, FindAllInstances(ab, db));
   EventId a = db.dictionary().Lookup("a");
   ASSERT_EQ(ext.count(a), 1u);
   // <a, b, a>: one instance (0..2), from the first <a, b> instance.
@@ -177,9 +226,9 @@ TEST(ProjectionTest, ForwardExtensionByAlphabetEvent) {
 
 TEST(ProjectionTest, BackwardExtensionsSupportsAndAdjacency) {
   SequenceDatabase db = MakeDb({"x a b", "y x a b"});
-  PositionIndex index(db);
+  const Indexes index(db);
   Pattern ab = P(db, "a b");
-  auto back = BackwardExtensions(index, ab, FindAllInstances(ab, db));
+  auto back = Backward(index, ab, FindAllInstances(ab, db));
   EventId x = db.dictionary().Lookup("x");
   EventId y = db.dictionary().Lookup("y");
   ASSERT_EQ(back.count(x), 1u);
@@ -195,17 +244,17 @@ TEST(ProjectionTest, BackwardExtensionsSupportsAndAdjacency) {
 TEST(ProjectionTest, BackwardExtensionGapCheck) {
   // <a, b> instance with x inside the gap cannot extend backward by x.
   SequenceDatabase db = MakeDb({"x a x b"});
-  PositionIndex index(db);
+  const Indexes index(db);
   Pattern ab = P(db, "a b");
-  auto back = BackwardExtensions(index, ab, FindAllInstances(ab, db));
+  auto back = Backward(index, ab, FindAllInstances(ab, db));
   EXPECT_EQ(back.count(db.dictionary().Lookup("x")), 0u);
 }
 
 TEST(ProjectionTest, BackwardExtensionStopsAtAlphabetEvent) {
   SequenceDatabase db = MakeDb({"b y a b"});
-  PositionIndex index(db);
+  const Indexes index(db);
   Pattern ab = P(db, "a b");
-  auto back = BackwardExtensions(index, ab, FindAllInstances(ab, db));
+  auto back = Backward(index, ab, FindAllInstances(ab, db));
   EventId b = db.dictionary().Lookup("b");
   EventId y = db.dictionary().Lookup("y");
   // Scanning back from a: y first (candidate), then b (alphabet, stop).
@@ -218,7 +267,6 @@ TEST(ProjectionTest, BackwardExtensionStopsAtAlphabetEvent) {
 TEST(ProjectionTest, UniformInfixAbsorberDetected) {
   // Every <a, b> instance has exactly one c in the gap.
   SequenceDatabase db = MakeDb({"a c b", "a x c b"});
-  PositionIndex index(db);
   Pattern ab = P(db, "a b");
   EXPECT_TRUE(HasUniformInfixAbsorber(db, ab, FindAllInstances(ab, db)));
 }
@@ -227,7 +275,6 @@ TEST(ProjectionTest, UniformInfixAbsorberRepeatedEvent) {
   // Gap always contains c twice: <a, c, b> has support 0, but <a, c, c, b>
   // absorbs <a, b> — the generalized profile check catches it.
   SequenceDatabase db = MakeDb({"a c c b", "a c x c b"});
-  PositionIndex index(db);
   Pattern ab = P(db, "a b");
   EXPECT_TRUE(HasUniformInfixAbsorber(db, ab, FindAllInstances(ab, db)));
   EXPECT_EQ(CountInstances(P(db, "a c b"), db), 0u);
@@ -236,7 +283,6 @@ TEST(ProjectionTest, UniformInfixAbsorberRepeatedEvent) {
 
 TEST(ProjectionTest, NonUniformProfilesNotAbsorbing) {
   SequenceDatabase db = MakeDb({"a c b", "a b"});
-  PositionIndex index(db);
   Pattern ab = P(db, "a b");
   EXPECT_FALSE(HasUniformInfixAbsorber(db, ab, FindAllInstances(ab, db)));
 }
@@ -244,7 +290,6 @@ TEST(ProjectionTest, NonUniformProfilesNotAbsorbing) {
 TEST(ProjectionTest, ProfilePositionMatters) {
   // c once in gap 1 vs once in gap 2: profiles differ.
   SequenceDatabase db = MakeDb({"a c b d", "a b c d"});
-  PositionIndex index(db);
   Pattern abd = P(db, "a b d");
   ASSERT_EQ(FindAllInstances(abd, db).size(), 2u);
   EXPECT_FALSE(HasUniformInfixAbsorber(db, abd, FindAllInstances(abd, db)));

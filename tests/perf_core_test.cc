@@ -1,8 +1,8 @@
-// Property tests for the flat-CSR PositionIndex and the parallel miners:
+// Property tests for the counting index and the parallel miners:
 //
-//  (a) every PositionIndex query (both the dense O(1) layout and the
-//      compact fallback) matches a naive per-query scan of the raw
-//      sequences, on seeded random databases;
+//  (a) every HybridIndex query (at the bitmap cutoff, the tuned cutoff
+//      and with every event on the ID-list side) matches a naive scan of
+//      the raw arena, on seeded random databases;
 //  (b) mining with num_threads = 2, 3 and 4 produces output identical to
 //      num_threads = 1 — patterns, supports and rules — across seeded
 //      random inputs, for the full (also under a pruning sink), closed
@@ -13,10 +13,10 @@
 #include <atomic>
 
 #include "src/engine/engine.h"
+#include "src/itermine/hybrid_index.h"
 #include "src/rulemine/rule_miner.h"
 #include "src/support/random.h"
 #include "src/support/thread_pool.h"
-#include "src/trace/position_index.h"
 
 namespace specmine {
 namespace {
@@ -48,83 +48,87 @@ SequenceDatabase RandomDb(const RandomDbParams& p) {
 }
 
 // ---------------------------------------------------------------------------
-// (a) CSR index vs naive scans.
+// (a) HybridIndex queries vs naive scans.
 
-std::vector<Pos> NaivePositions(const SequenceDatabase& db, EventId ev,
-                                SeqId s) {
-  std::vector<Pos> out;
-  const EventSpan seq = db[s];
-  for (Pos p = 0; p < seq.size(); ++p) {
-    if (seq[p] == ev) out.push_back(p);
-  }
-  return out;
-}
-
-class PositionIndexPropertyTest
+class HybridIndexPropertyTest
     : public ::testing::TestWithParam<RandomDbParams> {};
 
 void CheckIndexAgainstNaive(const SequenceDatabase& db,
-                            const PositionIndex& index) {
+                            const HybridIndex& index) {
   const size_t num_events = db.dictionary().size();
-  size_t naive_total_events = 0;
+  const EventId* arena = db.arena();
+  const size_t total = db.TotalEvents();
+  ASSERT_EQ(index.num_events(), num_events);
+  // Probe bounds: every sequence boundary and its neighbours, plus a
+  // stride through the arena.
+  std::vector<size_t> probes;
+  for (SeqId s = 0; s <= db.size(); ++s) {
+    const size_t at = db.offsets()[s];
+    for (size_t q : {at, at + 1}) {
+      if (q <= total) probes.push_back(q);
+    }
+    if (at > 0) probes.push_back(at - 1);
+  }
+  for (size_t q = 0; q <= total; q += 7) probes.push_back(q);
   for (EventId ev = 0; ev < num_events; ++ev) {
     size_t naive_total = 0;
     size_t naive_seqs = 0;
     for (SeqId s = 0; s < db.size(); ++s) {
-      std::vector<Pos> naive = NaivePositions(db, ev, s);
-      EXPECT_EQ(index.Positions(ev, s), naive) << "ev=" << ev << " s=" << s;
-      naive_total += naive.size();
-      if (!naive.empty()) ++naive_seqs;
-
-      const Pos len = static_cast<Pos>(db[s].size());
-      for (Pos q = 0; q <= len; ++q) {
-        // FirstAfter / FirstAtOrAfter / LastBefore vs scans.
-        Pos first_after = kNoPos, first_at = kNoPos, last_before = kNoPos;
-        for (Pos p : naive) {
-          if (p > q && first_after == kNoPos) first_after = p;
-          if (p >= q && first_at == kNoPos) first_at = p;
-          if (p < q) last_before = p;
-        }
-        EXPECT_EQ(index.FirstAfter(ev, s, q), first_after);
-        EXPECT_EQ(index.FirstAtOrAfter(ev, s, q), first_at);
-        EXPECT_EQ(index.LastBefore(ev, s, q), last_before);
-        // CountInRange over a few windows anchored at q.
-        for (Pos hi : {q, static_cast<Pos>(q + 2), len}) {
-          size_t want = 0;
-          for (Pos p : naive) {
-            if (p >= q && p <= hi) ++want;
-          }
-          EXPECT_EQ(index.CountInRange(ev, s, q, hi), q > hi ? 0 : want);
+      bool present = false;
+      for (size_t g = db.offsets()[s]; g < db.offsets()[s + 1]; ++g) {
+        if (arena[g] == ev) {
+          ++naive_total;
+          present = true;
         }
       }
+      if (present) ++naive_seqs;
     }
-    EXPECT_EQ(index.TotalCount(ev), naive_total);
-    EXPECT_EQ(index.SequenceCount(ev), naive_seqs);
-    naive_total_events += naive_total;
+    EXPECT_EQ(index.TotalCount(ev), naive_total) << "ev=" << ev;
+    EXPECT_EQ(index.SequenceCount(ev), naive_seqs) << "ev=" << ev;
+    for (size_t from : probes) {
+      for (size_t limit : probes) {
+        if (from > limit) continue;
+        size_t first = kNoBit, count = 0;
+        for (size_t g = from; g < limit; ++g) {
+          if (arena[g] != ev) continue;
+          if (first == kNoBit) first = g;
+          ++count;
+        }
+        EXPECT_EQ(index.FirstOfEventAtOrAfter(ev, from, limit), first)
+            << "ev=" << ev << " [" << from << ", " << limit << ")";
+        EXPECT_EQ(index.AnyOfEventInRange(ev, from, limit), count > 0)
+            << "ev=" << ev << " [" << from << ", " << limit << ")";
+        EXPECT_EQ(index.CountOfEventInRange(ev, from, limit), count)
+            << "ev=" << ev << " [" << from << ", " << limit << ")";
+      }
+    }
   }
-  // Out-of-range queries answer empty, never crash.
-  EXPECT_TRUE(index.Positions(num_events + 7, 0).empty());
-  EXPECT_TRUE(index.Positions(0, db.size() + 7).empty());
-  EXPECT_EQ(index.FirstAfter(num_events + 7, 0, 0), kNoPos);
-  (void)naive_total_events;
+  // Events past the dictionary answer empty, never crash.
+  EXPECT_EQ(index.TotalCount(num_events + 7), 0u);
+  EXPECT_EQ(index.SequenceCount(num_events + 7), 0u);
 }
 
-TEST_P(PositionIndexPropertyTest, DenseLayoutMatchesNaiveScan) {
+TEST_P(HybridIndexPropertyTest, BitmapLayoutMatchesNaiveScan) {
   SequenceDatabase db = RandomDb(GetParam());
-  PositionIndex index(db);
-  EXPECT_TRUE(index.dense_layout());
+  HybridIndex index(db, kBitmapDenseCutoff);
   CheckIndexAgainstNaive(db, index);
 }
 
-TEST_P(PositionIndexPropertyTest, SparseFallbackMatchesNaiveScan) {
+TEST_P(HybridIndexPropertyTest, TunedCutoffMatchesNaiveScan) {
   SequenceDatabase db = RandomDb(GetParam());
-  PositionIndex index(db, /*dense_cell_limit=*/0);  // Force the fallback.
-  EXPECT_FALSE(index.dense_layout());
+  HybridIndex index(db);
+  CheckIndexAgainstNaive(db, index);
+}
+
+TEST_P(HybridIndexPropertyTest, AllSparseMatchesNaiveScan) {
+  SequenceDatabase db = RandomDb(GetParam());
+  HybridIndex index(db, ~uint64_t{0});  // Every event on the ID-list side.
+  EXPECT_EQ(index.num_dense_events(), 0u);
   CheckIndexAgainstNaive(db, index);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RandomDatabases, PositionIndexPropertyTest,
+    RandomDatabases, HybridIndexPropertyTest,
     ::testing::Values(RandomDbParams{101, 4, 8, 3},
                       RandomDbParams{102, 6, 10, 5},
                       RandomDbParams{103, 8, 14, 4},

@@ -269,10 +269,17 @@ TEST_F(ServerTest, ErrorEnvelopesUseTheStatusMapping) {
             404);
   // Malformed body JSON -> ParseError -> 422.
   EXPECT_EQ(StatusOf(PostJson(port(), "/mine/patterns", "{oops")), 422);
-  // Bad field value -> InvalidArgument -> 400.
-  EXPECT_EQ(StatusOf(PostJson(port(), "/mine/patterns",
-                              R"({"corpus": "demo", "backend": "frob"})")),
-            400);
+  // Bad field value -> InvalidArgument -> 400. The removed csr layout is
+  // as unknown as any other name.
+  for (const char* backend : {"frob", "csr"}) {
+    const std::string response = PostJson(
+        port(), "/mine/patterns",
+        std::string(R"({"corpus": "demo", "backend": ")") + backend + "\"}");
+    EXPECT_EQ(StatusOf(response), 400) << backend;
+    EXPECT_NE(BodyOf(response).find("must be auto, bitmap or hybrid"),
+              std::string::npos)
+        << response;
+  }
   // Unrouted path -> 404; wrong method -> 405.
   EXPECT_EQ(StatusOf(Get(port(), "/nope")), 404);
   EXPECT_EQ(StatusOf(Get(port(), "/mine/patterns")), 405);

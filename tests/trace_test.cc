@@ -1,5 +1,5 @@
-// Unit tests for src/trace: dictionary, sequences, database, position
-// index, IO round trips, stats.
+// Unit tests for src/trace: dictionary, sequences, database, IO round
+// trips, stats.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "src/trace/csv_trace_reader.h"
 #include "src/trace/database_stats.h"
 #include "src/trace/event_dictionary.h"
-#include "src/trace/position_index.h"
 #include "src/trace/sequence_database.h"
 #include "src/trace/trace_io.h"
 
@@ -163,63 +162,6 @@ SequenceDatabase MakeDb() {
   db.AddTraceFromString("b b c");
   db.AddTraceFromString("c");
   return db.Build();
-}
-
-TEST(PositionIndexTest, PositionsAreSortedAndComplete) {
-  SequenceDatabase db = MakeDb();
-  PositionIndex index(db);
-  EventId a = db.dictionary().Lookup("a");
-  EventId b = db.dictionary().Lookup("b");
-  EventId c = db.dictionary().Lookup("c");
-  EXPECT_EQ(index.Positions(a, 0), (std::vector<Pos>{0, 2, 4}));
-  EXPECT_TRUE(index.Positions(a, 1).empty());
-  EXPECT_EQ(index.Positions(b, 1), (std::vector<Pos>{0, 1}));
-  EXPECT_EQ(index.Positions(c, 2), (std::vector<Pos>{0}));
-}
-
-TEST(PositionIndexTest, Counts) {
-  SequenceDatabase db = MakeDb();
-  PositionIndex index(db);
-  EventId a = db.dictionary().Lookup("a");
-  EventId b = db.dictionary().Lookup("b");
-  EventId c = db.dictionary().Lookup("c");
-  EXPECT_EQ(index.TotalCount(a), 3u);
-  EXPECT_EQ(index.TotalCount(b), 3u);
-  EXPECT_EQ(index.TotalCount(c), 3u);
-  EXPECT_EQ(index.SequenceCount(a), 1u);
-  EXPECT_EQ(index.SequenceCount(b), 2u);
-  EXPECT_EQ(index.SequenceCount(c), 3u);
-}
-
-TEST(PositionIndexTest, FirstAfterAndAtOrAfter) {
-  SequenceDatabase db = MakeDb();
-  PositionIndex index(db);
-  EventId a = db.dictionary().Lookup("a");
-  EXPECT_EQ(index.FirstAfter(a, 0, 0), 2u);
-  EXPECT_EQ(index.FirstAfter(a, 0, 2), 4u);
-  EXPECT_EQ(index.FirstAfter(a, 0, 4), kNoPos);
-  EXPECT_EQ(index.FirstAtOrAfter(a, 0, 0), 0u);
-  EXPECT_EQ(index.FirstAtOrAfter(a, 0, 3), 4u);
-  EXPECT_EQ(index.FirstAtOrAfter(a, 1, 0), kNoPos);
-}
-
-TEST(PositionIndexTest, LastBefore) {
-  SequenceDatabase db = MakeDb();
-  PositionIndex index(db);
-  EventId a = db.dictionary().Lookup("a");
-  EXPECT_EQ(index.LastBefore(a, 0, 4), 2u);
-  EXPECT_EQ(index.LastBefore(a, 0, 1), 0u);
-  EXPECT_EQ(index.LastBefore(a, 0, 0), kNoPos);
-}
-
-TEST(PositionIndexTest, CountInRange) {
-  SequenceDatabase db = MakeDb();
-  PositionIndex index(db);
-  EventId a = db.dictionary().Lookup("a");
-  EXPECT_EQ(index.CountInRange(a, 0, 0, 4), 3u);
-  EXPECT_EQ(index.CountInRange(a, 0, 1, 3), 1u);
-  EXPECT_EQ(index.CountInRange(a, 0, 3, 3), 0u);
-  EXPECT_EQ(index.CountInRange(a, 0, 3, 1), 0u);  // lo > hi.
 }
 
 TEST(TraceIoTest, TextRoundTrip) {

@@ -3,7 +3,7 @@
 
 CI's perf-smoke step runs this after bench_micro_core so a refactor that
 drops a benchmark, emits malformed JSON, or stops exercising one of the
-counting backends fails fast. Timings themselves are NOT asserted (CI
+index layouts fails fast. Timings themselves are NOT asserted (CI
 machines are too noisy); the committed BENCH_core.json carries the
 trajectory.
 
@@ -13,13 +13,9 @@ Usage: check_bench_json.py <path-to-BENCH_core.json>
 import json
 import sys
 
-# Benchmarks that must be present: the shared hot paths plus both counting
-# backends (the backend-drift tripwire).
+# Benchmarks that must be present: the shared hot paths plus both layouts
+# of the counting index (the backend-drift tripwire).
 REQUIRED = [
-    "PositionIndexBuild",
-    "ForwardExtensions",
-    "ForwardExtensionsReuse",
-    "BackwardExtensions",
     "CountOccurrences",
     "BitmapIndexBuild",
     "BitmapForwardExtensions",
@@ -27,7 +23,6 @@ REQUIRED = [
     "BitmapBackwardExtensionsReuse",
     "BitmapQreCountInstances",
     "BitmapCountOccurrences",
-    "SparseForwardExtensionsCsr",
     "SparseForwardExtensionsBitmap",
     "HybridSparseForwardExtensions",
     "DbLoadSmdbMmap",
