@@ -17,19 +17,49 @@ bool UseWholeRowUnion(size_t distinct_seqs, size_t total_words) {
   return distinct_seqs * 16 >= total_words;
 }
 
-// Number of distinct sequences in an instance list (instances arrive
-// grouped by sequence, so transitions count them exactly).
-size_t DistinctSequences(const InstanceList& instances) {
-  size_t distinct = 0;
-  SeqId prev = ~SeqId{0};
-  for (const IterInstance& inst : instances) {
-    if (inst.seq != prev) {
-      prev = inst.seq;
-      ++distinct;
-    }
+// The alphabet union row (sc->union_words over sc->alphabet) for the
+// sequences a query reaches, in instance order. It is built per sequence
+// until the sequences prepared so far would have paid for one whole-arena
+// build (UseWholeRowUnion over the sequences actually reached, since an
+// early exit may reach few), then once over the whole arena.
+class LazyUnionRow {
+ public:
+  LazyUnionRow(const HybridIndex& index, VerticalScratch* sc)
+      : index_(index),
+        sc_(sc),
+        offsets_(index.db().offsets()),
+        total_bits_(offsets_[index.db().size()]),
+        total_words_((total_bits_ + 63) >> 6) {}
+
+  // Makes the row valid over sequence `seq` and its range [base, limit).
+  void Prepare(SeqId seq) {
+    if (seq == prepared_) return;
+    prepared_ = seq;
+    base_ = offsets_[seq];
+    limit_ = offsets_[seq + 1];
+    if (whole_row_) return;
+    whole_row_ = UseWholeRowUnion(++seqs_prepared_, total_words_);
+    index_.BuildUnionForRange(sc_->alphabet, whole_row_ ? 0 : base_,
+                              whole_row_ ? total_bits_ : limit_,
+                              &sc_->union_words);
   }
-  return distinct;
-}
+
+  const uint64_t* words() const { return sc_->union_words.data(); }
+  size_t base() const { return base_; }
+  size_t limit() const { return limit_; }
+
+ private:
+  const HybridIndex& index_;
+  VerticalScratch* sc_;
+  const uint64_t* offsets_;
+  size_t total_bits_;
+  size_t total_words_;
+  bool whole_row_ = false;
+  size_t seqs_prepared_ = 0;
+  SeqId prepared_ = ~SeqId{0};
+  size_t base_ = 0;
+  size_t limit_ = 0;
+};
 
 // Collects the distinct pattern events into *alphabet (cleared first).
 // Patterns are short, so the quadratic dedup beats any table.
@@ -68,15 +98,20 @@ void TallyBackward(EventId ev, bool adjacent, ProjectionWorkspace* ws) {
 }
 
 // Writes the tallied backward extensions that reach `min_count` into
-// ws->back_result in ascending event order.
+// ws->back_result in ascending event order. Only the survivors are
+// sorted: the touched list is compacted to them first.
 const BackwardExtensionMap& DrainBackward(uint64_t min_count,
                                           ProjectionWorkspace* ws) {
   std::vector<EventId>& touched = ws->back.touched();
+  size_t kept = 0;
+  for (const EventId ev : touched) {
+    if (ws->back.At(ev).support >= min_count) touched[kept++] = ev;
+  }
+  touched.resize(kept);
   std::sort(touched.begin(), touched.end());
   ws->back_result.clear();
-  for (EventId ev : touched) {
-    const BackwardExtension& ext = ws->back.At(ev);
-    if (ext.support >= min_count) ws->back_result.emplace_back(ev, ext);
+  for (const EventId ev : touched) {
+    ws->back_result.emplace_back(ev, ws->back.At(ev));
   }
   return ws->back_result;
 }
@@ -125,9 +160,14 @@ void ForwardExtensions(const HybridIndex& index, const Pattern& pattern,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out) {
   VerticalScratch& sc = ws->vertical;
   const size_t num_events = index.num_events();
-  const SequenceDatabase& db = index.db();
-  const EventId* arena = db.arena();
-  const uint64_t* offsets = db.offsets();
+  const EventId* arena = index.db().arena();
+  out->clear();
+  // Instances [0, walked) are walked window by window; past them fewer
+  // than min_count instances remain, so later instances only probe the
+  // events met so far that can still reach it ("Early exit", header).
+  const size_t n = instances.size();
+  if (min_count > n) return;
+  const size_t walked = static_cast<size_t>(n + 1 - min_count);
   DistinctAlphabet(pattern, num_events, &sc.alphabet);
   sc.forward.clear();
   sc.slots.Reset(num_events);
@@ -135,77 +175,105 @@ void ForwardExtensions(const HybridIndex& index, const Pattern& pattern,
   // One-event patterns have no gaps, so the gap set stays untouched.
   const bool has_gaps = pattern.size() > 1;
   if (has_gaps) sc.gap_events.EnsureSize(num_events);
+  std::vector<EventId>& alive = sc.alive;
+  const auto add = [&](EventId ev, const IterInstance& inst, size_t g,
+                       size_t base) {
+    ++sc.slots.Slot(ev);
+    sc.forward.push_back(VerticalScratch::ForwardCandidate{
+        ev, IterInstance{inst.seq, inst.start, static_cast<Pos>(g - base)}});
+  };
 
-  const size_t total_bits = offsets[db.size()];
-  const bool whole_row =
-      UseWholeRowUnion(DistinctSequences(instances), (total_bits + 63) >> 6);
-  if (whole_row) {
-    index.BuildUnionForRange(sc.alphabet, 0, total_bits, &sc.union_words);
-  }
-  SeqId prepared = ~SeqId{0};
-  size_t base = 0, limit = 0;
-  for (const IterInstance& inst : instances) {
-    if (inst.seq != prepared) {
-      prepared = inst.seq;
-      base = offsets[inst.seq];
-      limit = offsets[inst.seq + 1];
-      if (!whole_row) {
-        index.BuildUnionForRange(sc.alphabet, base, limit, &sc.union_words);
-      }
+  LazyUnionRow row(index, &sc);
+  for (size_t i = 0; i < n; ++i) {
+    if (i == walked) {
+      alive.assign(sc.slots.touched().begin(), sc.slots.touched().end());
     }
-    if (has_gaps) {
-      MarkGapEvents(arena, num_events, base, inst, &sc.gap_events);
-    }
+    if (i >= walked && alive.empty()) return;  // Nothing can qualify.
+    const IterInstance& inst = instances[i];
+    row.Prepare(inst.seq);
+    const size_t base = row.base(), limit = row.limit();
     const size_t from = base + inst.end + 1;
     // First alphabet(P) event after the instance: bounds the candidate
     // window — everything before it is out-of-alphabet by construction —
     // and is itself the unique alphabet extension endpoint.
-    const size_t stop =
-        bitrow::FirstSetAtOrAfter(sc.union_words.data(), from, limit);
+    const size_t stop = bitrow::FirstSetAtOrAfter(row.words(), from, limit);
     const size_t window_end = stop == kNoBit ? limit : stop;
-    ws->seen.Clear();
-    for (size_t g = from; g < window_end; ++g) {
-      const EventId ev = arena[g];
-      if (ev >= num_events) continue;  // Defensive; ids come from dict.
-      if (index.TotalCount(ev) < min_count) continue;  // Count bound.
-      if (!ws->seen.TestAndSet(ev)) continue;  // First occurrence only.
-      if (has_gaps && sc.gap_events.Test(ev)) continue;
-      ++sc.slots.Slot(ev);
-      sc.forward.push_back(VerticalScratch::ForwardCandidate{
-          ev, IterInstance{inst.seq, inst.start, static_cast<Pos>(g - base)}});
+    if (i >= walked && alive.size() <= window_end - from) {
+      // Probing the alive events is cheaper than walking the window. A
+      // probe is the walk's outcome for one event: the stop event if it
+      // is that, else its first occurrence in the window (which holds no
+      // alphabet event) unless it also occurs in the gaps.
+      for (const EventId ev : alive) {
+        if (stop != kNoBit && arena[stop] == ev) {
+          add(ev, inst, stop, base);
+          continue;
+        }
+        const size_t g = index.FirstOfEventAtOrAfter(ev, from, window_end);
+        if (g != kNoBit &&
+            !(has_gaps && index.AnyOfEventInRange(ev, base + inst.start + 1,
+                                                  base + inst.end))) {
+          add(ev, inst, g, base);
+        }
+      }
+    } else {
+      // The walk. Past `walked` it is exact for the alive events, and
+      // whatever else it counts cannot reach min_count (the drain drops
+      // it).
+      if (has_gaps) {
+        MarkGapEvents(arena, num_events, base, inst, &sc.gap_events);
+      }
+      ws->seen.Clear();
+      for (size_t g = from; g < window_end; ++g) {
+        const EventId ev = arena[g];
+        if (ev >= num_events) continue;  // Defensive; ids come from dict.
+        if (index.TotalCount(ev) < min_count) continue;  // Count bound.
+        if (!ws->seen.TestAndSet(ev)) continue;  // First occurrence only.
+        if (has_gaps && sc.gap_events.Test(ev)) continue;
+        add(ev, inst, g, base);
+      }
+      if (stop != kNoBit && index.TotalCount(arena[stop]) >= min_count) {
+        add(arena[stop], inst, stop, base);
+      }
     }
-    if (stop != kNoBit && index.TotalCount(arena[stop]) >= min_count) {
-      ++sc.slots.Slot(arena[stop]);
-      sc.forward.push_back(VerticalScratch::ForwardCandidate{
-          arena[stop],
-          IterInstance{inst.seq, inst.start, static_cast<Pos>(stop - base)}});
+    if (i >= walked) {
+      const size_t remaining = n - i - 1;
+      size_t kept = 0;
+      for (const EventId ev : alive) {
+        if (sc.slots.At(ev) + remaining >= min_count) alive[kept++] = ev;
+      }
+      alive.resize(kept);
     }
   }
 
-  // Count-and-scatter drain: the touched-event list gives exact bucket
-  // sizes, so each bucket is reserved once (no realloc churn) and the flat
-  // buffer is scattered in discovery order, which within an event is
-  // instance order. Only the distinct-event list (small) is ever sorted,
-  // never the K candidates. Events below min_count get no bucket; their
-  // candidates are skipped by the scatter.
+  // Survivors-only count-and-scatter drain: events below min_count are
+  // marked dropped and compacted away first, so only the survivors are
+  // sorted. Their counts give exact bucket sizes, so each bucket is
+  // reserved once (no realloc churn), and the flat buffer is scattered in
+  // discovery order, which within an event is instance order — the K
+  // candidates are never sorted. Dropped events' candidates are skipped.
   constexpr uint32_t kDropped = ~uint32_t{0};
   std::vector<EventId>& touched = sc.slots.touched();
-  std::sort(touched.begin(), touched.end());
-  out->clear();
-  out->entries().reserve(touched.size());
+  size_t kept = 0;
   for (const EventId ev : touched) {
-    // Repurpose the slot as the event's entry index for the scatter.
     uint32_t& slot = sc.slots.Slot(ev);
     if (slot < min_count) {
       slot = kDropped;
-      continue;
+    } else {
+      touched[kept++] = ev;
     }
+  }
+  if (kept == 0) return;
+  touched.resize(kept);
+  std::sort(touched.begin(), touched.end());
+  out->entries().reserve(kept);
+  for (const EventId ev : touched) {
+    // Repurpose the slot as the event's entry index for the scatter.
+    uint32_t& slot = sc.slots.Slot(ev);
     InstanceList bucket = ws->forward.AcquireBucket();
     bucket.reserve(slot);
     slot = static_cast<uint32_t>(out->size());
     out->emplace_back(ev, std::move(bucket));
   }
-  if (out->empty()) return;
   auto& entries = out->entries();
   for (const VerticalScratch::ForwardCandidate& cand : sc.forward) {
     const uint32_t entry = sc.slots.At(cand.ev);
@@ -220,9 +288,7 @@ const BackwardExtensionMap& BackwardExtensions(const HybridIndex& index,
                                                ProjectionWorkspace* ws) {
   VerticalScratch& sc = ws->vertical;
   const size_t num_events = index.num_events();
-  const SequenceDatabase& db = index.db();
-  const EventId* arena = db.arena();
-  const uint64_t* offsets = db.offsets();
+  const EventId* arena = index.db().arena();
   DistinctAlphabet(pattern, num_events, &sc.alphabet);
   ws->back.Reset(num_events);
   ws->seen.EnsureSize(num_events);
@@ -239,40 +305,19 @@ const BackwardExtensionMap& BackwardExtensions(const HybridIndex& index,
   const size_t walked = static_cast<size_t>(n + 1 - min_count);
   std::vector<EventId>& alive = sc.alive;
 
-  // The union row is built per sequence until the sequences prepared so
-  // far would have paid for one whole-arena build (UseWholeRowUnion over
-  // the sequences actually reached, since an early exit may reach few).
-  const size_t total_bits = offsets[db.size()];
-  const size_t total_words = (total_bits + 63) >> 6;
-  bool whole_row = false;
-  size_t seqs_prepared = 0;
-  SeqId prepared = ~SeqId{0};
-  size_t base = 0, limit = 0;
+  LazyUnionRow row(index, &sc);
   for (size_t i = 0; i < n; ++i) {
     if (i == walked) {
       alive.assign(ws->back.touched().begin(), ws->back.touched().end());
     }
     if (i >= walked && alive.empty()) break;  // Nothing can qualify.
     const IterInstance& inst = instances[i];
-    if (inst.seq != prepared) {
-      prepared = inst.seq;
-      base = offsets[inst.seq];
-      limit = offsets[inst.seq + 1];
-      if (!whole_row) {
-        whole_row = UseWholeRowUnion(++seqs_prepared, total_words);
-        if (whole_row) {
-          index.BuildUnionForRange(sc.alphabet, 0, total_bits,
-                                   &sc.union_words);
-        } else {
-          index.BuildUnionForRange(sc.alphabet, base, limit, &sc.union_words);
-        }
-      }
-    }
+    row.Prepare(inst.seq);
+    const size_t base = row.base();
     const size_t gstart = base + inst.start;
     // Last alphabet(P) event before the instance start bounds the window;
     // it is itself the unique alphabet backward extension.
-    const size_t stop =
-        bitrow::LastSetBefore(sc.union_words.data(), base, gstart);
+    const size_t stop = bitrow::LastSetBefore(row.words(), base, gstart);
     const size_t window_begin = stop == kNoBit ? base : stop + 1;
     if (i >= walked) {
       // The walk's outcome for one event: the stop event if it is that,

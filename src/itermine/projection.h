@@ -36,18 +36,29 @@
 //    ever spent on an event that cannot qualify. Events that pass the
 //    bound but end below min_count are dropped at the drain.
 //
-//  * Backward early exit. An event first met when fewer than min_count
-//    instances remain cannot reach min_count, so once that point is
-//    passed the query stops walking windows: each later instance only
-//    probes the events tallied so far that can still reach it, and the
-//    query returns as soon as none can. A probe gives
-//    the walk's exact outcome for its event (the instance's alphabet stop
-//    event, or present in the window and absent from the gaps; adjacent
-//    iff it sits right before the start), and an event dropped as unable
-//    to reach min_count would have been dropped at the drain, so every
-//    returned support and adjacency flag is the full walk's. At the
-//    closed miner's threshold (the pattern's own support) this is
-//    intersect-and-stop: walk the first instance, then probe.
+//  * Early exit (both directions). An event first met when fewer than
+//    min_count instances remain cannot reach min_count, so once that
+//    point is passed (after the first n + 1 - min_count of n instances)
+//    a query stops walking windows: each later instance only probes the
+//    events met so far that can still reach it, and the query returns as
+//    soon as none can. (Forward, an instance whose window holds fewer
+//    events than are alive walks the window instead: the walk is exact
+//    for the alive events, and anything else it counts stays below
+//    min_count.) A probe gives the walk's exact outcome for its
+//    event: the instance's alphabet stop event, or else the first
+//    occurrence in the window provided the event is absent from the gaps
+//    (backward: the last occurrence, adjacent iff it sits right before
+//    the start). An event dropped as unable to reach min_count would have
+//    been dropped at the drain, so every returned extension, instance
+//    list, support and adjacency flag is the full walk's. At the closed
+//    miner's threshold (the pattern's own support) this is
+//    intersect-and-stop: walk the first instance, then probe. Forward
+//    candidates stay in instance order per event, so the scatter below is
+//    unchanged.
+//
+//  * Survivors-only drain. Both drains first compact the touched events
+//    to those at or above min_count and sort only those; on dense corpora
+//    a call touches dozens of events and keeps about one.
 //
 // Hot-path design (README.md, "Index layout & threading"): every query
 // runs word-wise over HybridIndex rows and ID lists, with dense
@@ -121,8 +132,9 @@ struct VerticalScratch {
   /// per-candidate row probe.
   EventMarkSet gap_events;
 
-  /// Backward events that can still reach min_count once fewer than
-  /// min_count instances remain (the probe phase of the backward query).
+  /// Events that can still reach min_count once fewer than min_count
+  /// instances remain: the probe phase of both the forward and the
+  /// backward query ("Early exit" above).
   std::vector<EventId> alive;
 };
 
@@ -164,7 +176,8 @@ InstanceList SingleEventInstances(const HybridIndex& index, EventId ev);
 /// \brief Instances of every one-event forward extension P++<e> with at
 /// least \p min_count instances, written into \p out (cleared first).
 /// Events with fewer (or no valid extension) are absent; iteration order
-/// is ascending event id, so it is deterministic.
+/// is ascending event id, so it is deterministic. The walk stops early
+/// where it can; see "Early exit" above.
 void ForwardExtensions(const HybridIndex& index, const Pattern& pattern,
                        const InstanceList& instances, uint64_t min_count,
                        ProjectionWorkspace* ws, ForwardExtensionMap* out);
@@ -172,8 +185,7 @@ void ForwardExtensions(const HybridIndex& index, const Pattern& pattern,
 /// \brief Supports (and adjacency) of every one-event backward extension
 /// with support at least \p min_count. The returned reference lives in
 /// \p ws and is valid until the next BackwardExtensions call on the same
-/// workspace. The walk stops early where it can; see "Backward early
-/// exit" above.
+/// workspace. The walk stops early where it can; see "Early exit" above.
 const BackwardExtensionMap& BackwardExtensions(const HybridIndex& index,
                                                const Pattern& pattern,
                                                const InstanceList& instances,

@@ -19,43 +19,111 @@ void CollectFrequentExtensions(const UnitDatabase& units,
                                SequentialWorkspace* ws, SeqExtensionMap* out) {
   const SequenceDatabase& db = units.db();
   const size_t num_events = db.dictionary().size();
-  // Count pass: distinct units per event. Every touched event reaches a
-  // threshold of 1, so the pass is skipped there.
-  const bool filter = min_support > 1;
-  if (filter) {
-    ws->tally.Reset(num_events);
-    for (uint32_t idx = 0; idx < entries.size(); ++idx) {
-      const SeqEntry& entry = entries[idx];
+  const auto suffix_begin = [&](const SeqEntry& entry, const Unit& unit) {
+    return at_root ? unit.start : entry.last_match + 1;
+  };
+  if (min_support <= 1) {
+    // Every touched event reaches a threshold of 1: bucket everything.
+    // Record only the first occurrence of each event in the suffix: one
+    // projected entry per unit per extension event. Entries for a given
+    // unit are appended consecutively, so checking the tail suffices.
+    ws->acc.Reset(num_events);
+    for (const SeqEntry& entry : entries) {
       const Unit& unit = units.units()[entry.unit];
       const EventSpan seq = db[unit.seq];
-      for (Pos p = at_root ? unit.start : entry.last_match + 1;
-           p < seq.size(); ++p) {
+      for (Pos p = suffix_begin(entry, unit); p < seq.size(); ++p) {
         const EventId ev = seq[p];
         if (ev >= num_events) continue;  // Defensive; ids come from dict.
-        SequentialWorkspace::Tally& tally = ws->tally.Slot(ev);
-        if (tally.last_entry != idx + 1) {
-          tally.last_entry = idx + 1;
-          ++tally.units;
-        }
+        std::vector<SeqEntry>& proj = ws->acc.Bucket(ev);
+        if (!proj.empty() && proj.back().unit == entry.unit) continue;
+        proj.push_back(SeqEntry{entry.unit, p});
       }
     }
+    ws->acc.Drain(out);
+    return;
   }
-  // Collect pass: bucket only the events that reached min_support.
+
+  // Count pass: distinct units per event. Entries [0, walked) are scanned
+  // in full; past them fewer than min_support entries remain, so an event
+  // first met there cannot qualify, and each later suffix is scanned only
+  // for the events still alive — until all of them are seen, and not at
+  // all once none is left.
+  out->clear();
+  const size_t n = entries.size();
+  if (min_support > n) return;
+  const size_t walked = static_cast<size_t>(n + 1 - min_support);
+  ws->tally.Reset(num_events);
+  const auto count = [&](EventId ev, uint32_t idx) {
+    SequentialWorkspace::Tally& tally = ws->tally.Slot(ev);
+    if (tally.last_entry == idx + 1) return false;
+    tally.last_entry = idx + 1;
+    ++tally.units;
+    return true;
+  };
+  for (uint32_t idx = 0; idx < walked; ++idx) {
+    const SeqEntry& entry = entries[idx];
+    const Unit& unit = units.units()[entry.unit];
+    const EventSpan seq = db[unit.seq];
+    for (Pos p = suffix_begin(entry, unit); p < seq.size(); ++p) {
+      const EventId ev = seq[p];
+      if (ev >= num_events) continue;  // Defensive; ids come from dict.
+      count(ev, idx);
+    }
+  }
+  std::vector<EventId>& alive = ws->alive;
+  EventMarkSet& marks = ws->marks;
+  marks.EnsureSize(num_events);
+  const auto mark_all = [&marks](const std::vector<EventId>& events) {
+    marks.Clear();
+    for (const EventId ev : events) marks.Set(ev);
+  };
+  alive.assign(ws->tally.touched().begin(), ws->tally.touched().end());
+  mark_all(alive);
+  for (uint32_t idx = walked; idx < n && !alive.empty(); ++idx) {
+    const SeqEntry& entry = entries[idx];
+    const Unit& unit = units.units()[entry.unit];
+    const EventSpan seq = db[unit.seq];
+    size_t seen = 0;
+    for (Pos p = suffix_begin(entry, unit);
+         p < seq.size() && seen < alive.size(); ++p) {
+      const EventId ev = seq[p];
+      if (ev < num_events && marks.Test(ev) && count(ev, idx)) ++seen;
+    }
+    const size_t remaining = n - idx - 1;
+    size_t kept = 0;
+    for (const EventId ev : alive) {
+      if (ws->tally.At(ev).units + remaining >= min_support) {
+        alive[kept++] = ev;
+      }
+    }
+    if (kept != alive.size()) {
+      alive.resize(kept);
+      mark_all(alive);
+    }
+  }
+
+  // Collect pass: bucket only the events that reached min_support, each
+  // unit's first occurrence (as above), and leave a suffix once every
+  // frequent event is bucketed for its unit.
+  alive.clear();
+  for (const EventId ev : ws->tally.touched()) {
+    if (ws->tally.At(ev).units >= min_support) alive.push_back(ev);
+  }
+  if (alive.empty()) return;
+  mark_all(alive);
   ws->acc.Reset(num_events);
   for (const SeqEntry& entry : entries) {
     const Unit& unit = units.units()[entry.unit];
     const EventSpan seq = db[unit.seq];
-    // Record only the first occurrence of each event in the suffix: one
-    // projected entry per unit per extension event. Entries for a given
-    // unit are appended consecutively, so checking the tail suffices.
-    for (Pos p = at_root ? unit.start : entry.last_match + 1;
-         p < seq.size(); ++p) {
+    size_t found = 0;
+    for (Pos p = suffix_begin(entry, unit);
+         p < seq.size() && found < alive.size(); ++p) {
       const EventId ev = seq[p];
-      if (ev >= num_events) continue;
-      if (filter && ws->tally.At(ev).units < min_support) continue;
+      if (ev >= num_events || !marks.Test(ev)) continue;
       std::vector<SeqEntry>& proj = ws->acc.Bucket(ev);
       if (!proj.empty() && proj.back().unit == entry.unit) continue;
       proj.push_back(SeqEntry{entry.unit, p});
+      ++found;
     }
   }
   ws->acc.Drain(out);

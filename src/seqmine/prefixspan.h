@@ -106,6 +106,8 @@ struct SequentialWorkspace {
 
   ExtensionAccumulator<SeqEntry> acc;
   EpochSlots<Tally> tally;              // Frequent-only collection.
+  std::vector<EventId> alive;           // Events that can still qualify.
+  EventMarkSet marks;                   // Membership of `alive`.
   EpochSlots<uint32_t> period_counts;   // Closed miner's period events.
   std::vector<Pos> ee;                  // Earliest embeddings, n per unit.
   std::vector<Pos> ls;                  // Latest embeddings, n per unit.
@@ -116,9 +118,15 @@ struct SequentialWorkspace {
 /// \brief Groups, for every event e whose extension reaches
 /// \p min_support units, the projected entries of P++<e>: one entry per
 /// unit, at the first occurrence of e in the unit's remaining suffix.
-/// Infrequent extensions are counted (in \p ws->tally) but never
-/// materialized. \p out (from ws->acc.AcquireMap()) iterates in ascending
-/// event id.
+/// \p out (from ws->acc.AcquireMap()) iterates in ascending event id.
+///
+/// Above a threshold of 1 a count pass precedes the bucketing, and both
+/// stop early. The first n + 1 - min_support of the n entries are scanned
+/// in full; an event first met later cannot qualify, so each later suffix
+/// is scanned only for the events that can still reach min_support (left
+/// once all are seen), and the pass ends when none can. Infrequent events
+/// are never bucketed; the bucketing pass is skipped when none qualifies,
+/// and leaves each suffix once every frequent event is bucketed for it.
 void CollectFrequentExtensions(const UnitDatabase& units,
                                const std::vector<SeqEntry>& entries,
                                bool at_root, uint64_t min_support,

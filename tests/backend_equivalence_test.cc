@@ -441,14 +441,15 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
 // The min_count contract of the projection queries: at threshold k each
 // returns exactly the scalar oracle's k = 1 map minus its entries below k,
 // on bitmap (cutoff 1), hybrid and an all-sparse hybrid, for k in {1, 2,
-// the pattern's support and one below it, one above the smallest event
-// count present}, over every length-1 and length-2 pattern of \p db and
-// every length-3 extension of a length-2 pattern that occurs. At k = the
-// support the backward query walks only the first instance and probes the
-// rest (windows and two gaps at length 3); one below it, each candidate
-// may miss one instance. Returns how many dropped entries belonged to an
-// event whose total count is below k — events inside candidate windows
-// that the count-bound scan filter skips.
+// the pattern's support, one below it, one above it, the middle of the
+// walk/probe boundary, one above the smallest event count present}, over
+// every length-1 and length-2 pattern of \p db and every length-3
+// extension of a length-2 pattern that occurs. At k = the support both
+// queries walk only the first instance and probe the rest (windows and two
+// gaps at length 3); one below it, each candidate may miss one instance.
+// Returns how many dropped entries belonged to an event whose total count
+// is below k — events inside candidate windows that the count-bound scan
+// filter skips.
 size_t CheckMinCountContract(const SequenceDatabase& db) {
   HybridIndex bitmap(db, kBitmapDenseCutoff);
   HybridIndex hybrid(db);
@@ -478,10 +479,18 @@ size_t CheckMinCountContract(const SequenceDatabase& db) {
     }
     const ForwardEntries all_fwd = OracleForward(db, pat);
     const BackwardEntries all_back = OracleBackward(db, pat);
+    // With n = support instances a query walks the first n + 1 - k and
+    // probes the rest, so k = n, n + 1 - n/2 and 2 make the 2nd, a middle
+    // and the last instance the first probed one; at n + 1 nothing is
+    // walked. Duplicate thresholds run once.
     const uint64_t support = insts.size();
-    for (const uint64_t k : {uint64_t{1}, uint64_t{2}, support,
-                             std::max<uint64_t>(support - 1, 1),
-                             smallest + 1}) {
+    std::vector<uint64_t> thresholds = {
+        1, 2, support, std::max<uint64_t>(support - 1, 1),
+        support + 1 - support / 2, support + 1, smallest + 1};
+    std::sort(thresholds.begin(), thresholds.end());
+    thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
+                     thresholds.end());
+    for (const uint64_t k : thresholds) {
       SCOPED_TRACE(pat.ToString() + " min_count=" + std::to_string(k));
       ForwardEntries want_fwd;
       for (const auto& entry : all_fwd) {
@@ -644,6 +653,59 @@ TEST_F(BackwardProbeTest, DifferentStopEvents) {
   Build({"a x a b", "a a b"});
   EXPECT_EQ(Backward(Pat({"a", "b"}), 2),
             (BackwardEntries{{Id("a"), 2, false}}));
+}
+
+// The forward query's probe phase. `Forward` runs the query at min_count
+// k on bitmap and an all-sparse hybrid, checks both against the scalar
+// oracle's entries that reach k, and returns each surviving event's
+// instance count.
+class ForwardProbeTest : public BackwardProbeTest {
+ protected:
+  std::vector<std::pair<EventId, size_t>> Forward(const Pattern& pat,
+                                                  uint64_t k) {
+    const InstanceList insts = FindAllInstances(pat, db_);
+    ProjectionWorkspace ws;
+    ForwardEntries want;
+    for (const auto& entry : OracleForward(db_, pat)) {
+      if (entry.second.size() >= k) want.push_back(entry);
+    }
+    for (const HybridIndex* layout : {&*bitmap_, &*all_sparse_}) {
+      ForwardExtensionMap got;
+      ForwardExtensions(*layout, pat, insts, k, &ws, &got);
+      EXPECT_EQ(want, Entries(got))
+          << layout->name() << " " << pat.ToString() << " k=" << k;
+    }
+    std::vector<std::pair<EventId, size_t>> sizes;
+    for (const auto& [ev, list] : want) sizes.emplace_back(ev, list.size());
+    return sizes;
+  }
+};
+
+// Five instances of <a, b>; at k = 4 the first two are walked (x ends in
+// the window and a at the stop event in both) and the last three probed,
+// since each of their windows holds at least as many events as are
+// alive. The f events occur once, so the count bound keeps them out of
+// the walk. Instance 3 has a, its stop event, after f1 f2 and x beyond
+// it: a matches at the stop and x misses. Instance 4 has no stop event
+// and x inside the window. Instance 5 has x in its window and its gap,
+// so the gap probe drops x, and a matches at the stop again.
+TEST_F(ForwardProbeTest, StopWindowAndGapOutcomes) {
+  using Sizes = std::vector<std::pair<EventId, size_t>>;
+  Build({"a b x a", "a b x a", "a b f1 f2 a x", "a b f3 x f4",
+         "a x b x f5 a"});
+  const Pattern ab = Pat({"a", "b"});
+  ASSERT_EQ(FindAllInstances(ab, db_).size(), 5u);
+  EXPECT_EQ(Forward(ab, 4), (Sizes{{Id("a"), 4}}));
+  EXPECT_EQ(Forward(ab, 3), (Sizes{{Id("a"), 4}, {Id("x"), 3}}));
+  EXPECT_EQ(Forward(ab, 5), Sizes{});
+  EXPECT_EQ(Forward(ab, 6), Sizes{});
+  // The same outcomes with windows shorter than the alive list: instances
+  // past the walk walk their window too, which is exact for the alive
+  // events.
+  Build({"a b x a", "a b x a", "a b a x", "a b x", "a x b x a"});
+  ASSERT_EQ(FindAllInstances(ab, db_).size(), 5u);
+  EXPECT_EQ(Forward(ab, 4), (Sizes{{Id("a"), 4}}));
+  EXPECT_EQ(Forward(ab, 3), (Sizes{{Id("a"), 4}, {Id("x"), 3}}));
 }
 
 // Full / closed / generator miners: byte-identical emission across

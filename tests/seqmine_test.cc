@@ -336,6 +336,96 @@ TEST(PrefixSpanTest, MatchesOracleOnPointUnits) {
   }
 }
 
+// CollectFrequentExtensions' threshold contract, called directly. An
+// extension map flattened to (event, [(unit, last_match)]) rows.
+using FlatExtensions =
+    std::vector<std::pair<EventId, std::vector<std::pair<uint32_t, Pos>>>>;
+
+FlatExtensions Flatten(const SeqExtensionMap& map) {
+  FlatExtensions out;
+  for (const auto& [ev, entries] : map) {
+    out.emplace_back(ev, std::vector<std::pair<uint32_t, Pos>>{});
+    for (const SeqEntry& e : entries) {
+      out.back().second.emplace_back(e.unit, e.last_match);
+    }
+  }
+  return out;
+}
+
+// The kernel's definition, scanned naively: per entry, the first
+// occurrence of each event in its remaining suffix.
+FlatExtensions OracleExtensions(const UnitDatabase& units,
+                                const std::vector<SeqEntry>& entries,
+                                bool at_root) {
+  std::map<EventId, std::vector<std::pair<uint32_t, Pos>>> grouped;
+  for (const SeqEntry& entry : entries) {
+    const Unit& unit = units.units()[entry.unit];
+    const EventSpan seq = units.db()[unit.seq];
+    std::vector<bool> met(units.db().dictionary().size(), false);
+    for (Pos p = at_root ? unit.start : entry.last_match + 1; p < seq.size();
+         ++p) {
+      if (met[seq[p]]) continue;
+      met[seq[p]] = true;
+      grouped[seq[p]].emplace_back(entry.unit, p);
+    }
+  }
+  return FlatExtensions(grouped.begin(), grouped.end());
+}
+
+// At every threshold k from 1 to n + 1 over n entries, the kernel returns
+// exactly its k = 1 map (itself checked against the naive scan) minus the
+// buckets below k, entry for entry. Whole-sequence units and overlapping
+// temporal-point units, at the root and at every root extension's
+// projection; one workspace throughout, so stale per-event state from an
+// earlier call would show. Every k moves the walk/probe boundary of the
+// count pass by one entry.
+TEST(CollectFrequentExtensionsTest, ThresholdKeepsExactlyTheBucketsReachingIt) {
+  SequentialWorkspace ws;
+  const auto collect = [&ws](const UnitDatabase& units,
+                             const std::vector<SeqEntry>& entries,
+                             bool at_root, uint64_t k) {
+    SeqExtensionMap map = ws.acc.AcquireMap();
+    CollectFrequentExtensions(units, entries, at_root, k, &ws, &map);
+    FlatExtensions flat = Flatten(map);
+    ws.acc.ReleaseMap(std::move(map));
+    return flat;
+  };
+  const auto check = [&](const UnitDatabase& units,
+                         const std::vector<SeqEntry>& entries, bool at_root,
+                         const std::string& what) {
+    const FlatExtensions all = collect(units, entries, at_root, 1);
+    EXPECT_EQ(all, OracleExtensions(units, entries, at_root)) << what;
+    for (uint64_t k = 2; k <= entries.size() + 1; ++k) {
+      FlatExtensions want;
+      for (const auto& row : all) {
+        if (row.second.size() >= k) want.push_back(row);
+      }
+      EXPECT_EQ(collect(units, entries, at_root, k), want)
+          << what << " k=" << k;
+    }
+  };
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const SequenceDatabase db = RandomDb(seed + 700, 10, 12, 5);
+    const std::vector<UnitDatabase> shapes = {
+        UnitDatabase::WholeSequences(db),
+        UnitDatabase(db, RandomPointUnits(db, seed))};
+    for (size_t shape = 0; shape < shapes.size(); ++shape) {
+      const UnitDatabase& units = shapes[shape];
+      const std::string what =
+          "seed=" + std::to_string(seed) + " shape=" + std::to_string(shape);
+      std::vector<SeqEntry> root;
+      for (uint32_t u = 0; u < units.size(); ++u) root.push_back({u, 0});
+      check(units, root, /*at_root=*/true, what + " root");
+      for (const auto& [ev, rows] : collect(units, root, true, 1)) {
+        std::vector<SeqEntry> projected;
+        for (const auto& [unit, pos] : rows) projected.push_back({unit, pos});
+        check(units, projected, /*at_root=*/false,
+              what + " <e" + std::to_string(ev) + ">");
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Closed sequential miner.
 
