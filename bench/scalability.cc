@@ -30,12 +30,14 @@ void Row(const SequenceDatabase& db, const char* label) {
   size_t patterns = bench::CollectOrDie(engine, pattern_task).size();
   double t_patterns = sw1.ElapsedSeconds();
 
-  RuleMinerOptions rule_options;
-  rule_options.min_s_support = static_cast<uint64_t>(0.07 * db.size()) + 1;
-  rule_options.min_confidence = 0.7;
-  rule_options.non_redundant = true;
+  // Rules run on the same session, over the index the patterns built.
+  RulesTask rule_task;
+  rule_task.options.min_s_support =
+      static_cast<uint64_t>(0.07 * db.size()) + 1;
+  rule_task.options.min_confidence = 0.7;
+  rule_task.options.non_redundant = true;
   Stopwatch sw2;
-  size_t rules = MineRecurrentRules(db, rule_options).size();
+  size_t rules = engine.CollectRules(rule_task).ValueOrDie().size();
   double t_rules = sw2.ElapsedSeconds();
 
   std::printf("%-16s %8zu %10zu %12.3f %8zu %12.3f %8zu\n", label, db.size(),

@@ -524,28 +524,19 @@ Result<RunReport> Engine::MineSharded(const FullPatternsTask& task,
 
 Result<RunReport> Engine::Mine(const RulesTask& task, RuleSink& sink) const {
   SPECMINE_RETURN_NOT_OK(Begin(task));
-  // The rule miners scan the arena directly (and the backward miner needs
-  // the reversed view), so a sharded session materializes here.
-  const SequenceDatabase& db = database();
   double build_seconds = 0.0;
-  RunReport report;
-  RuleMinerStats stats;
-  Stopwatch sw;
-  RuleSet mined;
+  Result<const HybridIndex*> index =
+      EnsureBackend(task.options.backend, &build_seconds);
+  if (!index.ok()) return index.status();
   PoolLease lease = LeasePool(task.options.num_threads);
-  if (task.backward) {
-    // Backward rules mine the *reversed* database, which the session's
-    // forward index does not cover — the scalar path stands.
-    mined = MineBackwardRules(db, task.options, &stats);
-  } else {
-    Result<const HybridIndex*> index =
-        EnsureBackend(task.options.backend, &build_seconds);
-    if (!index.ok()) return index.status();
-    sw.Restart();  // Report the build separately from the mining time.
-    mined = MineRecurrentRules(db, task.options, &stats, lease.pool(),
-                               *index);
-    report.backend = (*index)->name();
-  }
+  Stopwatch sw;  // Report the build separately from the mining time.
+  RuleMinerStats stats;
+  const RuleSet mined =
+      task.backward
+          ? MineBackwardRules(**index, task.options, &stats, lease.pool())
+          : MineRecurrentRules(**index, task.options, &stats, lease.pool());
+  RunReport report;
+  report.backend = (*index)->name();
   SPECMINE_RETURN_NOT_OK(FinishRun(stats.error, task.options.cancel));
   report.task = task.backward ? "backward-rules" : "rules";
   report.index_build_seconds = build_seconds;

@@ -33,10 +33,9 @@ struct RunReport {
 
   /// The counting index layout the run used: "bitmap", "hybrid", "mixed"
   /// (MineSharded runs whose shards resolved differently), or empty for
-  /// tasks that use no counting index
-  /// (sequential, episodes, two-event, backward rules). A sharded
-  /// session's Mine reports the backend resolved over its merged arena,
-  /// the same as the equivalent single .smdb.
+  /// tasks that use no counting index (sequential, episodes, two-event).
+  /// A sharded session's Mine reports the backend resolved over its
+  /// merged arena, the same as the equivalent single .smdb.
   std::string backend;
 
   /// Counting index construction time spent by *this* call. 0 when the

@@ -53,7 +53,7 @@ struct RulesTask {
   /// Supports, confidence, length caps, NR-pipeline and thread options.
   RuleMinerOptions options;
   /// False: forward rules "pre -> eventually post". True: past-time
-  /// rules "post -> previously pre" (Section 7 of the paper).
+  /// rules "pre -> previously post" (the paper's Section 8 future work).
   bool backward = false;
 };
 

@@ -14,12 +14,13 @@
 //                contains post;
 //   i-support  — occurrences (Definition 5.1) of post ++ pre.
 //
-// Mining reuses the forward machinery through sequence reversal: post
-// embeds into the strict prefix before j iff reverse(post) embeds into
-// the suffix of the reversed sequence starting right after the mirrored
-// point. Consequents are therefore mined with the standard confidence-
-// thresholded sequential miner over the reversed database and un-reversed
-// on output.
+// Mining runs the forward pipeline (rule_miner.h) with one change, through
+// sequence reversal: post embeds into the strict prefix before j iff
+// reverse(post) embeds into the suffix of the reversed sequence starting
+// right after the mirrored point. Consequents are therefore mined with the
+// standard confidence-thresholded sequential miner over the reversed
+// database and un-reversed on output. Premise maximality pruning is off:
+// it is a forward-concatenation argument.
 
 #ifndef SPECMINE_RULEMINE_BACKWARD_RULES_H_
 #define SPECMINE_RULEMINE_BACKWARD_RULES_H_
@@ -28,14 +29,23 @@
 
 namespace specmine {
 
-/// \brief Mines backward recurrent rules from \p db per \p options
-/// (the options' premise/consequent roles read as pre / past-post).
+/// \brief Mines backward recurrent rules from index.db() per \p options
+/// (the options' premise/consequent roles read as pre / past-post), on the
+/// same premise scan, ordered fan-out, i-support filter and Step-5 sweep as
+/// MineRecurrentRules; \p index and \p pool play the same parts there.
 /// Returned Rule objects carry `premise` = pre and `consequent` = post
-/// with the backward statistics above. options.cancel is polled once per
-/// premise, as in MineRecurrentRules.
-RuleSet MineBackwardRules(const SequenceDatabase& db,
+/// with the backward statistics above.
+RuleSet MineBackwardRules(const HybridIndex& index,
                           const RuleMinerOptions& options,
-                          RuleMinerStats* stats = nullptr);
+                          RuleMinerStats* stats = nullptr,
+                          ThreadPool* pool = nullptr);
+
+/// \brief \p db with every sequence reversed; event ids are shared with the
+/// original (the dictionary is re-interned in identical order).
+SequenceDatabase ReverseDatabase(const SequenceDatabase& db);
+
+/// \brief \p p with its events in reverse order.
+Pattern ReversePattern(const Pattern& p);
 
 /// \brief The LTL-with-past rendering "G(pre -> P(post))" used by reports;
 /// there is no past operator in the checkable fragment, so this is a

@@ -16,21 +16,6 @@ uint64_t ConfidenceSupportThreshold(double min_confidence,
   return k == 0 ? 1 : k;
 }
 
-PatternSet MineConsequents(const SequenceDatabase& db,
-                           const TemporalPointSet& points,
-                           const ConsequentMinerOptions& options,
-                           SequentialWorkspace* ws) {
-  std::vector<Unit> units;
-  units.reserve(points.TotalPoints());
-  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
-    for (Pos j : points.points(i)) {
-      // The consequent must occur strictly after the temporal point.
-      units.push_back(Unit{points.seq(i), j + 1});
-    }
-  }
-  return MineConsequents(UnitDatabase(db, std::move(units)), options, ws);
-}
-
 PatternSet MineConsequents(const UnitDatabase& units,
                            const ConsequentMinerOptions& options,
                            SequentialWorkspace* ws) {

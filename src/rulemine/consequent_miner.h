@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "src/patterns/pattern_set.h"
-#include "src/rulemine/temporal_points.h"
 #include "src/seqmine/prefixspan.h"
 #include "src/trace/sequence_database.h"
 
@@ -35,19 +34,11 @@ struct ConsequentMinerOptions {
 uint64_t ConfidenceSupportThreshold(double min_confidence,
                                     uint64_t total_points);
 
-/// \brief Mines consequents for a premise with temporal points \p points.
-/// Each returned pattern's support is its satisfied-point count. \p ws is
-/// optional reusable scratch (null means a local workspace); a rule run
-/// keeps one for all its premises.
-PatternSet MineConsequents(const SequenceDatabase& db,
-                           const TemporalPointSet& points,
-                           const ConsequentMinerOptions& options,
-                           SequentialWorkspace* ws = nullptr);
-
 /// \brief Mines consequents over \p units, one unit per temporal point
 /// (the suffix a consequent must occur in); the confidence threshold is
-/// taken over units.size() points. The backward rule miner passes units
-/// into the reversed database.
+/// taken over units.size() points. Each returned pattern's support is its
+/// satisfied-point count. \p ws is optional reusable scratch (null means a
+/// local workspace); a rule run keeps one per worker for all its premises.
 PatternSet MineConsequents(const UnitDatabase& units,
                            const ConsequentMinerOptions& options,
                            SequentialWorkspace* ws = nullptr);

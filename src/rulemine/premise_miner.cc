@@ -36,14 +36,13 @@ bool AnyInRange(const HybridIndex& index, EventId ev, SeqId seq, Pos lo,
 // encoded in `stem_ins` (stem with x inserted). Equality holds iff, in
 // every sequence with points, the modified stem still embeds and no
 // occurrence of the last event falls in (stem_end, modified_stem_end].
-bool InsertionPreservesPoints(const SequenceDatabase& db,
-                              const Pattern& stem, const Pattern& stem_ins,
-                              EventId last, const TemporalPointSet& points,
-                              const HybridIndex* index) {
+bool InsertionPreservesPoints(const HybridIndex& index, const Pattern& stem,
+                              const Pattern& stem_ins, EventId last,
+                              const TemporalPointSet& points) {
   // Sequences without points impose nothing (occ subset of empty).
   for (size_t i = 0; i < points.SupportingSequences(); ++i) {
     const SeqId s = points.seq(i);
-    const EventSpan seq = db[s];
+    const EventSpan seq = index.db()[s];
     Pos t = kNoPos;
     if (!StemEnd(stem, seq, &t)) return false;  // Defensive.
     Pos t_ins = EarliestEmbeddingEnd(stem_ins, seq, 0);
@@ -51,14 +50,7 @@ bool InsertionPreservesPoints(const SequenceDatabase& db,
     // Any occurrence of `last` in (t, t_ins] is a point of the premise
     // that the extended premise loses.
     Pos from = (t == kNoPos) ? 0 : t + 1;
-    if (index != nullptr) {
-      // One range-emptiness query instead of the scalar window scan.
-      if (AnyInRange(*index, last, s, from, t_ins)) return false;
-      continue;
-    }
-    for (Pos p = from; p <= t_ins && p < seq.size(); ++p) {
-      if (seq[p] == last) return false;
-    }
+    if (AnyInRange(index, last, s, from, t_ins)) return false;
   }
   return true;
 }
@@ -77,11 +69,11 @@ struct InsertionScratch {
   std::vector<EventId> candidates;
 };
 
-bool InsertionEquivalentExists(const SequenceDatabase& db,
+bool InsertionEquivalentExists(const HybridIndex& index,
                                const Pattern& premise,
                                const TemporalPointSet& points,
-                               InsertionScratch* scratch,
-                               const HybridIndex* index) {
+                               InsertionScratch* scratch) {
+  const SequenceDatabase& db = index.db();
   const size_t n = premise.size();
   const EventId last = premise.last();
   Pattern stem(std::vector<EventId>(premise.events().begin(),
@@ -116,8 +108,7 @@ bool InsertionEquivalentExists(const SequenceDatabase& db,
     }
     for (EventId x : scratch->candidates) {
       Pattern stem_ins = stem.Insert(slot, x);
-      if (InsertionPreservesPoints(db, stem, stem_ins, last, points,
-                                   index)) {
+      if (InsertionPreservesPoints(index, stem, stem_ins, last, points)) {
         return true;
       }
     }
@@ -128,9 +119,10 @@ bool InsertionEquivalentExists(const SequenceDatabase& db,
 }  // namespace
 
 void ScanPremises(
-    const SequenceDatabase& db, const PremiseMinerOptions& options,
+    const HybridIndex& index, const PremiseMinerOptions& options,
     const std::function<bool(const Pattern&, const TemporalPointSet&)>& sink,
-    SeqMinerStats* stats, const HybridIndex* index) {
+    SeqMinerStats* stats) {
+  const SequenceDatabase& db = index.db();
   UnitDatabase units = UnitDatabase::WholeSequences(db);
   SeqMinerOptions scan_options;
   scan_options.min_support = options.min_s_support;
@@ -149,7 +141,7 @@ void ScanPremises(
           points.AddSequence(s, OccurrencePoints(p, db[s]));
         }
         if (options.maximality_pruning &&
-            InsertionEquivalentExists(db, p, points, &scratch, index)) {
+            InsertionEquivalentExists(index, p, points, &scratch)) {
           // A point-equivalent longer premise exists; its rules dominate
           // this premise's rules under Definition 5.2, and the equivalence
           // propagates to every forward extension — prune the subtree.

@@ -40,18 +40,15 @@ struct PremiseMinerOptions {
   bool maximality_pruning = true;
 };
 
-/// \brief Enumerates premises; \p sink receives each premise with its
-/// temporal points. The sink's return value controls subtree growth
-/// (return false to stop growing — used for external budget caps).
-///
-/// \p index, when non-null (and indexing \p db), accelerates the
-/// maximality pruning's insertion-window emptiness tests — a range query
-/// per (sequence, slot) instead of a scalar scan. Verdicts are identical
-/// with and without it.
+/// \brief Enumerates the premises of index.db(); \p sink receives each
+/// premise with its temporal points. The sink's return value controls
+/// subtree growth (return false to stop growing — used for external budget
+/// caps). The maximality pruning's insertion-window emptiness tests are
+/// range queries on \p index, one per (sequence, slot).
 void ScanPremises(
-    const SequenceDatabase& db, const PremiseMinerOptions& options,
+    const HybridIndex& index, const PremiseMinerOptions& options,
     const std::function<bool(const Pattern&, const TemporalPointSet&)>& sink,
-    SeqMinerStats* stats = nullptr, const HybridIndex* index = nullptr);
+    SeqMinerStats* stats = nullptr);
 
 }  // namespace specmine
 

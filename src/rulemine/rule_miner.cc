@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/rulemine/backward_rules.h"
 #include "src/rulemine/consequent_miner.h"
 #include "src/rulemine/premise_miner.h"
 #include "src/seqmine/occurrence_engine.h"
@@ -12,40 +13,63 @@ namespace specmine {
 
 namespace {
 
+// What Steps 3-4 read for every premise of one run.
+struct RunContext {
+  const HybridIndex& index;
+  bool backward;
+  // Where consequents are mined: index.db() forward, its reversal backward.
+  const SequenceDatabase& consequent_db;
+  ConsequentMinerOptions consequent_options;
+  size_t max_rules;
+};
+
 // Steps 3-4 for one premise: its consequents above the confidence-derived
 // threshold, then one candidate rule per consequent. The i-support scan
 // (the expensive part of Step 4's input) runs per rule, so max_rules
 // truncation stops it early. Appends to *rules; returns false once that
 // holds max_rules rules.
-bool MinePremise(const SequenceDatabase& db,
-                 const ConsequentMinerOptions& consequent_options,
-                 const HybridIndex* index, size_t max_rules,
-                 SequentialWorkspace* ws, const Pattern& premise,
-                 const TemporalPointSet& points, RuleSet* rules) {
+bool MinePremise(const RunContext& run, SequentialWorkspace* ws,
+                 const Pattern& premise, const TemporalPointSet& points,
+                 RuleSet* rules) {
+  // One unit per temporal point j: the suffix after j (forward), or the
+  // strict prefix before j, which is the suffix of the reversed sequence
+  // starting at len - j (backward).
+  std::vector<Unit> units;
+  units.reserve(points.TotalPoints());
+  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
+    const SeqId s = points.seq(i);
+    const Pos len = static_cast<Pos>(run.index.db()[s].size());
+    for (Pos j : points.points(i)) {
+      units.push_back(Unit{s, run.backward ? len - j : j + 1});
+    }
+  }
   const PatternSet consequents =
-      MineConsequents(db, points, consequent_options, ws);
+      MineConsequents(UnitDatabase(run.consequent_db, std::move(units)),
+                      run.consequent_options, ws);
   for (const MinedPattern& post : consequents.items()) {
     Rule rule;
     rule.premise = premise;
-    rule.consequent = post.pattern;
+    rule.consequent =
+        run.backward ? ReversePattern(post.pattern) : post.pattern;
     rule.s_support = points.SupportingSequences();
     rule.premise_points = points.TotalPoints();
     rule.satisfied_points = post.support;
-    rule.i_support = index != nullptr
-                         ? CountOccurrences(*index, rule.Concatenation())
-                         : CountOccurrences(rule.Concatenation(), db);
+    // i-support: occurrences of pre ++ post, or post ++ pre backward.
+    rule.i_support = CountOccurrences(
+        run.index, run.backward ? rule.consequent.Concat(rule.premise)
+                                : rule.Concatenation());
     rules->Add(std::move(rule));
-    if (max_rules != 0 && rules->size() >= max_rules) return false;
+    if (run.max_rules != 0 && rules->size() >= run.max_rules) return false;
   }
   return true;
 }
 
-}  // namespace
-
-RuleSet MineRecurrentRules(const SequenceDatabase& db,
-                           const RuleMinerOptions& options,
-                           RuleMinerStats* stats, ThreadPool* pool,
-                           const HybridIndex* index) {
+// Steps 1-5 in either direction. The directions differ only in where a
+// consequent may occur: after a temporal point, or strictly before it,
+// mined as a suffix of the reversed sequence.
+RuleSet MineRules(const HybridIndex& index, bool backward,
+                  const RuleMinerOptions& options, RuleMinerStats* stats,
+                  ThreadPool* pool) {
   RuleMinerStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = RuleMinerStats{};
@@ -53,12 +77,20 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
   PremiseMinerOptions premise_options;
   premise_options.min_s_support = options.min_s_support;
   premise_options.max_length = options.max_premise_length;
-  premise_options.maximality_pruning = options.non_redundant;
+  // Premise maximality pruning is a *forward*-concatenation argument: for
+  // backward rules it would fold the past context into the premise, making
+  // the post ++ pre concatenation (the rule's i-support witness) typically
+  // unsatisfiable. Backward premises are enumerated in full and redundancy
+  // is left to the final sweep.
+  premise_options.maximality_pruning = options.non_redundant && !backward;
 
-  ConsequentMinerOptions consequent_options;
-  consequent_options.min_confidence = options.min_confidence;
-  consequent_options.max_length = options.max_consequent_length;
-  consequent_options.closed_pruning = options.non_redundant;
+  const SequenceDatabase reversed =
+      backward ? ReverseDatabase(index.db()) : SequenceDatabase();
+  RunContext run{index, backward, backward ? reversed : index.db(), {},
+                 options.max_rules};
+  run.consequent_options.min_confidence = options.min_confidence;
+  run.consequent_options.max_length = options.max_consequent_length;
+  run.consequent_options.closed_pruning = options.non_redundant;
 
   // One job per premise, each mined with its worker's warm consequent
   // workspace; replaying the jobs in premise order reproduces the
@@ -72,8 +104,7 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
       pool, num_threads,
       [&](SequentialWorkspace& ws, RuleSet* rules, const Pattern& premise,
           const TemporalPointSet& points) {
-        return MinePremise(db, consequent_options, index, options.max_rules,
-                           &ws, premise, points,
+        return MinePremise(run, &ws, premise, points,
                            rules == nullptr ? &candidates : rules);
       },
       [&](RuleSet& rules) {
@@ -86,7 +117,7 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
   // each premise, which feeds the fan-out while the scan goes on.
   bool stopped = false;
   ScanPremises(
-      db, premise_options,
+      index, premise_options,
       [&](const Pattern& premise, const TemporalPointSet& points) {
         if (stopped) return false;
         if (options.cancel != nullptr && options.cancel->ShouldStopExact()) {
@@ -97,8 +128,7 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
         if (points.TotalPoints() == 0) return true;
         stopped = !fan.Push(premise, points);
         return !stopped;
-      },
-      nullptr, index);
+      });
   stats->error = fan.Finish();
   stats->candidate_rules = candidates.size();
   stats->truncated =
@@ -116,6 +146,20 @@ RuleSet MineRecurrentRules(const SequenceDatabase& db,
                     : std::move(filtered);
   stats->rules_emitted = out.size();
   return out;
+}
+
+}  // namespace
+
+RuleSet MineRecurrentRules(const HybridIndex& index,
+                           const RuleMinerOptions& options,
+                           RuleMinerStats* stats, ThreadPool* pool) {
+  return MineRules(index, /*backward=*/false, options, stats, pool);
+}
+
+RuleSet MineBackwardRules(const HybridIndex& index,
+                          const RuleMinerOptions& options,
+                          RuleMinerStats* stats, ThreadPool* pool) {
+  return MineRules(index, /*backward=*/true, options, stats, pool);
 }
 
 }  // namespace specmine

@@ -37,10 +37,9 @@ struct RuleMinerOptions {
   /// Safety valve: stop after this many candidate rules (0 = unbounded).
   size_t max_rules = 0;
   /// Index layout for the i-support occurrence counts and the Step-1
-  /// insertion-window tests (see IterMinerOptions::backend). Read by the
-  /// Engine only, which passes its cached index down; MineRecurrentRules
-  /// uses whatever index it is handed and runs scalar scans without one
-  /// (the backward miner's reversed database has no index).
+  /// insertion-window tests (see IterMinerOptions::backend), in either
+  /// direction. Read by the Engine only, which builds or reuses the
+  /// session's index and passes it down.
   BackendChoice backend = BackendChoice::kAuto;
   /// Worker threads for Steps 3-4; 0 = hardware concurrency. The premise
   /// scan runs on the calling thread and hands each premise to a worker
@@ -67,20 +66,18 @@ struct RuleMinerStats {
 
 class ThreadPool;
 
-/// \brief Mines recurrent rules from \p db per \p options.
+/// \brief Mines recurrent rules "pre -> eventually post" from index.db()
+/// per \p options; the i-support occurrence counts and the premise
+/// maximality tests run on \p index.
 ///
 /// \p pool, when non-null and matching the resolved thread count, runs the
-/// per-premise fan-out instead of a fresh pool per call. \p index, when
-/// non-null (and indexing \p db), accelerates the i-support occurrence
-/// counts and the premise maximality tests; the rule set is identical with
-/// and without it. New code should go through specmine::Engine
-/// (src/engine/engine.h), which validates options up front and shares one
-/// thread pool and index across a session's tasks.
-RuleSet MineRecurrentRules(const SequenceDatabase& db,
+/// per-premise fan-out instead of a fresh pool per call. New code should go
+/// through specmine::Engine (src/engine/engine.h), which validates options
+/// up front and shares one thread pool and index across a session's tasks.
+RuleSet MineRecurrentRules(const HybridIndex& index,
                            const RuleMinerOptions& options,
                            RuleMinerStats* stats = nullptr,
-                           ThreadPool* pool = nullptr,
-                           const HybridIndex* index = nullptr);
+                           ThreadPool* pool = nullptr);
 
 }  // namespace specmine
 

@@ -33,6 +33,7 @@
 #include "src/itermine/hybrid_index.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
+#include "src/rulemine/backward_rules.h"
 #include "src/rulemine/rule_miner.h"
 #include "src/seqmine/occurrence_engine.h"
 #include "src/support/random.h"
@@ -780,36 +781,59 @@ TEST_P(BackendEquivalenceTest, MinersAreByteIdenticalAcrossBackends) {
   }
 }
 
-// Rules: the index accelerates i-support counts and premise maximality
-// tests; rule sets must match the index-free scalar path exactly.
+// Rules, forward and backward: the index answers the i-support counts and
+// the premise maximality tests, so every layout at every thread count must
+// mine the same rules as the bitmap layout on one thread, whose i-supports
+// must match the scalar occurrence count.
 TEST_P(BackendEquivalenceTest, RulesAreByteIdenticalAcrossBackends) {
   const EquivParams p = GetParam();
   SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
   const EventDictionary& dict = db.dictionary();
-  HybridIndex bitmap(db, kBitmapDenseCutoff);
-  HybridIndex hybrid(db);
-  for (bool non_redundant : {true, false}) {
-    RuleMinerOptions options;
-    options.min_s_support = 2;
-    options.min_confidence = 0.6;
-    options.non_redundant = non_redundant;
-    options.num_threads = 1;
-    // Length caps keep the premise/consequent enumeration polynomial on
-    // the dense tiny-alphabet corpora (the blowup is backend-independent).
-    options.max_premise_length = 3;
-    options.max_consequent_length = 3;
-    RuleSet scalar = MineRecurrentRules(db, options, nullptr, nullptr);
-    RuleSet with_bitmap =
-        MineRecurrentRules(db, options, nullptr, nullptr, &bitmap);
-    RuleSet with_hybrid =
-        MineRecurrentRules(db, options, nullptr, nullptr, &hybrid);
-    ASSERT_EQ(scalar.size(), with_bitmap.size());
-    ASSERT_EQ(scalar.size(), with_hybrid.size());
-    for (size_t i = 0; i < scalar.size(); ++i) {
-      ASSERT_EQ(scalar[i].ToString(dict), with_bitmap[i].ToString(dict));
-      ASSERT_EQ(scalar[i].ToString(dict), with_hybrid[i].ToString(dict));
-      ASSERT_EQ(scalar[i].i_support, with_bitmap[i].i_support);
-      ASSERT_EQ(scalar[i].i_support, with_hybrid[i].i_support);
+  const HybridIndex bitmap(db, kBitmapDenseCutoff);
+  const HybridIndex hybrid(db);
+  for (bool backward : {false, true}) {
+    const auto mine = [backward](const HybridIndex& index,
+                                 const RuleMinerOptions& options) {
+      return backward ? MineBackwardRules(index, options)
+                      : MineRecurrentRules(index, options);
+    };
+    for (bool non_redundant : {true, false}) {
+      const std::string at = std::string(backward ? "backward" : "forward") +
+                             (non_redundant ? " nr" : " full");
+      RuleMinerOptions options;
+      options.min_s_support = 2;
+      options.min_confidence = 0.6;
+      options.non_redundant = non_redundant;
+      options.num_threads = 1;
+      // Length caps keep the premise/consequent enumeration polynomial on
+      // the dense tiny-alphabet corpora (the blowup is backend-independent).
+      // Backward premises skip maximality pruning, so at length 3 the
+      // largest corpus yields millions of candidates; length 2 keeps it
+      // in the tens of thousands.
+      options.max_premise_length = backward ? 2 : 3;
+      options.max_consequent_length = 3;
+      const RuleSet reference = mine(bitmap, options);
+      for (const Rule& r : reference.rules()) {
+        const Pattern witness = backward ? r.consequent.Concat(r.premise)
+                                         : r.Concatenation();
+        ASSERT_EQ(r.i_support, CountOccurrences(witness, db))
+            << at << " " << r.ToString(dict);
+      }
+      for (const HybridIndex* index : {&bitmap, &hybrid}) {
+        for (size_t threads : {1u, 4u}) {
+          if (index == &bitmap && threads == 1) continue;  // The reference.
+          options.num_threads = threads;
+          const RuleSet got = mine(*index, options);
+          ASSERT_EQ(got.size(), reference.size())
+              << at << " " << index->name() << " t" << threads;
+          for (size_t i = 0; i < reference.size(); ++i) {
+            ASSERT_TRUE(got[i] == reference[i])
+                << at << " " << index->name() << " t" << threads << ": "
+                << got[i].ToString(dict) << " vs "
+                << reference[i].ToString(dict);
+          }
+        }
+      }
     }
   }
 }
@@ -1065,6 +1089,15 @@ TEST(BackendEngineTest, RulesReportRecordsTheBackend) {
   Result<RunReport> run = engine.Mine(task, sink);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->backend, "bitmap");
+  // Backward rules run on the same session index: the layout is named and
+  // the cached build is reused.
+  task.backward = true;
+  CollectingRuleSink backward_sink;
+  run = engine.Mine(task, backward_sink);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->backend, "bitmap");
+  EXPECT_EQ(run->index_build_seconds, 0.0);
+  EXPECT_EQ(engine.index_builds(), 1u);
 }
 
 // "bitmap" is the hybrid layout at kBitmapDenseCutoff, but it stays a

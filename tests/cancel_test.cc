@@ -292,23 +292,28 @@ TEST(CancelTest, PreCancelledBackwardRulesEnumerateNoPremise) {
   SequenceDatabase db = RandomDb(104, 30, 10, 5);
   RuleMinerOptions options;
   options.min_s_support = 2;
-  RuleMinerStats plain_stats;
-  const RuleSet plain = MineBackwardRules(db, options, &plain_stats);
-  ASSERT_GT(plain_stats.premises_enumerated, 0u);
+  {
+    const HybridIndex index(db);
+    RuleMinerStats plain_stats;
+    const RuleSet plain = MineBackwardRules(index, options, &plain_stats);
+    ASSERT_GT(plain_stats.premises_enumerated, 0u);
 
-  CancelToken armed;
-  options.cancel = &armed;
-  RuleMinerStats armed_stats;
-  const RuleSet armed_rules = MineBackwardRules(db, options, &armed_stats);
-  EXPECT_EQ(armed_stats.premises_enumerated, plain_stats.premises_enumerated);
-  EXPECT_EQ(armed_stats.stopped, StatusCode::kOk);
-  EXPECT_EQ(armed_rules.rules(), plain.rules());
+    CancelToken armed;
+    options.cancel = &armed;
+    RuleMinerStats armed_stats;
+    const RuleSet armed_rules = MineBackwardRules(index, options,
+                                                  &armed_stats);
+    EXPECT_EQ(armed_stats.premises_enumerated,
+              plain_stats.premises_enumerated);
+    EXPECT_EQ(armed_stats.stopped, StatusCode::kOk);
+    EXPECT_EQ(armed_rules.rules(), plain.rules());
+  }
 
   CancelToken token;
   token.Cancel();
   options.cancel = &token;
   RuleMinerStats stats;
-  const RuleSet rules = MineBackwardRules(db, options, &stats);
+  const RuleSet rules = MineBackwardRules(HybridIndex(db), options, &stats);
   EXPECT_EQ(stats.premises_enumerated, 0u);
   EXPECT_EQ(stats.stopped, StatusCode::kCancelled);
   EXPECT_EQ(rules.size(), 0u);
@@ -320,6 +325,63 @@ TEST(CancelTest, PreCancelledBackwardRulesEnumerateNoPremise) {
   task.options = options;
   CollectingRuleSink sink;
   Result<RunReport> run = engine->Mine(task, sink);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(sink.set().size(), 0u);
+}
+
+// A backward run cancelled from another thread while four workers mine
+// its premises: the producer stops at the next premise, the fan-out drains,
+// and the Engine reports kCancelled with no rule delivered. The cancel
+// lands a quarter of the way through an uncancelled run's time, so it
+// falls mid-run on fast and instrumented builds alike; Full mode has no
+// Step-5 sweep, so nearly all of that time is the fan-out.
+TEST(CancelTest, BackwardRulesCancelledMidFanOutDeliverNothing) {
+  const SequenceDatabase db = RandomDb(105, 400, 20, 8);
+  const HybridIndex index(db);
+  RuleMinerOptions options;
+  options.min_s_support = 40;
+  options.min_confidence = 0.5;
+  options.non_redundant = false;
+  options.num_threads = 4;
+
+  const auto start = std::chrono::steady_clock::now();
+  RuleMinerStats full_stats;
+  ASSERT_GT(MineBackwardRules(index, options, &full_stats).size(), 0u);
+  const auto full_run = std::chrono::steady_clock::now() - start;
+  ASSERT_GT(full_stats.premises_enumerated, 100u);
+
+  // Runs \p mine while another thread cancels \p token after a quarter
+  // of the uncancelled run's time.
+  const auto cancel_midway = [full_run](CancelToken* token,
+                                        const auto& mine) {
+    std::thread canceller([token, full_run] {
+      std::this_thread::sleep_for(full_run / 4);
+      token->Cancel();
+    });
+    mine();
+    canceller.join();
+  };
+
+  CancelToken direct_token;
+  options.cancel = &direct_token;
+  RuleMinerStats stats;
+  cancel_midway(&direct_token,
+                [&] { MineBackwardRules(index, options, &stats); });
+  EXPECT_EQ(stats.stopped, StatusCode::kCancelled);
+  EXPECT_GT(stats.premises_enumerated, 0u);
+  EXPECT_LT(stats.premises_enumerated, full_stats.premises_enumerated);
+
+  Result<Engine> engine = Engine::Create(db);
+  ASSERT_TRUE(engine.ok());
+  CancelToken token;
+  RulesTask task;
+  task.backward = true;
+  task.options = options;
+  task.options.cancel = &token;
+  Result<RunReport> run = Status::Internal("not run");
+  CollectingRuleSink sink;
+  cancel_midway(&token, [&] { run = engine->Mine(task, sink); });
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(sink.set().size(), 0u);

@@ -148,7 +148,7 @@ TEST(EngineTest, RulesMatchEntryPointByteForByte) {
   RuleMinerOptions options;
   options.min_s_support = 3;
   options.min_confidence = 0.9;
-  RuleSet direct = MineRecurrentRules(db, options, nullptr, nullptr, &index);
+  RuleSet direct = MineRecurrentRules(index, options);
 
   RulesTask task;
   task.options = options;
@@ -189,7 +189,7 @@ TEST(EngineTest, SessionReusedIndexStillMatchesEntryPointsOnEveryTask) {
             MineClosedIterative(index, closed.options)
                 .ToString(db.dictionary()));
   EXPECT_EQ(rules_mined->ToString(dict),
-            MineRecurrentRules(db, rules.options, nullptr, nullptr, &index)
+            MineRecurrentRules(index, rules.options)
                 .ToString(db.dictionary()));
 }
 

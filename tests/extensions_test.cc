@@ -120,7 +120,7 @@ TEST(BackwardRulesTest, UnlockRequiresPriorLock) {
   options.min_s_support = 3;
   options.min_confidence = 1.0;
   options.non_redundant = false;
-  RuleSet rules = MineBackwardRules(db, options);
+  RuleSet rules = MineBackwardRules(HybridIndex(db), options);
   const Rule* r = rules.Find(P(db, "unlock"), P(db, "lock"));
   ASSERT_NE(r, nullptr) << rules.ToString(db.dictionary());
   EXPECT_DOUBLE_EQ(r->confidence(), 1.0);
@@ -136,7 +136,7 @@ TEST(BackwardRulesTest, ConfidenceCountsUnprecededPoints) {
   options.min_s_support = 2;
   options.min_confidence = 0.5;
   options.non_redundant = false;
-  RuleSet rules = MineBackwardRules(db, options);
+  RuleSet rules = MineBackwardRules(HybridIndex(db), options);
   const Rule* r = rules.Find(P(db, "unlock"), P(db, "lock"));
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->premise_points, 3u);
@@ -150,7 +150,7 @@ TEST(BackwardRulesTest, StrictlyBeforeThePoint) {
   options.min_s_support = 1;
   options.min_confidence = 0.1;
   options.non_redundant = false;
-  RuleSet rules = MineBackwardRules(db, options);
+  RuleSet rules = MineBackwardRules(HybridIndex(db), options);
   EXPECT_EQ(rules.Find(P(db, "a"), P(db, "a")), nullptr);
 }
 
@@ -164,7 +164,7 @@ TEST(BackwardRulesTest, MultiEventPastConsequentKeepsOrder) {
   options.min_s_support = 2;
   options.min_confidence = 1.0;
   options.non_redundant = false;
-  RuleSet rules = MineBackwardRules(db, options);
+  RuleSet rules = MineBackwardRules(HybridIndex(db), options);
   EXPECT_NE(rules.Find(P(db, "commit"), P(db, "begin validate")), nullptr);
   // The reversed order never occurs as a subsequence of the prefixes.
   EXPECT_EQ(rules.Find(P(db, "commit"), P(db, "validate begin")), nullptr);
@@ -180,10 +180,10 @@ TEST(BackwardRulesTest, NonRedundantSubsetWithEqualStats) {
   full.min_s_support = 2;
   full.min_confidence = 0.8;
   full.non_redundant = false;
-  RuleSet full_rules = MineBackwardRules(db, full);
+  RuleSet full_rules = MineBackwardRules(HybridIndex(db), full);
   RuleMinerOptions nr = full;
   nr.non_redundant = true;
-  RuleSet nr_rules = MineBackwardRules(db, nr);
+  RuleSet nr_rules = MineBackwardRules(HybridIndex(db), nr);
   EXPECT_LE(nr_rules.size(), full_rules.size());
   EXPECT_GT(nr_rules.size(), 0u);
   for (const Rule& r : nr_rules.rules()) {

@@ -282,7 +282,7 @@ TEST(CrossCheckTest, Confidence1RulesHoldAsLtl) {
   options.non_redundant = false;
   options.max_premise_length = 2;
   options.max_consequent_length = 2;
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   ASSERT_GT(rules.size(), 0u);
   size_t full_conf = 0;
   for (const Rule& r : rules.rules()) {

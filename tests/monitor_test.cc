@@ -125,7 +125,7 @@ TEST(MonitorTest, StatsMatchMinerOnSimulatedTraces) {
   options.min_s_support = static_cast<uint64_t>(0.5 * db.size());
   options.min_confidence = 0.5;
   options.non_redundant = true;
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   ASSERT_GT(rules.size(), 0u);
 
   SpecificationMonitor monitor(db.dictionary());

@@ -240,6 +240,7 @@ TEST_P(ParallelEquivalenceTest, ClosedMinerIdenticalAcrossThreadCounts) {
 
 TEST_P(ParallelEquivalenceTest, RuleMinerIdenticalAcrossThreadCounts) {
   SequenceDatabase db = RandomDb(GetParam());
+  const HybridIndex index(db);
   for (bool non_redundant : {false, true}) {
     RuleMinerOptions seq;
     seq.min_s_support = 2;
@@ -249,12 +250,12 @@ TEST_P(ParallelEquivalenceTest, RuleMinerIdenticalAcrossThreadCounts) {
     seq.max_consequent_length = 3;
     seq.num_threads = 1;
     RuleMinerStats stats_seq;
-    RuleSet a = MineRecurrentRules(db, seq, &stats_seq);
+    RuleSet a = MineRecurrentRules(index, seq, &stats_seq);
     for (size_t threads : {2, 3, 4}) {
       RuleMinerOptions par = seq;
       par.num_threads = threads;
       RuleMinerStats stats_par;
-      RuleSet b = MineRecurrentRules(db, par, &stats_par);
+      RuleSet b = MineRecurrentRules(index, par, &stats_par);
       EXPECT_EQ(a.rules(), b.rules())
           << "nr=" << non_redundant << " threads=" << threads;
       EXPECT_EQ(stats_seq.premises_enumerated,

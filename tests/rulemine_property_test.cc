@@ -8,6 +8,7 @@
 #include <map>
 #include <vector>
 
+#include "src/rulemine/backward_rules.h"
 #include "src/rulemine/rule_miner.h"
 #include "src/support/random.h"
 
@@ -72,16 +73,23 @@ struct OracleStats {
   uint64_t satisfied_points = 0;
 };
 
+// Forward rules: a point j is satisfied iff post embeds into S[j+1..]; the
+// i-support counts the occurrences of pre ++ post. Backward (past-time)
+// rules: j is satisfied iff post embeds into S[0..j-1]; the i-support
+// counts the occurrences of post ++ pre.
 OracleStats ComputeOracleStats(const SequenceDatabase& db, const Pattern& pre,
-                               const Pattern& post) {
+                               const Pattern& post, bool backward) {
   OracleStats st;
-  Pattern concat = pre.Concat(post);
+  Pattern concat = backward ? post.Concat(pre) : pre.Concat(post);
   for (EventSpan seq : db) {
     std::vector<size_t> points = OraclePoints(pre, seq);
     if (!points.empty()) ++st.s_support;
     st.premise_points += points.size();
     for (size_t j : points) {
-      if (OracleEmbeds(post, seq, j + 1, seq.size())) ++st.satisfied_points;
+      const bool satisfied = backward
+                                 ? OracleEmbeds(post, seq, 0, j)
+                                 : OracleEmbeds(post, seq, j + 1, seq.size());
+      if (satisfied) ++st.satisfied_points;
     }
     st.i_support += OraclePoints(concat, seq).size();
   }
@@ -100,20 +108,22 @@ void EnumeratePatterns(size_t alphabet, size_t max_len, Pattern prefix,
   }
 }
 
-// The full significant rule set by definition.
+// The full significant rule set by definition, forward or backward.
 std::map<std::pair<Pattern, Pattern>, OracleStats> OracleFullRules(
     const SequenceDatabase& db, uint64_t min_s_sup, double min_conf,
-    uint64_t min_i_sup, size_t max_pre, size_t max_post) {
+    uint64_t min_i_sup, size_t max_pre, size_t max_post,
+    bool backward = false) {
   std::vector<Pattern> pres, posts;
   EnumeratePatterns(db.dictionary().size(), max_pre, Pattern(), &pres);
   EnumeratePatterns(db.dictionary().size(), max_post, Pattern(), &posts);
   std::map<std::pair<Pattern, Pattern>, OracleStats> out;
   for (const Pattern& pre : pres) {
     // Premise s-support prefilter.
-    OracleStats pre_only = ComputeOracleStats(db, pre, Pattern{pre[0]});
+    OracleStats pre_only =
+        ComputeOracleStats(db, pre, Pattern{pre[0]}, backward);
     if (pre_only.s_support < min_s_sup) continue;
     for (const Pattern& post : posts) {
-      OracleStats st = ComputeOracleStats(db, pre, post);
+      OracleStats st = ComputeOracleStats(db, pre, post, backward);
       if (st.premise_points == 0) continue;
       double conf = static_cast<double>(st.satisfied_points) /
                     static_cast<double>(st.premise_points);
@@ -144,7 +154,7 @@ TEST_P(RuleMinePropertyTest, FullMinerMatchesOracle) {
       options.non_redundant = false;
       options.max_premise_length = kMaxPre;
       options.max_consequent_length = kMaxPost;
-      RuleSet got = MineRecurrentRules(db, options);
+      RuleSet got = MineRecurrentRules(HybridIndex(db), options);
       auto want = OracleFullRules(db, min_s_sup, min_conf, 1, kMaxPre,
                                   kMaxPost);
       ASSERT_EQ(got.size(), want.size())
@@ -161,6 +171,41 @@ TEST_P(RuleMinePropertyTest, FullMinerMatchesOracle) {
   }
 }
 
+TEST_P(RuleMinePropertyTest, FullBackwardMinerMatchesOracle) {
+  SequenceDatabase db = RandomDb(GetParam());
+  const HybridIndex index(db);
+  const size_t kMaxPre = 2;
+  const size_t kMaxPost = 2;
+  for (double min_conf : {0.5, 0.9}) {
+    for (uint64_t min_s_sup : {2u, 3u}) {
+      auto want = OracleFullRules(db, min_s_sup, min_conf, 1, kMaxPre,
+                                  kMaxPost, /*backward=*/true);
+      for (size_t threads : {1u, 4u}) {
+        RuleMinerOptions options;
+        options.min_s_support = min_s_sup;
+        options.min_confidence = min_conf;
+        options.min_i_support = 1;
+        options.non_redundant = false;
+        options.max_premise_length = kMaxPre;
+        options.max_consequent_length = kMaxPost;
+        options.num_threads = threads;
+        RuleSet got = MineBackwardRules(index, options);
+        ASSERT_EQ(got.size(), want.size())
+            << "min_conf=" << min_conf << " min_s_sup=" << min_s_sup
+            << " threads=" << threads;
+        for (const Rule& r : got.rules()) {
+          auto it = want.find({r.premise, r.consequent});
+          ASSERT_NE(it, want.end()) << r.ToString(db.dictionary());
+          EXPECT_EQ(r.s_support, it->second.s_support);
+          EXPECT_EQ(r.i_support, it->second.i_support);
+          EXPECT_EQ(r.premise_points, it->second.premise_points);
+          EXPECT_EQ(r.satisfied_points, it->second.satisfied_points);
+        }
+      }
+    }
+  }
+}
+
 TEST_P(RuleMinePropertyTest, NrRulesAreExactlyTheNonDominatedFullRules) {
   SequenceDatabase db = RandomDb(GetParam());
   // Unbounded lengths: the NR pipeline keeps the ⊑-maximal premise of
@@ -169,11 +214,11 @@ TEST_P(RuleMinePropertyTest, NrRulesAreExactlyTheNonDominatedFullRules) {
   full.min_s_support = 2;
   full.min_confidence = 0.7;
   full.non_redundant = false;
-  RuleSet full_rules = MineRecurrentRules(db, full);
+  RuleSet full_rules = MineRecurrentRules(HybridIndex(db), full);
 
   RuleMinerOptions nr = full;
   nr.non_redundant = true;
-  RuleSet nr_rules = MineRecurrentRules(db, nr);
+  RuleSet nr_rules = MineRecurrentRules(HybridIndex(db), nr);
 
   // (1) NR subset of Full with identical stats.
   for (const Rule& r : nr_rules.rules()) {
@@ -210,7 +255,7 @@ TEST_P(RuleMinePropertyTest, ConfidenceAprioriTheorem3) {
   options.non_redundant = false;
   options.max_premise_length = 1;
   options.max_consequent_length = 2;
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   for (const Rule& r : rules.rules()) {
     if (r.consequent.size() != 2) continue;
     Pattern shorter(std::vector<EventId>{r.consequent[0]});
@@ -229,7 +274,7 @@ TEST_P(RuleMinePropertyTest, SSupportAprioriTheorem2) {
   options.non_redundant = false;
   options.max_premise_length = 2;
   options.max_consequent_length = 1;
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   for (const Rule& r : rules.rules()) {
     if (r.premise.size() != 2) continue;
     Pattern shorter(std::vector<EventId>{r.premise[0]});

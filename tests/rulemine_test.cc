@@ -74,7 +74,7 @@ TEST(PremiseMinerTest, EnumeratesFrequentPremisesWithPoints) {
   options.min_s_support = 3;
   options.maximality_pruning = false;
   std::vector<Pattern> premises;
-  ScanPremises(db, options,
+  ScanPremises(HybridIndex(db), options,
                [&](const Pattern& p, const TemporalPointSet& pts) {
                  premises.push_back(p);
                  EXPECT_EQ(pts.SupportingSequences(), 3u);
@@ -95,7 +95,7 @@ TEST(PremiseMinerTest, ReusedPointSetMatchesTheReference) {
     options.min_s_support = 2;
     options.maximality_pruning = pruning;
     size_t premises = 0;
-    ScanPremises(db, options,
+    ScanPremises(HybridIndex(db), options,
                  [&](const Pattern& p, const TemporalPointSet& pts) {
                    ++premises;
                    EXPECT_EQ(pts, ComputeTemporalPoints(p, db));
@@ -115,7 +115,7 @@ TEST(PremiseMinerTest, MaximalityPruningDropsEquivalentShorterPremises) {
   options.min_s_support = 2;
   options.maximality_pruning = true;
   std::vector<Pattern> premises;
-  ScanPremises(db, options,
+  ScanPremises(HybridIndex(db), options,
                [&](const Pattern& p, const TemporalPointSet&) {
                  premises.push_back(p);
                  return true;
@@ -137,7 +137,7 @@ TEST(PremiseMinerTest, NonEquivalentPremisesKept) {
   options.min_s_support = 2;
   options.maximality_pruning = true;
   std::vector<Pattern> premises;
-  ScanPremises(db, options,
+  ScanPremises(HybridIndex(db), options,
                [&](const Pattern& p, const TemporalPointSet&) {
                  premises.push_back(p);
                  return true;
@@ -166,6 +166,21 @@ TEST(ConfidenceThresholdTest, RoundsUpAndNeverBelowOne) {
   EXPECT_EQ(ConfidenceSupportThreshold(0.2, 5), 1u);
 }
 
+// Step 3 as the forward rule miner runs it: consequents over the suffixes
+// strictly after each of the premise's temporal points.
+PatternSet ConsequentsAfter(const SequenceDatabase& db,
+                            const TemporalPointSet& points,
+                            const ConsequentMinerOptions& options,
+                            SequentialWorkspace* ws = nullptr) {
+  std::vector<Unit> units;
+  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
+    for (Pos j : points.points(i)) {
+      units.push_back(Unit{points.seq(i), j + 1});
+    }
+  }
+  return MineConsequents(UnitDatabase(db, std::move(units)), options, ws);
+}
+
 TEST(ConsequentMinerTest, MinesSuffixPatternsAboveConfidence) {
   // Premise <a> has points after which "b c" always follows; "d" follows
   // half the time.
@@ -175,7 +190,7 @@ TEST(ConsequentMinerTest, MinesSuffixPatternsAboveConfidence) {
   ConsequentMinerOptions options;
   options.min_confidence = 1.0;
   options.closed_pruning = false;
-  PatternSet posts = MineConsequents(db, pts, options);
+  PatternSet posts = ConsequentsAfter(db, pts, options);
   EXPECT_EQ(posts.SupportOf(P(db, "b c")), 2u);
   EXPECT_EQ(posts.SupportOf(P(db, "b")), 2u);
   EXPECT_FALSE(posts.Contains(P(db, "d")));  // Only 1 of 2 points.
@@ -189,7 +204,7 @@ TEST(ConsequentMinerTest, ConsequentStrictlyAfterPoint) {
   ConsequentMinerOptions options;
   options.min_confidence = 1.0;
   options.closed_pruning = false;
-  PatternSet posts = MineConsequents(db, pts, options);
+  PatternSet posts = ConsequentsAfter(db, pts, options);
   EXPECT_TRUE(posts.Contains(P(db, "b")));
   EXPECT_FALSE(posts.Contains(P(db, "a")));
 }
@@ -200,7 +215,7 @@ TEST(ConsequentMinerTest, ClosedPruningDropsAbsorbedPosts) {
   ConsequentMinerOptions options;
   options.min_confidence = 1.0;
   options.closed_pruning = true;
-  PatternSet posts = MineConsequents(db, pts, options);
+  PatternSet posts = ConsequentsAfter(db, pts, options);
   // <b> and <c> are absorbed by <b, c>.
   ASSERT_EQ(posts.size(), 1u);
   EXPECT_EQ(posts[0].pattern, P(db, "b c"));
@@ -306,7 +321,7 @@ TEST(RuleMinerTest, LockUnlockRule) {
   options.min_s_support = 3;
   options.min_confidence = 1.0;
   options.non_redundant = false;
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   const Rule* r = rules.Find(P(db, "lock"), P(db, "unlock"));
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->s_support, 3u);
@@ -322,7 +337,7 @@ TEST(RuleMinerTest, ConfidenceCountsUnsatisfiedPoints) {
   options.min_s_support = 2;
   options.min_confidence = 0.5;
   options.non_redundant = false;
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   const Rule* r = rules.Find(P(db, "lock"), P(db, "unlock"));
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->premise_points, 3u);
@@ -336,7 +351,7 @@ TEST(RuleMinerTest, MinConfidenceFilters) {
   options.min_s_support = 2;
   options.min_confidence = 0.9;
   options.non_redundant = false;
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   EXPECT_EQ(rules.Find(P(db, "lock"), P(db, "unlock")), nullptr);
 }
 
@@ -347,10 +362,10 @@ TEST(RuleMinerTest, MinIsupportFilters) {
   options.min_confidence = 1.0;
   options.non_redundant = false;
   options.min_i_support = 3;  // occ(<a, b>) == 2 < 3.
-  RuleSet rules = MineRecurrentRules(db, options);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options);
   EXPECT_EQ(rules.Find(P(db, "a"), P(db, "b")), nullptr);
   options.min_i_support = 2;
-  rules = MineRecurrentRules(db, options);
+  rules = MineRecurrentRules(HybridIndex(db), options);
   EXPECT_NE(rules.Find(P(db, "a"), P(db, "b")), nullptr);
 }
 
@@ -367,7 +382,7 @@ TEST(RuleMinerTest, MultiEventRuleInitTermination) {
   full.min_s_support = 3;
   full.min_confidence = 1.0;
   full.non_redundant = false;
-  RuleSet full_rules = MineRecurrentRules(db, full);
+  RuleSet full_rules = MineRecurrentRules(HybridIndex(db), full);
   const Rule* r = full_rules.Find(P(db, "init1 init2"), P(db, "term1 term2"));
   ASSERT_NE(r, nullptr) << full_rules.ToString(db.dictionary());
   EXPECT_EQ(r->s_support, 3u);
@@ -378,7 +393,7 @@ TEST(RuleMinerTest, MultiEventRuleInitTermination) {
   // constraint.
   RuleMinerOptions nr = full;
   nr.non_redundant = true;
-  RuleSet nr_rules = MineRecurrentRules(db, nr);
+  RuleSet nr_rules = MineRecurrentRules(HybridIndex(db), nr);
   const Rule* kept =
       nr_rules.Find(P(db, "init1"), P(db, "init2 term1 term2"));
   ASSERT_NE(kept, nullptr) << nr_rules.ToString(db.dictionary());
@@ -397,10 +412,10 @@ TEST(RuleMinerTest, NonRedundantIsSubsetOfFull) {
   full.min_s_support = 2;
   full.min_confidence = 0.6;
   full.non_redundant = false;
-  RuleSet full_rules = MineRecurrentRules(db, full);
+  RuleSet full_rules = MineRecurrentRules(HybridIndex(db), full);
   RuleMinerOptions nr = full;
   nr.non_redundant = true;
-  RuleSet nr_rules = MineRecurrentRules(db, nr);
+  RuleSet nr_rules = MineRecurrentRules(HybridIndex(db), nr);
   EXPECT_LE(nr_rules.size(), full_rules.size());
   for (const Rule& r : nr_rules.rules()) {
     const Rule* in_full = full_rules.Find(r.premise, r.consequent);
@@ -420,7 +435,7 @@ TEST(RuleMinerTest, TruncationStopsEarly) {
   options.non_redundant = false;
   options.max_rules = 10;
   RuleMinerStats stats;
-  RuleSet rules = MineRecurrentRules(db, options, &stats);
+  RuleSet rules = MineRecurrentRules(HybridIndex(db), options, &stats);
   EXPECT_TRUE(stats.truncated);
   EXPECT_LE(rules.size(), 10u);
 }

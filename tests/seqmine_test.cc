@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/rulemine/consequent_miner.h"
+#include "src/rulemine/temporal_points.h"
 #include "src/seqmine/closed_sequential_miner.h"
 #include "src/seqmine/generator_miner.h"
 #include "src/seqmine/occurrence_engine.h"
@@ -634,6 +635,21 @@ TEST(SequentialWorkspaceTest, ReuseAcrossDatabasesMatchesFreshAndOracle) {
   }
 }
 
+// Step 3 as the forward rule miner runs it: consequents over the suffixes
+// strictly after each of the premise's temporal points.
+PatternSet ConsequentsAfter(const SequenceDatabase& db,
+                            const TemporalPointSet& points,
+                            const ConsequentMinerOptions& options,
+                            SequentialWorkspace* ws = nullptr) {
+  std::vector<Unit> units;
+  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
+    for (Pos j : points.points(i)) {
+      units.push_back(Unit{points.seq(i), j + 1});
+    }
+  }
+  return MineConsequents(UnitDatabase(db, std::move(units)), options, ws);
+}
+
 // The rule miners' nesting: consequents are mined inside the premise
 // scan's sink, with a second workspace. Closed and full consequents must
 // match the same premises' consequents mined one at a time afterwards.
@@ -659,7 +675,7 @@ TEST(SequentialWorkspaceTest, NestedConsequentMiningMatchesUnnested) {
             premises.push_back(p);
             points.push_back(ComputeTemporalPoints(p, db));
             nested.push_back(
-                MineConsequents(db, points.back(), options, &consequent_ws));
+                ConsequentsAfter(db, points.back(), options, &consequent_ws));
             return true;
           },
           nullptr, &premise_ws);
@@ -668,7 +684,7 @@ TEST(SequentialWorkspaceTest, NestedConsequentMiningMatchesUnnested) {
                 premises.size());
       for (size_t i = 0; i < premises.size(); ++i) {
         EXPECT_EQ(nested[i].items(),
-                  MineConsequents(db, points[i], options).items())
+                  ConsequentsAfter(db, points[i], options).items())
             << "premise " << i;
       }
     }
