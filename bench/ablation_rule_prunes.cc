@@ -36,14 +36,10 @@ void RunConfig(const HybridIndex& index, uint64_t min_s_sup, double conf,
   ScanPremises(index, premise_options,
                [&](const Pattern& pre, const TemporalPointSet& points) {
                  ++premises;
-                 std::vector<Unit> units;
-                 for (size_t i = 0; i < points.SupportingSequences(); ++i) {
-                   for (Pos j : points.points(i)) {
-                     units.push_back(Unit{points.seq(i), j + 1});
-                   }
-                 }
                  PatternSet posts = MineConsequents(
-                     UnitDatabase(index.db(), std::move(units)),
+                     UnitDatabase(index.db(),
+                                  ConsequentUnits(index.db(), points,
+                                                  /*backward=*/false)),
                      consequent_options);
                  for (const MinedPattern& post : posts.items()) {
                    Rule rule;

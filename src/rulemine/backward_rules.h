@@ -47,9 +47,9 @@ SequenceDatabase ReverseDatabase(const SequenceDatabase& db);
 /// \brief \p p with its events in reverse order.
 Pattern ReversePattern(const Pattern& p);
 
-/// \brief The LTL-with-past rendering "G(pre -> P(post))" used by reports;
-/// there is no past operator in the checkable fragment, so this is a
-/// display form only.
+/// \brief The report form "pre -> previously post  (s-sup=…, i-sup=…,
+/// conf=…)", i.e. the LTL-with-past G(pre -> P(post)); there is no past
+/// operator in the checkable fragment, so this is a display form only.
 std::string BackwardRuleToString(const Rule& rule,
                                  const EventDictionary& dict);
 

@@ -16,6 +16,21 @@ uint64_t ConfidenceSupportThreshold(double min_confidence,
   return k == 0 ? 1 : k;
 }
 
+std::vector<Unit> ConsequentUnits(const SequenceDatabase& db,
+                                  const TemporalPointSet& points,
+                                  bool backward) {
+  std::vector<Unit> units;
+  units.reserve(points.TotalPoints());
+  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
+    const SeqId s = points.seq(i);
+    const Pos len = static_cast<Pos>(db[s].size());
+    for (Pos j : points.points(i)) {
+      units.push_back(Unit{s, backward ? len - j : j + 1});
+    }
+  }
+  return units;
+}
+
 PatternSet MineConsequents(const UnitDatabase& units,
                            const ConsequentMinerOptions& options,
                            SequentialWorkspace* ws) {

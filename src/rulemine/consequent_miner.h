@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "src/patterns/pattern_set.h"
+#include "src/rulemine/temporal_points.h"
 #include "src/seqmine/prefixspan.h"
 #include "src/trace/sequence_database.h"
 
@@ -33,6 +34,14 @@ struct ConsequentMinerOptions {
 /// \p total_points, never below 1.
 uint64_t ConfidenceSupportThreshold(double min_confidence,
                                     uint64_t total_points);
+
+/// \brief The units Step 3 mines for a premise with temporal \p points in
+/// \p db, one per point j: the suffix after j (forward), or, when
+/// \p backward, the strict prefix before j, which is the suffix of the
+/// reversed sequence starting at len - j (units into ReverseDatabase(db)).
+std::vector<Unit> ConsequentUnits(const SequenceDatabase& db,
+                                  const TemporalPointSet& points,
+                                  bool backward);
 
 /// \brief Mines consequents over \p units, one unit per temporal point
 /// (the suffix a consequent must occur in); the confidence threshold is

@@ -31,21 +31,10 @@ struct RunContext {
 bool MinePremise(const RunContext& run, SequentialWorkspace* ws,
                  const Pattern& premise, const TemporalPointSet& points,
                  RuleSet* rules) {
-  // One unit per temporal point j: the suffix after j (forward), or the
-  // strict prefix before j, which is the suffix of the reversed sequence
-  // starting at len - j (backward).
-  std::vector<Unit> units;
-  units.reserve(points.TotalPoints());
-  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
-    const SeqId s = points.seq(i);
-    const Pos len = static_cast<Pos>(run.index.db()[s].size());
-    for (Pos j : points.points(i)) {
-      units.push_back(Unit{s, run.backward ? len - j : j + 1});
-    }
-  }
-  const PatternSet consequents =
-      MineConsequents(UnitDatabase(run.consequent_db, std::move(units)),
-                      run.consequent_options, ws);
+  const PatternSet consequents = MineConsequents(
+      UnitDatabase(run.consequent_db,
+                   ConsequentUnits(run.index.db(), points, run.backward)),
+      run.consequent_options, ws);
   for (const MinedPattern& post : consequents.items()) {
     Rule rule;
     rule.premise = premise;

@@ -172,13 +172,26 @@ PatternSet ConsequentsAfter(const SequenceDatabase& db,
                             const TemporalPointSet& points,
                             const ConsequentMinerOptions& options,
                             SequentialWorkspace* ws = nullptr) {
-  std::vector<Unit> units;
-  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
-    for (Pos j : points.points(i)) {
-      units.push_back(Unit{points.seq(i), j + 1});
+  return MineConsequents(
+      UnitDatabase(db, ConsequentUnits(db, points, /*backward=*/false)),
+      options, ws);
+}
+
+TEST(ConsequentMinerTest, UnitsStartAfterOrMirrorEachPoint) {
+  // Premise <a> has points 0 and 2 in "a b a c" (len 4) and 1 in "x a".
+  SequenceDatabase db = MakeDb({"a b a c", "x a"});
+  TemporalPointSet pts = ComputeTemporalPoints(P(db, "a"), db);
+  const auto starts = [&](bool backward) {
+    std::vector<std::pair<SeqId, Pos>> out;
+    for (Unit u : ConsequentUnits(db, pts, backward)) {
+      out.emplace_back(u.seq, u.start);
     }
-  }
-  return MineConsequents(UnitDatabase(db, std::move(units)), options, ws);
+    return out;
+  };
+  using Starts = std::vector<std::pair<SeqId, Pos>>;
+  EXPECT_EQ(starts(false), (Starts{{0, 1}, {0, 3}, {1, 2}}));
+  // len - j: the reversed sequence's suffix holding exactly S[0..j-1].
+  EXPECT_EQ(starts(true), (Starts{{0, 4}, {0, 2}, {1, 1}}));
 }
 
 TEST(ConsequentMinerTest, MinesSuffixPatternsAboveConfidence) {

@@ -641,13 +641,9 @@ PatternSet ConsequentsAfter(const SequenceDatabase& db,
                             const TemporalPointSet& points,
                             const ConsequentMinerOptions& options,
                             SequentialWorkspace* ws = nullptr) {
-  std::vector<Unit> units;
-  for (size_t i = 0; i < points.SupportingSequences(); ++i) {
-    for (Pos j : points.points(i)) {
-      units.push_back(Unit{points.seq(i), j + 1});
-    }
-  }
-  return MineConsequents(UnitDatabase(db, std::move(units)), options, ws);
+  return MineConsequents(
+      UnitDatabase(db, ConsequentUnits(db, points, /*backward=*/false)),
+      options, ws);
 }
 
 // The rule miners' nesting: consequents are mined inside the premise
